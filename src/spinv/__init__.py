@@ -1,6 +1,6 @@
 """Log-densities of CGF-specified distributions via saddlepoint-adjusted inversion."""
 
-from .cgf import CgfModel, DomainInterval, TiltedModel, char_fn, standardized_tilted_cf, tilt
+from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -28,12 +28,16 @@ from .estimation import (
 from .bessel import bessel_k1_scaled
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
+    DEFAULT_SPI_QUAD,
+    MJD_SPI_QUAD,
     LogDensityResult,
     QuadratureSpec,
     default_spi_quad,
     direct_ift_log_density,
     direct_ift_log_density_batch,
+    log_density_terms,
     p_bar_zero,
+    p_bar_zero_batch,
     simpson_integrate,
     spa_log_density,
     spa_log_density_batch,

@@ -1,4 +1,4 @@
-"""Cumulant generating function interface, tilting, and the standardized tilted CF.
+"""Cumulant generating function interface and the standardized tilted CF.
 
 Exponentially tilting X by tau in the interior of Omega gives a variable
 X(tau) with CGF K(t + tau) - K(tau). Standardizing the tilted variable so
@@ -72,34 +72,6 @@ class CgfModel(ABC):
         return float(self.k2(0.0))
 
 
-class TiltedModel(CgfModel):
-    """Exponential tilt of a base model: K_tilt(t) = K(t + tau) - K(tau)."""
-
-    def __init__(self, base: CgfModel, tau: float):
-        tau = float(tau)
-        if not base.domain().contains(tau):
-            raise DomainError(f"tilt {tau} outside CGF domain {base.domain()}")
-        self.base = base
-        self.tau = tau
-        self._k_tau = float(base.k(tau))
-
-    def k(self, t):
-        return self.base.k(t + self.tau) - self._k_tau
-
-    def k_complex(self, z):
-        return self.base.k_complex(z + self.tau) - self._k_tau
-
-    def k1(self, t):
-        return self.base.k1(t + self.tau)
-
-    def k2(self, t):
-        return self.base.k2(t + self.tau)
-
-    def domain(self) -> DomainInterval:
-        d = self.base.domain()
-        return DomainInterval(d.lo - self.tau, d.hi - self.tau)
-
-
 def char_fn(model: CgfModel, s):
     """Characteristic function phi(s) = exp(K(i s)), vectorized over s."""
     val = np.exp(model.k_complex(1j * np.asarray(s, dtype=float)))
@@ -109,25 +81,19 @@ def char_fn(model: CgfModel, s):
     return val
 
 
-def tilt(model: CgfModel, tau: float) -> TiltedModel:
-    """Exponentially tilted model; tau must lie inside the base domain."""
-    return TiltedModel(model, tau)
-
-
-def standardized_tilted_cf(model: CgfModel, tau_hat: float, x0: float, s):
+def standardized_tilted_cf(model: CgfModel, tau_hat, x0, s):
     """CF of the standardized tilted variable, evaluated at real s.
 
     With tau_hat solving K'(tau_hat) = x0, this is the CF of
     (X(tau_hat) - x0) / sqrt(K''(tau_hat)); its value at s = 0 is 1.
+    tau_hat and x0 may be column arrays, one row per point, which
+    broadcast against s. Entries that overflow are returned as they are.
     """
-    k2 = float(model.k2(tau_hat))
-    if not k2 > 0.0:
-        raise DomainError(f"K'' must be positive at the tilt, got {k2}")
+    k2 = np.asarray(model.k2(tau_hat), dtype=float)
+    if not np.all(k2 > 0.0):
+        raise DomainError(f"K'' must be positive at the tilt, got {np.min(k2)}")
     rk2 = np.sqrt(k2)
     s = np.asarray(s, dtype=float)
-    val = np.exp(
+    return np.exp(
         -model.k(tau_hat) - 1j * s * x0 / rk2 + model.k_complex(tau_hat + 1j * s / rk2)
     )
-    if not np.all(np.isfinite(np.atleast_1d(val.real))):
-        raise InversionError("standardized tilted CF not finite")
-    return val

@@ -4,6 +4,11 @@ Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 --output or stdout. Exit codes: 0 success, 2 input parsing, 3 validation,
 4 convergence, 5 inversion/quadrature failure.
 
+density evaluates its grid in one batch pass through the inversion core;
+an spi row whose p_bar(0) is unusable carries its own error. When the
+batch saddlepoint solve fails, an spi or spa grid is redone row by row
+through the scalar evaluators, so that only the rows it cannot solve fail.
+
 Price CSVs hold one observation per line, either a single price column or
 (date, price); a header is detected by a non-numeric last field. Returns
 are log(p_{i+1}/p_i), so the date column and any header never matter.
@@ -38,9 +43,12 @@ from .estimation import (
 )
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
+    DEFAULT_SPI_QUAD,
+    MJD_SPI_QUAD,
     QuadratureSpec,
-    default_spi_quad,
-    direct_ift_log_density,
+    direct_ift_log_density_batch,
+    log_density_terms,
+    p_bar_error,
     spa_log_density,
     spi_log_density,
 )
@@ -143,10 +151,8 @@ def _quad_from_args(args, family, method):
         return None
     if method == "direct":
         base = DEFAULT_DIRECT_QUAD
-    elif family == "mjd":
-        base = QuadratureSpec(16.0, 128)
     else:
-        base = QuadratureSpec(100.0, 512)
+        base = MJD_SPI_QUAD if family == "mjd" else DEFAULT_SPI_QUAD
     return QuadratureSpec(
         upper if upper is not None else base.upper_limit,
         points if points is not None else base.n_points,
@@ -214,34 +220,52 @@ def _rows_to_json(header, rows):
     return json.dumps(records, indent=2) + "\n"
 
 
+def _density_rows(model, xs, method, quad):
+    """spi or spa rows of the density table from one batch pass over the grid.
+
+    A row whose p_bar(0) is unusable gets that as its error; any other
+    failure raises for the whole grid.
+    """
+    tilt, jac, p_bar = log_density_terms(model, xs, method, quad)
+    rows = []
+    for x, t, j, p in zip(xs.tolist(), tilt.tolist(), jac.tolist(), p_bar.tolist()):
+        error = p_bar_error(p, f"at x0 = {x}")
+        if error:
+            rows.append([x, "", "", "", "", error])
+        else:
+            log_p_bar = math.log(p)
+            rows.append([x, t + j + log_p_bar, t, j, log_p_bar, ""])
+    return rows
+
+
+def _density_row(model, x, method, quad):
+    """One spi or spa row of the density table through the scalar evaluators."""
+    try:
+        r = spi_log_density(model, x, quad) if method == "spi" else spa_log_density(model, x)
+    except SpinvError as exc:
+        return [x, "", "", "", "", str(exc)]
+    return [x, r.log_density, r.tilt_term, r.jacobian_term, r.log_p_bar, ""]
+
+
 def cmd_density(args):
     params = _family_params(args.family, _parse_params(args.params))
     model, oracle = _density_model(args.family, params, args.dt, args.x0)
     quad = _quad_from_args(args, args.family, args.method)
     xs = _parse_grid(args.grid)
     header = ["x", "log_density", "tilt_term", "jacobian_term", "log_p_bar", "error"]
-    rows = []
-    failed = False
-    for x in xs:
-        x = float(x)
+    if args.method in ("oracle", "direct"):
+        values = oracle(xs) if args.method == "oracle" else direct_ift_log_density_batch(model, xs, quad)
+        rows = [[x, v, "", "", "", ""] for x, v in zip(xs.tolist(), values.tolist())]
+    else:
         try:
-            if args.method in ("spi", "spa"):
-                r = (
-                    spi_log_density(model, x, quad)
-                    if args.method == "spi"
-                    else spa_log_density(model, x)
-                )
-                rows.append([x, r.log_density, r.tilt_term, r.jacobian_term, r.log_p_bar, ""])
-            elif args.method == "direct":
-                rows.append([x, direct_ift_log_density(model, x, quad), "", "", "", ""])
-            else:
-                rows.append([x, float(oracle(x)), "", "", "", ""])
-        except SpinvError as exc:
-            failed = True
-            rows.append([x, "", "", "", "", str(exc)])
+            rows = _density_rows(model, xs, args.method, quad)
+        except ConvergenceError:
+            # the batch solver fails the whole grid; row by row, only the
+            # rows it cannot solve fail
+            rows = [_density_row(model, x, args.method, quad) for x in xs.tolist()]
     text = _rows_to_json(header, rows) if args.format == "json" else _rows_to_csv(header, rows)
     _emit(text, args.output)
-    return 5 if failed else 0
+    return 5 if any(row[-1] for row in rows) else 0
 
 
 def _fit_payload(result, data):

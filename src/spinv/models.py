@@ -122,10 +122,9 @@ class Nig(CgfModel):
     def k(self, t):
         t = np.asarray(t, dtype=float)
         u = t * t + 2.0 * t * self.params.gamma
-        val = t * self.params.mu + self._sqrt_chi * u / (
+        return t * self.params.mu + self._sqrt_chi * u / (
             self._sqrt_psi + np.sqrt(self._d(t))
         )
-        return val if val.ndim else float(val)
 
     def k_complex(self, z):
         z = np.asarray(z, dtype=complex)
@@ -136,15 +135,13 @@ class Nig(CgfModel):
 
     def k1(self, t):
         t = np.asarray(t, dtype=float)
-        val = self.params.mu + self._sqrt_chi * (t + self.params.gamma) / np.sqrt(
+        return self.params.mu + self._sqrt_chi * (t + self.params.gamma) / np.sqrt(
             self._d(t)
         )
-        return val if val.ndim else float(val)
 
     def k2(self, t):
         t = np.asarray(t, dtype=float)
-        val = self._sqrt_chi * (self.params.psi + self.params.gamma**2) * self._d(t) ** -1.5
-        return val if val.ndim else float(val)
+        return self._sqrt_chi * (self.params.psi + self.params.gamma**2) * self._d(t) ** -1.5
 
     def domain(self) -> DomainInterval:
         g = self.params.gamma
@@ -172,12 +169,11 @@ class MjdTransition(CgfModel):
 
     def k(self, t):
         t = np.asarray(t, dtype=float)
-        val = (
+        return (
             t * self._base
             + 0.5 * self._var_diff * t * t
             + self._lam_dt * (np.exp(self._jump_exponent(t)) - 1.0)
         )
-        return val if val.ndim else float(val)
 
     def k_complex(self, z):
         z = np.asarray(z, dtype=complex)
@@ -190,20 +186,18 @@ class MjdTransition(CgfModel):
     def k1(self, t):
         t = np.asarray(t, dtype=float)
         p = self.params
-        val = (
+        return (
             self._base
             + self._var_diff * t
             + self._lam_dt * (p.mu_j + p.nu**2 * t) * np.exp(self._jump_exponent(t))
         )
-        return val if val.ndim else float(val)
 
     def k2(self, t):
         t = np.asarray(t, dtype=float)
         p = self.params
-        val = self._var_diff + self._lam_dt * (
+        return self._var_diff + self._lam_dt * (
             (p.mu_j + p.nu**2 * t) ** 2 + p.nu**2
         ) * np.exp(self._jump_exponent(t))
-        return val if val.ndim else float(val)
 
     def domain(self) -> DomainInterval:
         return DomainInterval(-np.inf, np.inf)
@@ -211,8 +205,7 @@ class MjdTransition(CgfModel):
 
 def gaussian_log_density(p: GaussianParams, x):
     x = np.asarray(x, dtype=float)
-    val = -0.5 * np.log(2.0 * np.pi * p.sigma**2) - (x - p.mu) ** 2 / (2.0 * p.sigma**2)
-    return val if val.ndim else float(val)
+    return -0.5 * np.log(2.0 * np.pi * p.sigma**2) - (x - p.mu) ** 2 / (2.0 * p.sigma**2)
 
 
 def nig_exact_log_density(p: NigParams, x):
@@ -228,7 +221,7 @@ def nig_exact_log_density(p: NigParams, x):
     a2 = p.psi + p.gamma**2
     q = p.chi + (x - p.mu) ** 2
     z = np.sqrt(q * a2)
-    val = (
+    return (
         0.5 * np.log(p.chi * a2)
         + np.log(bessel_k1_scaled(z))
         - z
@@ -237,7 +230,6 @@ def nig_exact_log_density(p: NigParams, x):
         + math.sqrt(p.chi * p.psi)
         + (x - p.mu) * p.gamma
     )
-    return val if val.ndim else float(val)
 
 
 def mjd_truncated_log_density(m: MjdTransition, x, max_jumps: int = 20):

@@ -1,9 +1,9 @@
-"""Tests for the CGF interface layer: domains, tilting, characteristic functions."""
+"""Tests for the CGF interface layer: domains, derivatives, characteristic functions."""
 
 import numpy as np
 import pytest
 
-from spinv.cgf import DomainInterval, char_fn, standardized_tilted_cf, tilt
+from spinv.cgf import DomainInterval, char_fn, standardized_tilted_cf
 from spinv.errors import DomainError
 from spinv.saddlepoint import solve_saddlepoint
 from spinv.models import (
@@ -81,35 +81,6 @@ class TestCgfDerivatives:
         kc = model.k_complex(ts.astype(complex))
         np.testing.assert_allclose(kc.real, model.k(ts), rtol=1e-12)
         np.testing.assert_allclose(kc.imag, 0.0, atol=1e-12)
-
-
-class TestTilting:
-    def test_tilted_cgf_identity(self):
-        # K_tilt(t) = K(t + tau) - K(tau), so K_tilt(0) = 0 and the
-        # tilted mean is K'(tau)
-        base = Nig(NigParams(chi=1.0, psi=4.0, mu=0.0, gamma=0.5))
-        tau = 0.8
-        tm = tilt(base, tau)
-        assert tm.k(0.0) == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(tm.mean(), base.k1(tau), rtol=1e-14)
-        np.testing.assert_allclose(tm.variance(), base.k2(tau), rtol=1e-14)
-        ts = np.linspace(-0.5, 0.5, 9)
-        np.testing.assert_allclose(
-            tm.k(ts), base.k(ts + tau) - base.k(tau), rtol=1e-13, atol=1e-15
-        )
-
-    def test_tilt_domain_shifts(self):
-        base = Nig(NigParams(chi=1.0, psi=4.0, mu=0.0, gamma=0.0))
-        d0 = base.domain()
-        tm = tilt(base, 0.5)
-        d1 = tm.domain()
-        np.testing.assert_allclose(d1.lo, d0.lo - 0.5)
-        np.testing.assert_allclose(d1.hi, d0.hi - 0.5)
-
-    def test_tilt_outside_domain_raises(self):
-        base = Nig(NigParams(chi=1.0, psi=4.0, mu=0.0, gamma=0.0))
-        with pytest.raises(DomainError):
-            tilt(base, base.domain().hi + 0.1)
 
 
 class TestCharFn:
