@@ -12,6 +12,8 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
+    FAMILIES,
+    Family,
     FitResult,
     GbmParams,
     ParamTransform,

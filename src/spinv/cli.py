@@ -2,7 +2,9 @@
 
 Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 --output or stdout. Exit codes: 0 success, 2 input parsing, 3 validation,
-4 convergence, 5 inversion/quadrature failure.
+4 convergence, 5 inversion/quadrature failure. What a command knows of a
+family comes from its record in estimation.FAMILIES: the --family choices,
+the --params names and defaults, the model, oracle, simulator and more.
 
 density evaluates its grid in one batch pass through the inversion core;
 an spi row whose p_bar(0) is unusable carries its own error. When the
@@ -20,13 +22,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DomainError,
     InversionError,
     ParseError,
     QuadratureError,
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
-    GbmParams,
+    FAMILIES,
     ReturnSeries,
     fit_mle,
     negative_log_likelihood,
@@ -43,8 +44,6 @@ from .estimation import (
 )
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
-    DEFAULT_SPI_QUAD,
-    MJD_SPI_QUAD,
     QuadratureSpec,
     direct_ift_log_density_batch,
     log_density_terms,
@@ -52,21 +51,15 @@ from .inversion import (
     spa_log_density,
     spi_log_density,
 )
-from .models import (
-    Gaussian,
-    GaussianParams,
-    MjdParams,
-    MjdTransition,
-    Nig,
-    NigParams,
-    gaussian_log_density,
-    mjd_truncated_log_density,
-    nig_exact_log_density,
-    simulate_mjd_path,
-    simulate_nig,
-)
+from .models import MjdTransition, Nig  # noqa: F401 (unused; perfbench/tracing.py patches them)
 
 _PARAM_ALIASES = {"lambda": "lam"}
+# the most rows a --grid may ask for, checked before anything is allocated
+_MAX_GRID_ROWS = 10**7
+# exit code by error type, first match; validation and domain errors give 3
+_EXIT_CODES = (
+    (ParseError, 2), (ConvergenceError, 4), ((InversionError, QuadratureError), 5), (SpinvError, 3)
+)
 
 
 def _parse_params(pairs):
@@ -76,6 +69,8 @@ def _parse_params(pairs):
         if not sep:
             raise ValidationError(f"--params expects key=value, got {token!r}")
         key = _PARAM_ALIASES.get(key, key)
+        if key in out:
+            raise ValidationError(f"--params gives {key!r} more than once")
         try:
             out[key] = float(value)
         except ValueError:
@@ -83,51 +78,26 @@ def _parse_params(pairs):
     return out
 
 
-def _take(params, family, required, optional=None):
-    optional = optional or {}
-    missing = [k for k in required if k not in params]
+def _family_params(family, pairs):
+    """The family's params object; fields with a default may be left out."""
+    cls = FAMILIES[family].transform.params
+    params = _parse_params(pairs)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
     if missing:
         raise ValidationError(f"family {family!r} needs --params {' '.join(missing)}")
-    known = set(required) | set(optional)
-    unknown = sorted(set(params) - known)
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise ValidationError(f"unknown parameters for family {family!r}: {' '.join(unknown)}")
-    merged = dict(optional)
-    merged.update(params)
-    return merged
+    return cls(**params)
 
 
-def _family_params(family, params):
-    """Params object for a family; gbm/gaussian share the Gaussian machinery."""
-    if family == "gaussian":
-        p = _take(params, family, [], {"mu": 0.0, "sigma": 1.0})
-        return GaussianParams(mu=p["mu"], sigma=p["sigma"])
-    if family == "gbm":
-        p = _take(params, family, ["r", "sigma"])
-        return GbmParams(r=p["r"], sigma=p["sigma"])
-    if family == "nig":
-        p = _take(params, family, ["chi", "psi"], {"mu": 0.0, "gamma": 0.0})
-        return NigParams(chi=p["chi"], psi=p["psi"], mu=p["mu"], gamma=p["gamma"])
-    if family == "mjd":
-        p = _take(params, family, ["r", "sigma", "lam", "mu_j", "nu"])
-        return MjdParams(r=p["r"], sigma=p["sigma"], lam=p["lam"], mu_j=p["mu_j"], nu=p["nu"])
-    raise ValidationError(f"unknown family {family!r}")
-
-
-def _density_model(family, params_obj, dt, x0):
-    """(CgfModel, exact log-density callable) for the density grid."""
-    if family == "gaussian":
-        return Gaussian(params_obj), lambda x: gaussian_log_density(params_obj, x)
-    if family == "gbm":
-        inc = GaussianParams(
-            mu=dt * (params_obj.r - 0.5 * params_obj.sigma**2),
-            sigma=params_obj.sigma * math.sqrt(dt),
-        )
-        return Gaussian(inc), lambda x: gaussian_log_density(inc, x)
-    if family == "nig":
-        return Nig(params_obj), lambda x: nig_exact_log_density(params_obj, x)
-    model = MjdTransition(params_obj, x0=x0, dt=dt)
-    return model, lambda x: mjd_truncated_log_density(model, x)
+def _fitted_family(args):
+    """The family record for fit, profile and loglik, which need a moment start."""
+    fam = FAMILIES[args.family]
+    if fam.moment_init is None:
+        names = ", ".join(name for name, f in FAMILIES.items() if f.moment_init is not None)
+        raise ValidationError(f"{args.command} supports families {names}")
+    return fam
 
 
 def _parse_grid(spec):
@@ -138,24 +108,23 @@ def _parse_grid(spec):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--grid values must be numeric, got {spec!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValidationError(f"--grid values must be finite, got {spec!r}")
     if not step > 0.0 or hi < lo:
         raise ValidationError(f"--grid needs lo <= hi and step > 0, got {spec!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_GRID_ROWS:  # also when hi - lo overflows to inf
+        raise ValidationError(f"--grid has more than {_MAX_GRID_ROWS} rows, got {spec!r}")
+    return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
-def _quad_from_args(args, family, method):
-    upper = getattr(args, "quad_upper", None)
-    points = getattr(args, "quad_points", None)
-    if upper is None and points is None:
+def _quad_from_args(args, fam):
+    if args.quad_upper is None and args.quad_points is None:
         return None
-    if method == "direct":
-        base = DEFAULT_DIRECT_QUAD
-    else:
-        base = MJD_SPI_QUAD if family == "mjd" else DEFAULT_SPI_QUAD
+    base = DEFAULT_DIRECT_QUAD if args.method == "direct" else fam.spi_quad
     return QuadratureSpec(
-        upper if upper is not None else base.upper_limit,
-        points if points is not None else base.n_points,
+        args.quad_upper if args.quad_upper is not None else base.upper_limit,
+        args.quad_points if args.quad_points is not None else base.n_points,
     )
 
 
@@ -203,21 +172,18 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _rows_to_json(header, rows):
-    records = [dict(zip(header, row)) for row in rows]
-    for rec in records:
-        for k, v in rec.items():
-            if v == "":
-                rec[k] = None
-    return json.dumps(records, indent=2) + "\n"
+def _emit_table(args, header, rows):
+    """The rows as CSV, or as JSON records with empty cells as null."""
+    if args.format == "json":
+        records = [{k: None if v == "" else v for k, v in zip(header, row)} for row in rows]
+        text = json.dumps(records, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    _emit(text, args.output)
 
 
 def _density_rows(model, xs, method, quad):
@@ -248,13 +214,14 @@ def _density_row(model, x, method, quad):
 
 
 def cmd_density(args):
-    params = _family_params(args.family, _parse_params(args.params))
-    model, oracle = _density_model(args.family, params, args.dt, args.x0)
-    quad = _quad_from_args(args, args.family, args.method)
+    fam = FAMILIES[args.family]
+    model = fam.model(_family_params(args.family, args.params), args.dt, args.x0)
+    quad = _quad_from_args(args, fam)
     xs = _parse_grid(args.grid)
     header = ["x", "log_density", "tilt_term", "jacobian_term", "log_p_bar", "error"]
     if args.method in ("oracle", "direct"):
-        values = oracle(xs) if args.method == "oracle" else direct_ift_log_density_batch(model, xs, quad)
+        direct = args.method == "direct"
+        values = direct_ift_log_density_batch(model, xs, quad) if direct else fam.oracle(model, xs)
         rows = [[x, v, "", "", "", ""] for x, v in zip(xs.tolist(), values.tolist())]
     else:
         try:
@@ -263,8 +230,7 @@ def cmd_density(args):
             # the batch solver fails the whole grid; row by row, only the
             # rows it cannot solve fail
             rows = [_density_row(model, x, args.method, quad) for x in xs.tolist()]
-    text = _rows_to_json(header, rows) if args.format == "json" else _rows_to_csv(header, rows)
-    _emit(text, args.output)
+    _emit_table(args, header, rows)
     return 5 if any(row[-1] for row in rows) else 0
 
 
@@ -285,65 +251,43 @@ def _fit_payload(result, data):
 
 
 def cmd_fit(args):
-    if args.family == "gaussian":
-        raise ValidationError("fit supports families gbm, nig, mjd")
+    fam = _fitted_family(args)
     data = _load_returns(args)
-    quad = _quad_from_args(args, args.family, args.method)
+    quad = _quad_from_args(args, fam)
     result = fit_mle(args.family, data, method=args.method, quad=quad)
     _emit(json.dumps(_fit_payload(result, data), indent=2) + "\n", args.output)
     return 0 if result.converged else 4
 
 
 def cmd_profile(args):
-    if args.family == "gaussian":
-        raise ValidationError("profile supports families gbm, nig, mjd")
+    fam = _fitted_family(args)
     data = _load_returns(args)
-    quad = _quad_from_args(args, args.family, args.method)
+    quad = _quad_from_args(args, fam)
     grid = _parse_grid(args.grid)
     points = profile_nll(args.family, data, args.method, quad, args.param, grid)
     rows = [[p.value, p.nll, p.converged] for p in points]
-    if args.family == "mjd":
-        ref = fit_mle("gbm", data)
-        rows.append(["gbm_ref", ref.nll, ref.converged])
-    text = (
-        _rows_to_json(["param_value", "nll", "converged"], rows)
-        if args.format == "json"
-        else _rows_to_csv(["param_value", "nll", "converged"], rows)
-    )
-    _emit(text, args.output)
+    if fam.reference:
+        ref = fit_mle(fam.reference, data)
+        rows.append([f"{fam.reference}_ref", ref.nll, ref.converged])
+    _emit_table(args, ["param_value", "nll", "converged"], rows)
     return 0
 
 
 def cmd_simulate(args):
     if args.n < 1:
         raise ValidationError(f"--n must be at least 1, got {args.n}")
-    params = _family_params(args.family, _parse_params(args.params))
-    if args.family == "nig":
-        returns = simulate_nig(params, args.n, args.seed)
-        prices = np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
-    elif args.family == "mjd":
-        path = simulate_mjd_path(params, 0.0, args.dt, args.n, args.seed)
-        prices = np.exp(path)
-    else:
-        rng = np.random.default_rng(args.seed)
-        if args.family == "gbm":
-            mu = args.dt * (params.r - 0.5 * params.sigma**2)
-            sd = params.sigma * math.sqrt(args.dt)
-        else:
-            mu, sd = params.mu, params.sigma
-        returns = mu + sd * rng.standard_normal(args.n)
-        prices = np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
-    lines = "".join(f"{p:.17g}\n" for p in prices)
+    params = _family_params(args.family, args.params)
+    path = FAMILIES[args.family].simulate(params, args.n, args.dt, args.seed)
+    lines = "".join(f"{p:.17g}\n" for p in np.exp(path))
     _emit(lines, args.output)
     return 0
 
 
 def cmd_loglik(args):
-    if args.family == "gaussian":
-        raise ValidationError("loglik supports families gbm, nig, mjd")
+    fam = _fitted_family(args)
     data = _load_returns(args)
-    params = _family_params(args.family, _parse_params(args.params))
-    quad = _quad_from_args(args, args.family, args.method)
+    params = _family_params(args.family, args.params)
+    quad = _quad_from_args(args, fam)
     nll = negative_log_likelihood(args.family, params, data, args.method, quad)
     payload = {
         "family": args.family,
@@ -364,7 +308,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, method=True):
-        p.add_argument("--family", required=True, choices=["gaussian", "nig", "mjd", "gbm"])
+        p.add_argument("--family", required=True, choices=list(FAMILIES))
         if method:
             p.add_argument("--method", default="spi", choices=["spi", "spa", "direct", "oracle"])
         p.add_argument("--params", nargs="+", metavar="K=V")
@@ -420,22 +364,9 @@ def main(argv=None):
         args.format = args.format_default
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InversionError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except SpinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 if __name__ == "__main__":
     sys.exit(main())

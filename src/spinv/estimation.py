@@ -1,4 +1,8 @@
-"""Likelihoods, Nelder-Mead fitting, profiles, and the KL bias experiment.
+"""Family registry, likelihoods, Nelder-Mead fitting, profiles, and the KL bias experiment.
+
+A family is one Family record in FAMILIES, which the likelihood, the fits
+and the CLI read, so a family with a closed-form CGF takes one record and
+no edit elsewhere. gbm is the Gaussian model of GbmParams.increment(dt).
 
 Optimization runs in an unconstrained vector space: positive parameters
 (sigma, lambda, nu, chi, psi) enter through their logs, so the simplex can
@@ -12,7 +16,8 @@ the increment CGF is the transition CGF started at zero.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad as adaptive_quad
@@ -20,6 +25,8 @@ from scipy.optimize import brentq, minimize
 
 from .errors import ConvergenceError, SpinvError, ValidationError
 from .inversion import (
+    DEFAULT_SPI_QUAD,
+    MJD_SPI_QUAD,
     QuadratureSpec,
     _simpson_weights,
     direct_ift_log_density_batch,
@@ -27,6 +34,7 @@ from .inversion import (
     spi_log_density_batch,
 )
 from .models import (
+    Gaussian,
     GaussianParams,
     MjdParams,
     MjdTransition,
@@ -35,6 +43,8 @@ from .models import (
     gaussian_log_density,
     mjd_truncated_log_density,
     nig_exact_log_density,
+    simulate_mjd_path,
+    simulate_nig,
 )
 
 _NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 20000, "maxfev": 20000}
@@ -70,6 +80,14 @@ class GbmParams:
         if not self.sigma > 0.0:
             raise ValidationError(f"sigma must be positive, got {self.sigma}")
 
+    def increment(self, dt: float) -> GaussianParams:
+        """The Gaussian law of the log-price increment over dt."""
+        if not dt > 0.0:
+            raise ValidationError(f"dt must be positive, got {dt}")
+        return GaussianParams(
+            mu=dt * (self.r - 0.5 * self.sigma**2), sigma=self.sigma * math.sqrt(dt)
+        )
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -92,69 +110,135 @@ class ProfilePoint:
 
 @dataclass(frozen=True)
 class ParamTransform:
-    """Bijection between a family's params object and an unconstrained vector."""
+    """Bijection between a params dataclass and an unconstrained vector.
 
+    names has one coordinate per field of params, in field order; a name
+    that starts with "log_" marks a positive field that enters through its log.
+    """
+
+    params: type
     names: tuple
-    to_vector: callable
-    from_vector: callable
+
+    def _coords(self):
+        pairs = zip(fields(self.params), self.names, strict=True)
+        return [(f.name, n.startswith("log_")) for f, n in pairs]
+
+    def to_vector(self, p) -> np.ndarray:
+        coords = self._coords()
+        return np.array([math.log(getattr(p, f)) if log else getattr(p, f) for f, log in coords])
+
+    def from_vector(self, v):
+        return self.params(
+            **{f: math.exp(x) if log else float(x) for (f, log), x in zip(self._coords(), v)}
+        )
 
 
-def _gbm_to_vec(p):
-    return np.array([p.r, math.log(p.sigma)])
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one family of return models.
+
+    model(params, dt, x0) is the CGF model of a step of length dt from x0;
+    oracle(model, x) is its closed-form log-density; simulate(params, n,
+    dt, seed) is a log-price path of n steps from 0. moment_init(data)
+    starts a fit (None: the family cannot be fitted). spi_quad is what a
+    partial --quad-upper/--quad-points completes; a profile appends a fit
+    of the reference family; exact_likelihood uses the oracle for every method.
+    """
+
+    transform: ParamTransform
+    model: Callable
+    oracle: Callable
+    simulate: Callable
+    moment_init: Callable = None
+    spi_quad: QuadratureSpec = DEFAULT_SPI_QUAD
+    reference: str = None
+    exact_likelihood: bool = False
 
 
-def _gbm_from_vec(v):
-    return GbmParams(r=float(v[0]), sigma=math.exp(v[1]))
+def _log_path(increments):
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
-def _nig_to_vec(p):
-    return np.array([math.log(p.chi), math.log(p.psi), p.mu, p.gamma])
+def _gaussian_path(p: GaussianParams, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return _log_path(p.mu + p.sigma * rng.standard_normal(n))
 
 
-def _nig_from_vec(v):
-    return NigParams(
-        chi=math.exp(v[0]), psi=math.exp(v[1]), mu=float(v[2]), gamma=float(v[3])
-    )
+def _mean_var(data: ReturnSeries):
+    m = float(np.mean(data.returns))
+    v = float(np.var(data.returns))
+    if v <= 0.0:
+        raise ValidationError("returns have zero variance; cannot initialize")
+    return m, v
 
 
-def _mjd_to_vec(p):
-    return np.array(
-        [p.r, math.log(p.sigma), math.log(p.lam), p.mu_j, math.log(p.nu)]
-    )
+def _gbm_init(data: ReturnSeries) -> GbmParams:
+    m, v = _mean_var(data)
+    sigma = math.sqrt(v / data.dt)
+    return GbmParams(r=m / data.dt + 0.5 * sigma**2, sigma=sigma)
 
 
-def _mjd_from_vec(v):
-    return MjdParams(
-        r=float(v[0]),
-        sigma=math.exp(v[1]),
-        lam=math.exp(v[2]),
-        mu_j=float(v[3]),
-        nu=math.exp(v[4]),
-    )
+def _nig_init(data: ReturnSeries) -> NigParams:
+    # symmetric-NIG moment match: var = sqrt(chi/psi), excess kurt = 3/sqrt(chi*psi)
+    m, v = _mean_var(data)
+    ek = max(float(np.mean((data.returns - m) ** 4)) / v**2 - 3.0, 0.05)
+    return NigParams(chi=3.0 * v / ek, psi=3.0 / (ek * v), mu=m, gamma=0.0)
 
 
-_TRANSFORMS = {
-    "gbm": ParamTransform(("r", "log_sigma"), _gbm_to_vec, _gbm_from_vec),
-    "nig": ParamTransform(
-        ("log_chi", "log_psi", "mu", "gamma"), _nig_to_vec, _nig_from_vec
+def _mjd_init(data: ReturnSeries) -> MjdParams:
+    # split variance evenly between diffusion and jumps at lambda = 100
+    m, v = _mean_var(data)
+    lam = 100.0
+    sigma = math.sqrt(0.5 * v / data.dt)
+    nu = math.sqrt(0.5 * v / (lam * data.dt))
+    k = math.exp(0.5 * nu**2) - 1.0
+    return MjdParams(r=m / data.dt + lam * k + 0.5 * sigma**2, sigma=sigma, lam=lam, mu_j=0.0, nu=nu)
+
+
+# The lambdas look model classes and oracles up in this module when they
+# are called, so that a replaced module attribute takes effect.
+FAMILIES = {
+    "gaussian": Family(
+        ParamTransform(GaussianParams, ("mu", "log_sigma")),
+        model=lambda p, dt, x0: Gaussian(p),
+        oracle=lambda m, x: gaussian_log_density(m.params, x),
+        simulate=lambda p, n, dt, seed: _gaussian_path(p, n, seed),
     ),
-    "mjd": ParamTransform(
-        ("r", "log_sigma", "log_lambda", "mu_j", "log_nu"), _mjd_to_vec, _mjd_from_vec
+    "gbm": Family(
+        ParamTransform(GbmParams, ("r", "log_sigma")),
+        model=lambda p, dt, x0: Gaussian(p.increment(dt)),
+        oracle=lambda m, x: gaussian_log_density(m.params, x),
+        simulate=lambda p, n, dt, seed: _gaussian_path(p.increment(dt), n, seed),
+        moment_init=_gbm_init,
+        exact_likelihood=True,
+    ),
+    "nig": Family(
+        ParamTransform(NigParams, ("log_chi", "log_psi", "mu", "gamma")),
+        model=lambda p, dt, x0: Nig(p),
+        oracle=lambda m, x: nig_exact_log_density(m.params, x),
+        simulate=lambda p, n, dt, seed: _log_path(simulate_nig(p, n, seed)),
+        moment_init=_nig_init,
+    ),
+    "mjd": Family(
+        ParamTransform(MjdParams, ("r", "log_sigma", "log_lambda", "mu_j", "log_nu")),
+        model=lambda p, dt, x0: MjdTransition(p, x0=x0, dt=dt),
+        oracle=lambda m, x: mjd_truncated_log_density(m, x),
+        simulate=lambda p, n, dt, seed: simulate_mjd_path(p, 0.0, dt, n, seed),
+        moment_init=_mjd_init,
+        spi_quad=MJD_SPI_QUAD,
+        reference="gbm",
     ),
 }
 
 
+def family_for(family: str) -> Family:
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
+    return FAMILIES[family]
+
+
 def transform_for(family: str) -> ParamTransform:
-    if family not in _TRANSFORMS:
-        raise ValidationError(f"unknown family {family!r}; expected one of {sorted(_TRANSFORMS)}")
-    return _TRANSFORMS[family]
-
-
-def _gbm_nll(p: GbmParams, data: ReturnSeries) -> float:
-    inc = GaussianParams(
-        mu=data.dt * (p.r - 0.5 * p.sigma**2), sigma=p.sigma * math.sqrt(data.dt)
-    )
-    return -float(np.sum(gaussian_log_density(inc, data.returns)))
+    return family_for(family).transform
 
 
 def negative_log_likelihood(
@@ -162,54 +246,31 @@ def negative_log_likelihood(
 ) -> float:
     """-sum(log p(x_i)) over the return series, by the chosen evaluator.
 
-    gbm is always exact Gaussian regardless of method. For mjd the returns
-    are increments, so each term is the transition density started at zero.
+    Each term is the family's model of a step of length dt started at
+    zero, so for mjd the returns are transition increments. A family with
+    exact_likelihood (gbm) uses its oracle whatever the method.
     """
-    if family == "gbm":
-        return _gbm_nll(params, data)
-    if family == "nig":
-        model = Nig(params)
-        if method == "oracle":
-            return -float(np.sum(nig_exact_log_density(params, data.returns)))
-    elif family == "mjd":
-        model = MjdTransition(params, x0=0.0, dt=data.dt)
-        if method == "oracle":
-            return -float(np.sum(mjd_truncated_log_density(model, data.returns)))
+    fam = family_for(family)
+    model = fam.model(params, data.dt, 0.0)
+    if method == "oracle" or fam.exact_likelihood:
+        logp = fam.oracle(model, data.returns)
+    elif method == "spi":
+        logp = spi_log_density_batch(model, data.returns, quad)
+    elif method == "spa":
+        logp = spa_log_density_batch(model, data.returns)
+    elif method == "direct":
+        logp = direct_ift_log_density_batch(model, data.returns, quad)
     else:
-        raise ValidationError(f"unknown family {family!r}")
-    if method == "spi":
-        return -float(np.sum(spi_log_density_batch(model, data.returns, quad)))
-    if method == "spa":
-        return -float(np.sum(spa_log_density_batch(model, data.returns)))
-    if method == "direct":
-        return -float(np.sum(direct_ift_log_density_batch(model, data.returns, quad)))
-    raise ValidationError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
+    return -float(np.sum(logp))
 
 
 def moment_init(family: str, data: ReturnSeries):
     """Method-of-moments starting point; crude is fine, Nelder-Mead does the rest."""
-    x = data.returns
-    m = float(np.mean(x))
-    v = float(np.var(x))
-    if v <= 0.0:
-        raise ValidationError("returns have zero variance; cannot initialize")
-    if family == "gbm":
-        sigma = math.sqrt(v / data.dt)
-        return GbmParams(r=m / data.dt + 0.5 * sigma**2, sigma=sigma)
-    if family == "nig":
-        # symmetric-NIG moment match: var = sqrt(chi/psi), excess kurt = 3/sqrt(chi*psi)
-        ek = max(float(np.mean((x - m) ** 4)) / v**2 - 3.0, 0.05)
-        return NigParams(chi=3.0 * v / ek, psi=3.0 / (ek * v), mu=m, gamma=0.0)
-    if family == "mjd":
-        # split variance evenly between diffusion and jumps at lambda = 100
-        lam = 100.0
-        sigma = math.sqrt(0.5 * v / data.dt)
-        nu = math.sqrt(0.5 * v / (lam * data.dt))
-        k = math.exp(0.5 * nu**2) - 1.0
-        return MjdParams(
-            r=m / data.dt + lam * k + 0.5 * sigma**2, sigma=sigma, lam=lam, mu_j=0.0, nu=nu
-        )
-    raise ValidationError(f"unknown family {family!r}")
+    init = family_for(family).moment_init
+    if init is None:
+        raise ValidationError(f"family {family!r} cannot be fitted")
+    return init(data)
 
 
 def _objective(family: str, data: ReturnSeries, method: str, quad):

@@ -33,8 +33,8 @@ _LOG_WEIGHT_FLOOR = math.log(1e-14)
 
 @dataclass(frozen=True)
 class GaussianParams:
-    mu: float
-    sigma: float
+    mu: float = 0.0
+    sigma: float = 1.0
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -75,6 +75,10 @@ class MjdParams:
     def jump_compensator(self) -> float:
         """k = E(Y) - 1 for log-normal jump sizes Y."""
         return math.exp(self.mu_j + 0.5 * self.nu**2) - 1.0
+
+    def drift(self, dt: float) -> float:
+        """Deterministic part of the log-price increment over dt."""
+        return dt * (self.r - self.lam * self.jump_compensator - 0.5 * self.sigma**2)
 
 
 class Gaussian(CgfModel):
@@ -159,7 +163,7 @@ class MjdTransition(CgfModel):
         self.dt = float(dt)
         p = params
         # deterministic part of the increment
-        self._base = self.x0 + self.dt * (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2)
+        self._base = self.x0 + p.drift(self.dt)
         self._var_diff = p.sigma**2 * self.dt
         self._lam_dt = p.lam * self.dt
 
@@ -244,7 +248,7 @@ def mjd_truncated_log_density(m: MjdTransition, x, max_jumps: int = 20):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     p = m.params
-    base = m.x0 + m.dt * (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2)
+    base = m.x0 + p.drift(m.dt)
     lam_dt = p.lam * m.dt
     if lam_dt == 0.0:
         out = gaussian_log_density(
@@ -308,9 +312,8 @@ def simulate_mjd_path(p: MjdParams, x0: float, dt: float, n_steps: int, seed: in
     z_diff = rng.standard_normal(n_steps)
     counts = rng.poisson(p.lam * dt, size=n_steps)
     z_jump = rng.standard_normal(n_steps)
-    drift = dt * (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2)
     increments = (
-        drift
+        p.drift(dt)
         + p.sigma * math.sqrt(dt) * z_diff
         + p.mu_j * counts
         + p.nu * np.sqrt(counts) * z_jump

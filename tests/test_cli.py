@@ -96,6 +96,29 @@ class TestDensity:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["density", "--family", "gbm", "--params", "r=0.05", "sigma=0.2", "--dt", "-1", "--grid", "0:1:1"],
+             "dt must be positive"),
+            (["simulate", "--family", "gbm", "--params", "r=0.05", "sigma=0.2", "--dt", "-1", "--n", "3"],
+             "dt must be positive"),
+            (["density", "--family", "gaussian", "--grid", "0:inf:1"], "finite"),
+            (["density", "--family", "gaussian", "--grid", "nan:1:1"], "finite"),
+            # rejected before any grid is allocated
+            (["density", "--family", "gaussian", "--grid", "0:1e12:1e-12"], "rows"),
+            (["density", "--family", "gaussian", "--grid", "-1e308:1e308:1"], "rows"),
+            (["density", "--family", "gaussian", "--params", "sigma=1", "sigma=2", "--grid", "0:0:1"],
+             "'sigma' more than once"),
+            (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "lam=2",
+              "mu_j=0", "nu=0.1", "--grid", "0:0:1"], "'lam' more than once"),
+        ],
+    )
+    def test_rejected_input_exits_3(self, capsys, argv, message):
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert out == "" and err.startswith("error:") and message in err
+
     def test_inversion_failure_reported_per_row_exit_5(self, capsys):
         # underresolved heavy-tail case: the spi quadrature goes negative
         code, out, err = _run(
