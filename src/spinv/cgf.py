@@ -9,7 +9,10 @@ function the inversion integral consumes:
 
 Models implement K directly over complex arguments; the inversion contour
 runs vertically through the tilt point, where the real part of the CGF
-argument stays fixed at tau.
+argument stays fixed at tau. standardized_tilted_cf builds that contour
+from its real and imaginary parts and finishes the exponent in the array
+k_complex returns, so k_complex must hand back a new array (see
+CgfModel.k_complex).
 """
 
 from abc import ABC, abstractmethod
@@ -51,7 +54,11 @@ class CgfModel(ABC):
 
     @abstractmethod
     def k_complex(self, z):
-        """K(z) for complex z with re(z) inside the domain."""
+        """K(z) for complex z; only ever called with re(z) inside the domain.
+
+        Returns a new complex array of z's shape that shares no memory
+        with z or with the model: standardized_tilted_cf overwrites it.
+        """
 
     @abstractmethod
     def k1(self, t):
@@ -92,8 +99,13 @@ def standardized_tilted_cf(model: CgfModel, tau_hat, x0, s):
     k2 = np.asarray(model.k2(tau_hat), dtype=float)
     if not np.all(k2 > 0.0):
         raise DomainError(f"K'' must be positive at the tilt, got {np.min(k2)}")
-    rk2 = np.sqrt(k2)
-    s = np.asarray(s, dtype=float)
-    return np.exp(
-        -model.k(tau_hat) - 1j * s * x0 / rk2 + model.k_complex(tau_hat + 1j * s / rk2)
-    )
+    # the contour z = tau_hat + i*y, y = s / sqrt(K''); no complex temporaries
+    y = np.asarray(s, dtype=float) / np.sqrt(k2)
+    z = np.empty(np.broadcast(tau_hat, x0, y).shape, dtype=complex)
+    z.real = tau_hat
+    z.imag = y
+    # w = K(z) - K(tau_hat) - i*y*x0, finished in the new array k_complex returns
+    w = np.asarray(model.k_complex(z))
+    w.real -= model.k(tau_hat)
+    w.imag -= y * x0
+    return np.exp(w, out=w)

@@ -139,7 +139,11 @@ def _is_number(text):
 def read_price_csv(path):
     """Prices from a one- or two-column CSV; returns a float array."""
     prices = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -264,7 +268,8 @@ def cmd_profile(args):
     data = _load_returns(args)
     quad = _quad_from_args(args, fam)
     grid = _parse_grid(args.grid)
-    points = profile_nll(args.family, data, args.method, quad, args.param, grid)
+    init = _family_params(args.family, args.params) if args.params else None
+    points = profile_nll(args.family, data, args.method, quad, args.param, grid, init=init)
     rows = [[p.value, p.nll, p.converged] for p in points]
     if fam.reference:
         ref = fit_mle(fam.reference, data)

@@ -12,7 +12,14 @@ That difference of square roots cancels catastrophically when psi is large
 
 which is exact and stable for all psi. Along the vertical contours used by
 the inversion integral, re(psi - u) = D(re z) + im(z)^2 > 0, so the
-principal square root is the correct analytic continuation.
+principal square root is the correct analytic continuation. Since that
+real part is positive, k_complex takes the root in real arithmetic:
+sqrt(a + ib) = r + i*b/(2r) with r = sqrt((|a + ib| + a)/2), which holds
+only for a > 0, that is for re(z) inside the domain.
+
+The NIG and MJD k_complex work in place on arrays they allocate, since
+their argument is the whole CF matrix of a block; each returns a new
+array, as CgfModel.k_complex requires.
 
 The MJD transition is the conditional law of the log price X_t given
 X_0 = x0 over a step dt, a Gaussian increment plus a compound Poisson sum
@@ -132,10 +139,31 @@ class Nig(CgfModel):
 
     def k_complex(self, z):
         z = np.asarray(z, dtype=complex)
-        u = z * z + 2.0 * z * self.params.gamma
-        return z * self.params.mu + self._sqrt_chi * u / (
-            self._sqrt_psi + np.sqrt(self.params.psi - u)
-        )
+        # flat, so that the in-place steps below also hold for a 0-d z
+        shape, z = z.shape, z.reshape(-1)
+        p = self.params
+        u = z + 2.0 * p.gamma
+        u *= z
+        # v = psi - u = a + ib has a > 0 (module docstring), so its root is
+        # r + i*b/(2r) with r^2 = (|v| + a)/2 = a*(1 + sqrt(1 + (b/a)^2))/2,
+        # a form that squares no large number
+        den = p.psi - u
+        a, b = den.real, den.imag
+        r = b / a
+        r *= r
+        r += 1.0
+        np.sqrt(r, out=r)
+        r += 1.0
+        r *= 0.5
+        r *= a
+        np.sqrt(r, out=r)
+        b /= r
+        b *= 0.5
+        np.add(r, self._sqrt_psi, out=a)  # den = sqrt(psi) + sqrt(psi - u)
+        u /= den
+        u *= self._sqrt_chi
+        u += z * p.mu
+        return u.reshape(shape)
 
     def k1(self, t):
         t = np.asarray(t, dtype=float)
@@ -181,11 +209,19 @@ class MjdTransition(CgfModel):
 
     def k_complex(self, z):
         z = np.asarray(z, dtype=complex)
-        return (
-            z * self._base
-            + 0.5 * self._var_diff * z * z
-            + self._lam_dt * (np.exp(self._jump_exponent(z)) - 1.0)
-        )
+        shape, z = z.shape, z.reshape(-1)
+        p = self.params
+        jump = z * (0.5 * p.nu**2)
+        jump += p.mu_j
+        jump *= z
+        np.exp(jump, out=jump)
+        jump -= 1.0
+        jump *= self._lam_dt
+        out = z * (0.5 * self._var_diff)
+        out += self._base
+        out *= z
+        out += jump
+        return out.reshape(shape)
 
     def k1(self, t):
         t = np.asarray(t, dtype=float)

@@ -14,6 +14,7 @@ from spinv.models import (
     Nig,
     NigParams,
 )
+from test_registry import VarianceGamma, VgParams
 
 
 def _family_models():
@@ -117,3 +118,67 @@ class TestStandardizedTiltedCf:
         v = standardized_tilted_cf(m, sp.tau_hat, x0, s)
         np.testing.assert_allclose(v.real, np.exp(-0.5 * s**2), atol=1e-13)
         np.testing.assert_allclose(v.imag, 0.0, atol=1e-13)
+
+
+def _reference_k_complex(model, z):
+    """K(z) as one complex expression, with numpy's principal square root for NIG."""
+    z = np.asarray(z, dtype=complex)
+    if isinstance(model, Nig):
+        p = model.params
+        u = z * z + 2.0 * z * p.gamma
+        return z * p.mu + np.sqrt(p.chi) * u / (np.sqrt(p.psi) + np.sqrt(p.psi - u))
+    if isinstance(model, MjdTransition):
+        p = model.params
+        jump = z * p.mu_j + 0.5 * p.nu**2 * z * z
+        return z * model._base + 0.5 * model._var_diff * z * z + model._lam_dt * (np.exp(jump) - 1.0)
+    return model.k_complex(z)
+
+
+def _reference_cf(model, tau_hat, x0, s):
+    """exp(-K(tau) - i*s*x0/sqrt(K''(tau)) + K(tau + i*s/sqrt(K''(tau)))), term by term."""
+    rk2 = np.sqrt(model.k2(tau_hat))
+    s = np.asarray(s, dtype=float)
+    return np.exp(-model.k(tau_hat) - 1j * s * x0 / rk2 + _reference_k_complex(model, tau_hat + 1j * s / rk2))
+
+
+class TestTiltedCfKernel:
+    """The in-place kernel against the one-expression form, entry by entry."""
+
+    _MODELS = _family_models() + [VarianceGamma(VgParams(sigma=0.01, nu=0.25, theta=-0.003, mu=0.001))]
+    _S = np.linspace(0.0, 800.0, 1601)
+
+    @pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
+    def test_matches_reference_from_minus_8_to_8_sd(self, model):
+        sd = np.sqrt(model.variance())
+        x0 = model.mean() + sd * np.linspace(-8.0, 8.0, 17)
+        tau = np.array([solve_saddlepoint(model, x).tau_hat for x in x0])
+        cols = (tau[:, None].copy(), x0[:, None].copy(), self._S.copy())
+        with np.errstate(over="ignore", under="ignore"):
+            got = standardized_tilted_cf(model, *cols)
+            want = _reference_cf(model, *cols)
+        assert got.shape == (x0.size, self._S.size)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        # the kernel reads its inputs and writes only arrays of its own
+        np.testing.assert_array_equal(cols[0], tau[:, None])
+        np.testing.assert_array_equal(cols[1], x0[:, None])
+        np.testing.assert_array_equal(cols[2], self._S)
+
+    @pytest.mark.parametrize("params", [_family_models()[1].params, _family_models()[2].params])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_nig_tilt_near_domain_edge(self, params, side):
+        m = Nig(params)
+        dom = m.domain()
+        # within 1% of the interval's width from one end
+        tau = (dom.lo + 0.005 * (dom.hi - dom.lo)) if side < 0 else (dom.hi - 0.005 * (dom.hi - dom.lo))
+        x0 = float(m.k1(tau))
+        got = standardized_tilted_cf(m, tau, x0, self._S)
+        np.testing.assert_allclose(got, _reference_cf(m, tau, x0, self._S), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
+    def test_zero_d_inputs(self, model):
+        x0 = model.mean() + 1.5 * np.sqrt(model.variance())
+        tau = solve_saddlepoint(model, x0).tau_hat
+        for s in (0.0, 0.7, 3.0):
+            got = standardized_tilted_cf(model, np.float64(tau), np.float64(x0), np.float64(s))
+            assert np.shape(got) == ()
+            np.testing.assert_allclose(got, _reference_cf(model, tau, x0, s), rtol=0.0, atol=1e-13)

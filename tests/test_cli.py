@@ -7,11 +7,12 @@ import json
 import numpy as np
 import pytest
 
+import spinv.cli
 from spinv.cli import main, read_price_csv
 from spinv.errors import InversionError, ParseError, ValidationError
-from spinv.estimation import GbmParams, ReturnSeries, negative_log_likelihood
+from spinv.estimation import GbmParams, ReturnSeries, negative_log_likelihood, profile_nll
 from spinv.inversion import spi_log_density
-from spinv.models import GaussianParams, Nig, NigParams, gaussian_log_density
+from spinv.models import GaussianParams, MjdParams, Nig, NigParams, gaussian_log_density
 from spinv.saddlepoint import solve_saddlepoint_batch
 
 
@@ -346,6 +347,53 @@ class TestProfile:
         assert len(rows) == 3
         assert all(r[0] != "gbm_ref" for r in rows)
 
+    def test_params_start_the_refits(self, capsys, tmp_path, monkeypatch):
+        prices = tmp_path / "mjd.csv"
+        main(
+            [
+                "simulate", "--family", "mjd",
+                "--params", "r=0.05", "sigma=0.15", "lambda=20", "mu_j=-0.01", "nu=0.02",
+                "--n", "150", "--seed", "9", "--output", str(prices),
+            ]
+        )
+        start = MjdParams(r=0.02, sigma=0.1, lam=5.0, mu_j=0.0, nu=0.05)
+        inits = []
+
+        def recording_profile_nll(*args, init=None):
+            inits.append(init)
+            return profile_nll(*args, init=init)
+
+        monkeypatch.setattr(spinv.cli, "profile_nll", recording_profile_nll)
+        code, out, _ = _run(
+            capsys,
+            [
+                "profile", "--family", "mjd", "--method", "oracle",
+                "--params", "r=0.02", "sigma=0.1", "lambda=5", "mu_j=0", "nu=0.05",
+                "--param", "log_lambda", "--grid", "2.5:3.5:1",
+                "--input", str(prices),
+            ],
+        )
+        assert code == 0 and inits == [start]
+        _, rows = _parse_csv(out)
+        data = ReturnSeries(dt=1.0 / 252.0, returns=np.diff(np.log(read_price_csv(str(prices)))))
+        grid = np.array([2.5, 3.5])
+        expected = profile_nll("mjd", data, "oracle", None, "log_lambda", grid, init=start)
+        assert [[float(r[0]), float(r[1]), r[2]] for r in rows[:-1]] == [
+            [p.value, p.nll, str(p.converged)] for p in expected
+        ]
+
+    def test_invalid_params_exit_3(self, capsys, tmp_path):
+        prices = tmp_path / "g.csv"
+        _write_prices(prices, [1.0, 1.01, 0.99, 1.02, 1.0])
+        code, _, err = _run(
+            capsys,
+            [
+                "profile", "--family", "gbm", "--params", "r=0.05", "sigma=-0.2",
+                "--param", "r", "--grid", "-1:1:1", "--input", str(prices),
+            ],
+        )
+        assert code == 3 and "sigma must be positive" in err
+
 
 class TestPriceCsv:
     def test_header_and_date_column(self, tmp_path):
@@ -377,6 +425,15 @@ class TestPriceCsv:
         f.write_text("100\n")
         with pytest.raises(ParseError, match="at least 2"):
             read_price_csv(str(f))
+
+    @pytest.mark.parametrize("command", ["fit", "loglik"])
+    def test_missing_input_file_exits_2(self, capsys, tmp_path, command):
+        missing = tmp_path / "missing.csv"
+        params = ["--params", "chi=0.0003", "psi=1000"] if command == "loglik" else []
+        code, out, err = _run(capsys, [command, "--family", "nig", *params, "--input", str(missing)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and str(missing) in err
+        assert "Traceback" not in err
 
     def test_cli_maps_parse_error_to_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.csv"

@@ -119,6 +119,9 @@ class TestNig:
         m = Nig(p)
         for t in (0.5, 2.0, -3.0):
             np.testing.assert_allclose(m.k(t), 0.5 * t**2, rtol=1e-9)
+            # and off the real axis, where k_complex takes the root in real arithmetic
+            z = t + 1j * np.array([0.0, 0.3, -1.0, 7.0, -40.0])
+            np.testing.assert_allclose(m.k_complex(z), 0.5 * z**2, rtol=1e-9)
 
     def test_simulated_moments(self):
         p = NigParams(chi=1.0, psi=4.0, mu=0.3, gamma=1.0)
