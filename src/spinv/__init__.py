@@ -27,7 +27,6 @@ from .estimation import (
     profile_nll,
     transform_for,
 )
-from .bessel import bessel_k1_scaled
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
     DEFAULT_SPI_QUAD,

@@ -119,8 +119,7 @@ def _parse_grid(spec):
 
 
 def _quad_from_args(args, fam):
-    if args.quad_upper is None and args.quad_points is None:
-        return None
+    """The method's default rule from the record, with either flag given overriding it."""
     base = DEFAULT_DIRECT_QUAD if args.method == "direct" else fam.spi_quad
     return QuadratureSpec(
         args.quad_upper if args.quad_upper is not None else base.upper_limit,
@@ -137,25 +136,28 @@ def _is_number(text):
 
 
 def read_price_csv(path):
-    """Prices from a one- or two-column CSV; returns a float array."""
-    prices = []
+    """Prices from a one- or two-column UTF-8 CSV; returns a float array."""
     try:
-        fh = open(path, newline="")
+        # utf-8-sig drops a byte-order mark, which would make the first price read as a header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            cell = row[-1].strip()
-            if not _is_number(cell):
-                if lineno == 1:
-                    continue  # header
-                raise ParseError(f"price field is not numeric: {cell!r}", line=lineno)
-            value = float(cell)
-            if not value > 0.0:
-                raise ValidationError(f"line {lineno}: prices must be positive, got {value}")
-            prices.append(value)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not {exc.encoding} text") from None
+    prices = []
+    for lineno, row in enumerate(lines, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        cell = row[-1].strip()
+        if not _is_number(cell):
+            if lineno == 1:
+                continue  # header
+            raise ParseError(f"price field is not numeric: {cell!r}", line=lineno)
+        value = float(cell)
+        if not value > 0.0:
+            raise ValidationError(f"line {lineno}: prices must be positive, got {value}")
+        prices.append(value)
     if len(prices) < 2:
         raise ParseError(f"need at least 2 price rows, found {len(prices)} in {path}")
     return np.array(prices)

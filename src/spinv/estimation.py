@@ -140,9 +140,10 @@ class Family:
     model(params, dt, x0) is the CGF model of a step of length dt from x0;
     oracle(model, x) is its closed-form log-density; simulate(params, n,
     dt, seed) is a log-price path of n steps from 0. moment_init(data)
-    starts a fit (None: the family cannot be fitted). spi_quad is what a
-    partial --quad-upper/--quad-points completes; a profile appends a fit
-    of the reference family; exact_likelihood uses the oracle for every method.
+    starts a fit (None: the family cannot be fitted). spi_quad is its SPI
+    rule, in the likelihood and the CLI, which --quad-upper/--quad-points
+    override one field at a time; a profile appends a fit of the reference
+    family; exact_likelihood uses the oracle for every method.
     """
 
     transform: ParamTransform
@@ -248,14 +249,15 @@ def negative_log_likelihood(
 
     Each term is the family's model of a step of length dt started at
     zero, so for mjd the returns are transition increments. A family with
-    exact_likelihood (gbm) uses its oracle whatever the method.
+    exact_likelihood (gbm) uses its oracle whatever the method. SPI with
+    no quad uses the family's spi_quad.
     """
     fam = family_for(family)
     model = fam.model(params, data.dt, 0.0)
     if method == "oracle" or fam.exact_likelihood:
         logp = fam.oracle(model, data.returns)
     elif method == "spi":
-        logp = spi_log_density_batch(model, data.returns, quad)
+        logp = spi_log_density_batch(model, data.returns, quad or fam.spi_quad)
     elif method == "spa":
         logp = spa_log_density_batch(model, data.returns)
     elif method == "direct":
@@ -332,8 +334,10 @@ def profile_nll(
 ) -> list:
     """Profile NLL over one unconstrained coordinate, warm-starting along the grid.
 
-    Returns ProfilePoint(value, nll, converged) per grid entry; a failed
-    point is recorded with nll = nan rather than aborting the sweep.
+    Returns ProfilePoint(value, nll, converged) per grid entry. The
+    objective is +inf wherever the likelihood fails, so a grid value at
+    which it fails everywhere is recorded with nll = inf and
+    converged = False, and the sweep goes on from the last finite point.
     """
     tr = transform_for(family)
     if fixed_param not in tr.names:
@@ -356,13 +360,10 @@ def profile_nll(
             full[free] = sub
             return f(full)
 
-        try:
-            res = minimize(reduced, warm, method="Nelder-Mead", options=_NM_OPTIONS)
-            out.append(ProfilePoint(float(g), float(res.fun), bool(res.success)))
-            if np.isfinite(res.fun):
-                warm = res.x
-        except SpinvError:
-            out.append(ProfilePoint(float(g), math.nan, False))
+        res = minimize(reduced, warm, method="Nelder-Mead", options=_NM_OPTIONS)
+        out.append(ProfilePoint(float(g), float(res.fun), bool(res.success)))
+        if np.isfinite(res.fun):
+            warm = res.x
     return out
 
 

@@ -30,12 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import k1e
 
-from .bessel import bessel_k1_scaled
 from .cgf import CgfModel, DomainInterval
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
+# exp(x)*K1(x); nig_exact_log_density looks it up under this module name,
+# which perfbench/tracing.py wraps to time the oracle
+bessel_k1_scaled = k1e
 
 
 @dataclass(frozen=True)
@@ -251,23 +254,31 @@ def gaussian_log_density(p: GaussianParams, x):
 def nig_exact_log_density(p: NigParams, x):
     """Exact NIG log-density through the modified Bessel function K1.
 
-    p(x) = sqrt(chi*(psi+gamma^2)) * K1(sqrt((chi+(x-mu)^2)*(psi+gamma^2)))
-           / (pi * sqrt(chi+(x-mu)^2)) * exp(sqrt(chi*psi) + (x-mu)*gamma)
+    p(x) = sqrt(chi*(psi+gamma^2)) * K1(z) / (pi * sqrt(chi+(x-mu)^2))
+           * exp(sqrt(chi*psi) + (x-mu)*gamma),
+    z = sqrt((chi+(x-mu)^2)*(psi+gamma^2)),
 
-    computed in log space with the scaled Bessel function so the e^-z
-    factor never underflows.
+    computed in log space with the scaled K1, exp(z)*K1(z), so the e^-z
+    factor never underflows. The exponent sqrt(chi*psi) - z that this
+    leaves cancels near the Gaussian limit (chi*psi >> 1), so it is taken
+    in the exact form -(chi*gamma^2 + (x-mu)^2*(psi+gamma^2)) /
+    (sqrt(chi*psi) + z). Where z is not positive and finite (x not finite,
+    or an overflow) there is no usable value, and DomainError is raised.
     """
     x = np.asarray(x, dtype=float)
     a2 = p.psi + p.gamma**2
-    q = p.chi + (x - p.mu) ** 2
+    d2 = (x - p.mu) ** 2
+    q = p.chi + d2
     z = np.sqrt(q * a2)
+    if not np.all((z > 0.0) & (z < np.inf)):
+        raise DomainError("NIG oracle: the Bessel argument must be positive and finite")
+    sqrt_chi_psi = math.sqrt(p.chi * p.psi)
     return (
         0.5 * np.log(p.chi * a2)
         + np.log(bessel_k1_scaled(z))
-        - z
         - np.log(np.pi)
         - 0.5 * np.log(q)
-        + math.sqrt(p.chi * p.psi)
+        - (p.chi * p.gamma**2 + d2 * a2) / (sqrt_chi_psi + z)
         + (x - p.mu) * p.gamma
     )
 

@@ -51,20 +51,20 @@ def _make_solution(model: CgfModel, t: float, r: float, iterations: int) -> Sadd
     )
 
 
-def _initial_guess(model: CgfModel, x0: float) -> float:
+def _initial_guess(model: CgfModel, x0):
+    """Quadratic-CGF start (x0 - K'(0)) / K''(0), elementwise, kept inside the domain."""
     dom = model.domain()
     t = (x0 - model.k1(0.0)) / model.k2(0.0)
     if math.isfinite(dom.lo) and math.isfinite(dom.hi):
         # keep the start away from the boundary singularities
         inset = 0.01 * (dom.hi - dom.lo)
-        t = min(max(t, dom.lo + inset), dom.hi - inset)
-    else:
-        # half-bounded domains: 0.5 * bound is strictly interior since
-        # the domain contains 0
-        if math.isfinite(dom.hi):
-            t = min(t, 0.5 * dom.hi)
-        if math.isfinite(dom.lo):
-            t = max(t, 0.5 * dom.lo)
+        return np.clip(t, dom.lo + inset, dom.hi - inset)
+    # half-bounded domains: 0.5 * bound is strictly interior since the
+    # domain contains 0
+    if math.isfinite(dom.hi):
+        t = np.minimum(t, 0.5 * dom.hi)
+    if math.isfinite(dom.lo):
+        t = np.maximum(t, 0.5 * dom.lo)
     return t
 
 
@@ -102,7 +102,7 @@ def _solve_scalar(
     r0 = float(model.k1(0.0)) - x0
     if abs(r0) <= tol * scale:
         return _make_solution(model, 0.0, r0, 0)
-    t = _initial_guess(model, x0)
+    t = float(_initial_guess(model, x0))
     r = float(model.k1(t)) - x0
     if math.isfinite(r) and abs(r) <= tol * scale:
         return _make_solution(model, t, r, 0)
@@ -197,15 +197,7 @@ def solve_saddlepoint_batch(
     x = np.asarray(x, dtype=float)
     dom = model.domain()
     scale = np.maximum(1.0, np.abs(x))
-    t = (x - model.k1(0.0)) / model.k2(0.0) + 0.0 * x
-    if math.isfinite(dom.lo) and math.isfinite(dom.hi):
-        inset = 0.01 * (dom.hi - dom.lo)
-        t = np.clip(t, dom.lo + inset, dom.hi - inset)
-    else:
-        if math.isfinite(dom.hi):
-            t = np.minimum(t, 0.5 * dom.hi)
-        if math.isfinite(dom.lo):
-            t = np.maximum(t, 0.5 * dom.lo)
+    t = _initial_guess(model, x)
     done = np.zeros(x.shape, dtype=bool)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for _ in range(max_iter):

@@ -407,6 +407,11 @@ class TestPriceCsv:
         _write_prices(f, [1.0, 1.1, 0.9])
         np.testing.assert_allclose(read_price_csv(str(f)), [1.0, 1.1, 0.9])
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf100\n101\n102\n")
+        np.testing.assert_allclose(read_price_csv(str(f)), [100.0, 101.0, 102.0])
+
     def test_non_numeric_mid_file_reports_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("price\n100\n101\nbogus\n102\n")
@@ -426,9 +431,19 @@ class TestPriceCsv:
         with pytest.raises(ParseError, match="at least 2"):
             read_price_csv(str(f))
 
-    @pytest.mark.parametrize("command", ["fit", "loglik"])
-    def test_missing_input_file_exits_2(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command,content",
+        [
+            pytest.param("fit", None, id="fit"),
+            pytest.param("loglik", None, id="loglik"),
+            # UTF-16 byte-order mark, then UTF-16 digits: not UTF-8
+            pytest.param("fit", b"\xff\xfe1\x00\n\x002\x00\n\x00", id="fit-not-utf8"),
+        ],
+    )
+    def test_missing_input_file_exits_2(self, capsys, tmp_path, command, content):
         missing = tmp_path / "missing.csv"
+        if content is not None:
+            missing.write_bytes(content)
         params = ["--params", "chi=0.0003", "psi=1000"] if command == "loglik" else []
         code, out, err = _run(capsys, [command, "--family", "nig", *params, "--input", str(missing)])
         assert code == 2 and out == ""

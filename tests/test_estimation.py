@@ -1,5 +1,7 @@
 """Tests for the MLE layer: likelihoods, transforms, fitting, profiles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -7,6 +9,7 @@ from scipy.stats import norm
 from spinv.errors import ConvergenceError, ValidationError
 from spinv.estimation import (
     GbmParams,
+    ProfilePoint,
     ReturnSeries,
     _golden_min,
     _symmetric_tail_half_width,
@@ -178,6 +181,17 @@ class TestProfile:
         assert np.argmin(nlls) == 4
         np.testing.assert_allclose(nlls.min(), fit.nll, atol=0.05)
         assert nlls[0] > nlls.min() and nlls[-1] > nlls.min()
+
+    # Nelder-Mead's convergence test subtracts inf from inf on that simplex
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_point_where_every_fit_fails_is_inf_not_converged(self):
+        # exp(800) overflows, so at log_chi = 800 the objective is +inf
+        # everywhere; the sweep records that point and goes on
+        p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+        data = ReturnSeries(dt=_DT, returns=simulate_nig(p, 300, seed=4))
+        pts = profile_nll("nig", data, "oracle", None, "log_chi", [800.0, math.log(p.chi)])
+        assert pts[0] == ProfilePoint(800.0, math.inf, False)
+        assert math.isfinite(pts[1].nll) and pts[1].converged
 
 
 class TestHessianStdErrors:

@@ -122,6 +122,13 @@ class TestNig:
             # and off the real axis, where k_complex takes the root in real arithmetic
             z = t + 1j * np.array([0.0, 0.3, -1.0, 7.0, -40.0])
             np.testing.assert_allclose(m.k_complex(z), 0.5 * z**2, rtol=1e-9)
+        # the oracle too: its exponent sqrt(chi*psi) - z is taken without
+        # the subtraction, so it stays within the O(1/sqrt(chi*psi)) kurtosis
+        # term of N(0, 1), 6e-11 here (the subtraction is off by 2.1e-4)
+        x = np.linspace(-5.0, 5.0, 101)
+        np.testing.assert_allclose(
+            nig_exact_log_density(p, x), stats.norm.logpdf(x), rtol=0.0, atol=1e-9
+        )
 
     def test_simulated_moments(self):
         p = NigParams(chi=1.0, psi=4.0, mu=0.3, gamma=1.0)

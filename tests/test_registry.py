@@ -11,7 +11,7 @@ import importlib.util
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from spinv.cgf import CgfModel, DomainInterval
 from spinv.cli import main
 from spinv.errors import ValidationError
 from spinv.estimation import FAMILIES, Family, ParamTransform, ReturnSeries
+from spinv.inversion import QuadratureSpec
 from spinv.models import NigParams, simulate_nig
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -167,6 +168,26 @@ class TestVarianceGammaThroughOneRecord:
         assert abs(payload["params"]["sigma"] / _VG_P.sigma - 1.0) < 0.1
 
 
+def test_likelihood_takes_the_spi_rule_from_the_record(monkeypatch, capsys, tmp_path):
+    """With no --quad-* flag the likelihood uses the record's spi_quad, as
+    if both flags had given it."""
+    fine = QuadratureSpec(150.0, 1024)
+    monkeypatch.setitem(FAMILIES, "nig_fine", replace(FAMILIES["nig"], spi_quad=fine))
+    p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+    prices = tmp_path / "nig.csv"
+    prices.write_text("".join(f"{v:.17g}\n" for v in np.exp(np.cumsum(simulate_nig(p, 40, seed=5)))))
+    argv = ["loglik", "--family", "nig_fine", "--params", "chi=3e-4", "psi=1000", "mu=-3e-4", "gamma=2"]
+    nlls = []
+    for flags in ([], ["--quad-upper", "150", "--quad-points", "1024"]):
+        code, out = _run(capsys, [*argv, *flags, "--input", str(prices)])
+        assert code == 0
+        nlls.append(json.loads(out)["nll"])
+    data = ReturnSeries(dt=1.0 / 252.0, returns=np.diff(np.log(np.loadtxt(prices))))
+    assert nlls[0] == nlls[1] == estimation.negative_log_likelihood("nig_fine", p, data, "spi")
+    assert nlls[0] == estimation.negative_log_likelihood("nig", p, data, "spi", fine)
+    assert nlls[0] != estimation.negative_log_likelihood("nig", p, data, "spi")
+
+
 def test_benchmark_tracer_sees_the_models_of_a_likelihood():
     """The records build models and oracles from names looked up in
     estimation when called, so the benchmark's tracer, which replaces
@@ -182,7 +203,10 @@ def test_benchmark_tracer_sees_the_models_of_a_likelihood():
     tracer.install()
     try:
         estimation.negative_log_likelihood("nig", p, data, "spi")
+        estimation.negative_log_likelihood("nig", p, data, "oracle")
     finally:
         tracer.restore()
     assert tracer.spans[0][tracing.NAME] == "estimation.negative_log_likelihood"
     assert tracing.inclusive_counts(tracer.spans)[0].get("k_complex_elems", 0) > 0
+    # the oracle's K1 is looked up as models.bessel_k1_scaled, which the tracer times
+    assert "bessel.bessel_k1_scaled" in {s[tracing.NAME] for s in tracer.spans}
