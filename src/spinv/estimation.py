@@ -20,8 +20,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as adaptive_quad
-from scipy.optimize import brentq, minimize
 
 from .errors import ConvergenceError, SpinvError, ValidationError
 from .inversion import (
@@ -288,6 +286,23 @@ def _objective(family: str, data: ReturnSeries, method: str, quad):
     return f
 
 
+def _stop_while_all_inf(intermediate_result):
+    # the best simplex value is +inf only when every vertex failed; Nelder-Mead
+    # cannot move from there and would run to maxfev
+    if intermediate_result.fun == np.inf:
+        raise StopIteration
+
+
+def _nelder_mead(f, x0):
+    """scipy's Nelder-Mead on f from x0 with _NM_OPTIONS, stopped after the
+    first iteration whose whole simplex is +inf (then success is False)."""
+    from scipy.optimize import minimize
+
+    return minimize(
+        f, x0, method="Nelder-Mead", callback=_stop_while_all_inf, options=_NM_OPTIONS
+    )
+
+
 def fit_mle(
     family: str,
     data: ReturnSeries,
@@ -299,14 +314,15 @@ def fit_mle(
 
     init may be a family params object, an unconstrained vector, or None
     for the moment-based default. Non-convergence is reported in the flag,
-    not raised; the best point found is still returned.
+    not raised; the best point found is still returned. A fit whose whole
+    simplex fails (nll = inf) stops after one iteration.
     """
     tr = transform_for(family)
     if init is None:
         init = moment_init(family, data)
     vec0 = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
     f = _objective(family, data, method, quad)
-    res = minimize(f, vec0, method="Nelder-Mead", options=_NM_OPTIONS)
+    res = _nelder_mead(f, vec0)
     try:
         se = hessian_std_errors(f, res.x)
     except (SpinvError, np.linalg.LinAlgError):
@@ -337,7 +353,8 @@ def profile_nll(
     Returns ProfilePoint(value, nll, converged) per grid entry. The
     objective is +inf wherever the likelihood fails, so a grid value at
     which it fails everywhere is recorded with nll = inf and
-    converged = False, and the sweep goes on from the last finite point.
+    converged = False after one Nelder-Mead iteration, and the sweep goes
+    on from the last finite point.
     """
     tr = transform_for(family)
     if fixed_param not in tr.names:
@@ -360,7 +377,7 @@ def profile_nll(
             full[free] = sub
             return f(full)
 
-        res = minimize(reduced, warm, method="Nelder-Mead", options=_NM_OPTIONS)
+        res = _nelder_mead(reduced, warm)
         out.append(ProfilePoint(float(g), float(res.fun), bool(res.success)))
         if np.isfinite(res.fun):
             warm = res.x
@@ -386,6 +403,8 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
 def _symmetric_tail_half_width(p: NigParams, mass: float) -> float:
     """Half-width a with P(|X| > a) = mass under the exact density of a
     zero-centered symmetric NIG, by root-finding on adaptive quadrature."""
+    from scipy.integrate import quad as adaptive_quad
+    from scipy.optimize import brentq
 
     def excess(a):
         tail, _ = adaptive_quad(

@@ -30,15 +30,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k1e
 
 from .cgf import CgfModel, DomainInterval
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
-# exp(x)*K1(x); nig_exact_log_density looks it up under this module name,
-# which perfbench/tracing.py wraps to time the oracle
-bessel_k1_scaled = k1e
+
+
+def bessel_k1_scaled(z):
+    """exp(z)*K1(z), by scipy.special.k1e, which loads on the first call.
+
+    nig_exact_log_density looks K1 up under this module name, which
+    perfbench/tracing.py wraps to time the oracle.
+    """
+    from scipy.special import k1e
+
+    return k1e(z)
 
 
 @dataclass(frozen=True)
@@ -302,21 +309,30 @@ def mjd_truncated_log_density(m: MjdTransition, x, max_jumps: int = 20):
             GaussianParams(mu=base, sigma=p.sigma * math.sqrt(m.dt)), x
         )
         return float(out[0]) if scalar else out
-    rows = []
+    consts, shifts, two_v = [], [], []
     log_w = -lam_dt
     i = 0
     while True:
         v = p.sigma**2 * m.dt + i * p.nu**2
-        rows.append(log_w - 0.5 * np.log(2.0 * np.pi * v) - (x - base - i * p.mu_j) ** 2 / (2.0 * v))
+        consts.append(log_w - 0.5 * np.log(2.0 * np.pi * v))
+        shifts.append(i * p.mu_j)
+        two_v.append(2.0 * v)
         if i >= max_jumps:
             break
         log_w = log_w + math.log(lam_dt) - math.log(i + 1.0)
         if log_w < _LOG_WEIGHT_FLOOR and i + 1 > lam_dt:
             break
         i += 1
-    stacked = np.vstack(rows)
-    top = stacked.max(axis=0)
-    out = top + np.log(np.exp(stacked - top).sum(axis=0))
+    # component i's log term is consts[i] - (x - base - shifts[i])^2 / two_v[i];
+    # one (jumps, x) array holds them and then each step of the log-sum-exp
+    terms = np.subtract(x - base, np.array(shifts)[:, None])
+    np.square(terms, out=terms)
+    terms /= np.array(two_v)[:, None]
+    np.subtract(np.array(consts)[:, None], terms, out=terms)
+    top = terms.max(axis=0)
+    terms -= top
+    np.exp(terms, out=terms)
+    out = top + np.log(terms.sum(axis=0))
     return float(out[0]) if scalar else out
 
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -456,3 +459,54 @@ class TestPriceCsv:
         code, _, err = _run(capsys, ["fit", "--family", "gbm", "--input", str(f)])
         assert code == 2
         assert "line 2" in err
+
+
+class TestImports:
+    """A command loads the scipy modules it calls and no others."""
+
+    _NIG = ["--family", "nig", "--params", "chi=0.0003", "psi=1000"]
+
+    def _scipy_modules_after(self, tmp_path, commands):
+        """Exit codes of spinv.cli.main over commands in a fresh interpreter,
+        and the scipy modules loaded by then."""
+        script = (
+            "import json, sys\n"
+            "import spinv, spinv.cli\n"
+            f"codes = [spinv.cli.main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spinv.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def _simulate(self):
+        return ["simulate", *self._NIG, "--n", "200", "--seed", "5", "--output", "p.csv"]
+
+    def test_density_simulate_loglik_load_no_scipy(self, tmp_path):
+        codes, loaded = self._scipy_modules_after(
+            tmp_path,
+            [
+                ["density", *self._NIG, "--method", "spi", "--grid", "-0.01:0.01:0.005",
+                 "--output", "d.csv"],
+                self._simulate(),
+                ["loglik", *self._NIG, "--method", "spi", "--input", "p.csv", "--output", "l.json"],
+            ],
+        )
+        assert codes == [0, 0, 0]
+        assert loaded == []
+
+    def test_fit_loads_the_optimizer(self, tmp_path):
+        codes, loaded = self._scipy_modules_after(
+            tmp_path,
+            [self._simulate(), ["fit", "--family", "gbm", "--input", "p.csv", "--output", "f.json"]],
+        )
+        assert codes == [0, 0]
+        assert "scipy.optimize" in loaded

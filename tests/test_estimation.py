@@ -166,6 +166,17 @@ class TestFitMle:
         assert fit.converged
         assert fit.nll <= negative_log_likelihood("gbm", GbmParams(r=0.0, sigma=0.2), data)
 
+    def test_start_where_every_evaluation_fails_stops_early(self):
+        # exp(800) overflows, so every vertex of the first simplex is +inf;
+        # the fit gives up after that iteration, not after maxfev = 20000
+        p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+        data = ReturnSeries(dt=_DT, returns=simulate_nig(p, 300, seed=4))
+        init = np.array([800.0, math.log(p.psi), p.mu, p.gamma])
+        fit = fit_mle("nig", data, method="oracle", init=init)
+        assert fit.n_evals <= 50
+        assert fit.nll == math.inf and not fit.converged
+        assert np.isnan(fit.std_errors).all()
+
 
 class TestProfile:
     def test_gbm_profile_brackets_mle(self):
@@ -182,8 +193,6 @@ class TestProfile:
         np.testing.assert_allclose(nlls.min(), fit.nll, atol=0.05)
         assert nlls[0] > nlls.min() and nlls[-1] > nlls.min()
 
-    # Nelder-Mead's convergence test subtracts inf from inf on that simplex
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_point_where_every_fit_fails_is_inf_not_converged(self):
         # exp(800) overflows, so at log_chi = 800 the objective is +inf
         # everywhere; the sweep records that point and goes on

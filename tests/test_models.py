@@ -1,5 +1,7 @@
 """Tests for the built-in model families and their closed-form densities."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -146,6 +148,9 @@ class TestNig:
 
 class TestMjdTransition:
     _P = MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1)
+    _C6 = MjdParams(
+        r=0.0445, sigma=np.exp(-2.41), lam=np.exp(4.96), mu_j=-0.00114, nu=np.exp(-4.32)
+    )
 
     def test_jump_compensator(self):
         p = self._P
@@ -164,24 +169,62 @@ class TestMjdTransition:
         d = m.domain()
         assert d.lo == -np.inf and d.hi == np.inf
 
-    def test_mixture_matches_untruncated_sum(self):
+    @pytest.mark.parametrize(
+        "p, x0, sds, max_jumps, terms",
+        [
+            (_P, 0.02, np.linspace(-5.0, 5.0, 21), 20, 200),
+            # criterion 6: lam*dt = 0.566, where the 1e-14 weight floor
+            # stops the sum near 13 jumps
+            (_C6, 0.0, np.linspace(-5.0, 5.0, 21), 20, 200),
+            (_P, 0.02, 1.5, 20, 200),
+            # max_jumps stops the sum before the floor does, so the brute
+            # force is cut at the same count
+            (_C6, 0.0, np.linspace(-5.0, 5.0, 21), 3, 4),
+        ],
+        ids=["bulk", "criterion-6", "scalar", "max-jumps-binds"],
+    )
+    def test_mixture_matches_untruncated_sum(self, p, x0, sds, max_jumps, terms):
         dt = 1.0 / 252.0
-        m = MjdTransition(self._P, x0=0.02, dt=dt)
+        m = MjdTransition(p, x0=x0, dt=dt)
         mean, sd = m.mean(), np.sqrt(m.variance())
-        x = mean + sd * np.linspace(-5.0, 5.0, 21)
-        ours = mjd_truncated_log_density(m, x)
-        # brute force: 200 Poisson terms, no truncation heuristics
-        p = self._P
+        x = mean + sd * sds
+        ours = mjd_truncated_log_density(m, x, max_jumps)
+        if np.ndim(sds) == 0:
+            assert type(ours) is float
+        # brute force: the first `terms` Poisson terms, no truncation heuristics
         lam_dt = p.lam * dt
-        base = 0.02 + (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2) * dt
+        base = x0 + (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2) * dt
         rows = []
-        for i in range(200):
+        for i in range(terms):
             log_w = stats.poisson.logpmf(i, lam_dt)
             mu_i = base + i * p.mu_j
             var_i = p.sigma**2 * dt + i * p.nu**2
             rows.append(log_w + stats.norm.logpdf(x, mu_i, np.sqrt(var_i)))
         expected = np.logaddexp.reduce(np.vstack(rows), axis=0)
         np.testing.assert_allclose(ours, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("max_jumps", [0, 3, 20])
+    def test_one_pass_equals_row_loop(self, max_jumps):
+        # the oracle takes each element through the operations of this
+        # row-by-row loop in the same order, so the values are equal
+        dt = 1.0 / 252.0
+        m = MjdTransition(self._C6, x0=0.01, dt=dt)
+        x = m.mean() + np.sqrt(m.variance()) * np.linspace(-10.0, 10.0, 201)
+        p = self._C6
+        base = m.x0 + p.drift(dt)
+        lam_dt = p.lam * dt
+        rows = []
+        log_w = -lam_dt
+        for i in range(max_jumps + 1):
+            v = p.sigma**2 * dt + i * p.nu**2
+            rows.append(log_w - 0.5 * np.log(2.0 * np.pi * v) - (x - base - i * p.mu_j) ** 2 / (2.0 * v))
+            log_w = log_w + math.log(lam_dt) - math.log(i + 1.0)
+            if log_w < math.log(1e-14) and i + 1 > lam_dt:
+                break
+        stacked = np.vstack(rows)
+        top = stacked.max(axis=0)
+        expected = top + np.log(np.exp(stacked - top).sum(axis=0))
+        np.testing.assert_array_equal(mjd_truncated_log_density(m, x, max_jumps), expected)
 
     def test_zero_jump_rate_is_gaussian(self):
         p = MjdParams(r=0.05, sigma=0.2, lam=0.0, mu_j=0.0, nu=0.1)
