@@ -12,20 +12,28 @@ for Gaussians. Direct IFT inverts the raw characteristic function, whose
 oscillatory integrand degrades in the tails; its result is clamped at
 1e-14 before the log, reproducing that failure mode on purpose.
 
-Every p_bar(0) comes from one batch core, p_bar_zero_batch, which works
-through its rows in blocks and marks unusable rows instead of raising.
+Every p_bar(0) comes from one batch core, p_bar_zero_batch, which marks
+unusable rows instead of raising. Since x0 = K'(tau), p_bar(0) depends on
+x0 only through the tilt, so the core fits log p_bar at a few Chebyshev
+nodes in the tilt, each taken by the Simpson rule, and reads every row
+off the fit (Battles & Trefethen 2004 for the stopping rule). A batch the
+fit does not serve (33 rows or fewer, an unusable node, no convergence
+at 257 nodes) runs the Simpson rule on each row, in blocks. Each batch
+logs one DEBUG record saying which.
 The scalar evaluators are views of the batch ones: spi_log_density and
 spa_log_density solve one saddlepoint (keeping its iteration count) and
 run the core on that one row, and direct_ift_log_density is one row of
 direct_ift_log_density_batch.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from .cgf import CgfModel, char_fn, standardized_tilted_cf
+from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
 from .errors import InversionError, QuadratureError, ValidationError
 from .models import MjdTransition
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
@@ -35,6 +43,12 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # CF entries per block of the core: the CF matrix of a block stays in
 # cache, and peak memory does not grow with the number of rows
 _BLOCK_ENTRIES = 8192
+# Chebyshev degrees of the nested fit levels (17, 33, 65, 129, 257 nodes),
+# and the bound on its last-quarter coefficients, in nats of log p_bar
+_FIT_DEGREES = (16, 32, 64, 128, 256)
+_FIT_TOL = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -105,16 +119,10 @@ def simpson_integrate(f, a: float, b: float, n_points: int) -> float:
     return float(h / 3.0 * np.dot(_simpson_weights(n), vals))
 
 
-def p_bar_zero_batch(
+def _p_bar_zero_rows(
     model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec
 ) -> np.ndarray:
-    """p_bar(0) at each point x with solved saddlepoint tau: the batch core.
-
-    Simpson on the real part of the standardized tilted CF, over blocks of
-    about _BLOCK_ENTRIES CF entries. Nothing is raised for a bad row: a
-    p_bar(0) that is not finite or not positive is returned as it is, and
-    each caller decides what to do with it (see p_bar_error).
-    """
+    """p_bar(0) of every row by its own Simpson rule, in blocks of about _BLOCK_ENTRIES CF entries."""
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
     rows = max(1, _BLOCK_ENTRIES // quad.n_points)
     out = np.empty(x.shape)
@@ -124,6 +132,114 @@ def p_bar_zero_batch(
             cf = standardized_tilted_cf(model, tau[b, None], x[b, None], s)
             out[b] = _simpson_rows(cf.real, quad)
     return out
+
+
+def _tilt_map(dom: DomainInterval):
+    """(to_v, from_v): the tilt to the fit variable v and back.
+
+    v = log((tau - lo)/(hi - tau)) on a domain with two finite ends,
+    log(hi - tau) or -log(tau - lo) with one, and tau itself with none;
+    each v runs over the whole real line as tau crosses the domain.
+    """
+    lo, hi = dom.lo, dom.hi
+    if math.isfinite(lo) and math.isfinite(hi):
+        return (
+            lambda t: np.log((t - lo) / (hi - t)),
+            lambda v: lo + (hi - lo) / (1.0 + np.exp(-v)),
+        )
+    if math.isfinite(hi):
+        return lambda t: np.log(hi - t), lambda v: hi - np.exp(v)
+    if math.isfinite(lo):
+        return lambda t: -np.log(t - lo), lambda v: lo + np.exp(-v)
+    return (lambda t: t), (lambda v: v)
+
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through vals at cos(pi j/n), j = 0..n (a DCT-I)."""
+    n = vals.size - 1
+    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+    c[0] *= 0.5
+    c[n] *= 0.5
+    return c
+
+
+def _interpolated(model: CgfModel, tau: np.ndarray, quad: QuadratureSpec):
+    """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
+
+    Returns (p_bar or None, nodes used, largest last-quarter coefficient,
+    why the fit was not used).
+    """
+    nodes, tail = 0, math.nan
+    if 2 * (_FIT_DEGREES[0] + 1) > tau.size:
+        return None, nodes, tail, "too few rows"
+    to_v, from_v = _tilt_map(model.domain())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = to_v(tau)
+    a, b = float(v.min()), float(v.max())
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None, nodes, tail, "tilt not inside the domain"
+    if not b > a:
+        return None, nodes, tail, "all rows share one tilt"
+    log_p = np.empty(0)
+    for n in _FIT_DEGREES:
+        if 2 * (n + 1) > tau.size:
+            return None, nodes, tail, "too few rows"
+        # the points cos(pi j/n) not already in the previous level: all
+        # of them on the first level, the odd j after
+        j = np.arange(n + 1) if nodes == 0 else np.arange(1, n, 2)
+        tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n))
+        x_j = np.asarray(model.k1(tau_j), dtype=float)
+        p_j = _p_bar_zero_rows(model, x_j, tau_j, quad)
+        bad = np.flatnonzero(~(np.isfinite(p_j) & (p_j > 0.0)))
+        if bad.size:
+            return None, nodes + j.size, tail, f"unusable node at tau = {float(tau_j[bad[0]])!r}"
+        if nodes:
+            merged = np.empty(n + 1)
+            merged[0::2] = log_p
+            merged[1::2] = np.log(p_j)
+            log_p = merged
+        else:
+            log_p = np.log(p_j)
+        nodes = n + 1
+        c = _cheb_coeffs(log_p)
+        tail = float(np.abs(c[-(c.size // 4):]).max())
+        if tail <= _FIT_TOL:
+            return np.exp(chebval((2.0 * v - a - b) / (b - a), c)), nodes, tail, None
+    return None, nodes, tail, f"{nodes} nodes not converged"
+
+
+def p_bar_zero_batch(
+    model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec
+) -> np.ndarray:
+    """p_bar(0) at each point x with solved saddlepoint tau: the batch core.
+
+    p_bar(0) depends on x only through tau, since x = K'(tau), so a batch
+    samples one smooth function of the tilt. The core interpolates log
+    p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
+    second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
+    257, each level reusing the values of the last. Each node is taken by
+    quad at x = K'(tau_node). Once the last quarter of a level's Chebyshev
+    coefficients is at most _FIT_TOL, every row is read off the fit.
+
+    Each row runs its own Simpson rule on the real part of the
+    standardized tilted CF instead when a node is unusable, 257 nodes do
+    not converge, the next level would need more than half as many nodes
+    as there are rows (so always for 33 rows or fewer), or all rows share
+    one tilt. One DEBUG record per batch
+    gives the path, the node count and the last-quarter coefficient size.
+
+    Nothing is raised for a bad row: a p_bar(0) that is not finite or not
+    positive is returned as it is, and each caller decides what to do
+    with it (see p_bar_error).
+    """
+    p_bar, nodes, tail, reason = _interpolated(model, tau, quad)
+    _log.debug(
+        "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e",
+        x.size, "interpolated" if reason is None else f"per row ({reason})", nodes, tail,
+    )
+    if p_bar is None:
+        p_bar = _p_bar_zero_rows(model, x, tau, quad)
+    return p_bar
 
 
 def p_bar_error(p_bar: float, where: str):

@@ -1,17 +1,26 @@
 """Tests for quadrature and the three log-density evaluation routes."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
 
+from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, QuadratureError, ValidationError
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
+    DEFAULT_SPI_QUAD,
+    MJD_SPI_QUAD,
     LogDensityResult,
     QuadratureSpec,
+    _p_bar_zero_rows,
     default_spi_quad,
     direct_ift_log_density,
     direct_ift_log_density_batch,
+    log_density_terms,
     p_bar_zero,
+    p_bar_zero_batch,
     simpson_integrate,
     spa_log_density,
     spa_log_density_batch,
@@ -29,11 +38,16 @@ from spinv.models import (
     mjd_truncated_log_density,
     nig_exact_log_density,
     nig_moments,
+    simulate_mjd_path,
+    simulate_nig,
 )
-from spinv.saddlepoint import solve_saddlepoint
+from spinv.saddlepoint import solve_saddlepoint, solve_saddlepoint_batch
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
 _FINE_QUAD = QuadratureSpec(800.0, 16384)
+_MJD_P = MjdParams(
+    r=0.0445, sigma=math.exp(-2.41), lam=math.exp(4.96), mu_j=-0.00114, nu=math.exp(-4.32)
+)
 
 
 class TestQuadratureSpec:
@@ -251,3 +265,115 @@ class TestInversionErrors:
         p = NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0)
         val = spi_log_density(Nig(p), -6.0, quad=QuadratureSpec(4000.0, 32768)).log_density
         np.testing.assert_allclose(val, nig_exact_log_density(p, -6.0), atol=1e-3)
+
+
+class _Gamma(CgfModel):
+    """Gamma(alpha, rate beta): K(t) = -alpha log(1 - t/beta) on (-inf, beta)."""
+
+    def __init__(self, alpha, beta):
+        self.alpha, self.beta = alpha, beta
+
+    def k(self, t):
+        return -self.alpha * np.log1p(-np.asarray(t) / self.beta)
+
+    def k_complex(self, z):
+        return -self.alpha * np.log(1.0 - np.asarray(z, dtype=complex) / self.beta)
+
+    def k1(self, t):
+        return self.alpha / (self.beta - np.asarray(t))
+
+    def k2(self, t):
+        return self.alpha / (self.beta - np.asarray(t)) ** 2
+
+    def domain(self):
+        return DomainInterval(-math.inf, self.beta)
+
+
+def _sd_grid(m, width, rows):
+    return m.mean() + math.sqrt(m.variance()) * np.linspace(-width, width, rows)
+
+
+def _core(m, x, quad, caplog):
+    """(batch core, per row at the data x, per row at x = K'(tau)), and the core's log record."""
+    tau = solve_saddlepoint_batch(m, x)
+    with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+        caplog.clear()
+        core = p_bar_zero_batch(m, x, tau, quad)
+    (record,) = caplog.records
+    at_x = _p_bar_zero_rows(m, x, tau, quad)
+    at_tilt = _p_bar_zero_rows(m, np.asarray(m.k1(tau), dtype=float), tau, quad)
+    return core, at_x, at_tilt, record.getMessage()
+
+
+class TestInterpolatedCore:
+    """A batch of more than 33 rows reads p_bar(0) off a Chebyshev fit of
+    log p_bar over the tilt. The fit agrees with each row's own rule taken
+    at x = K'(tau); against the rule at the data x it also carries the
+    saddlepoint residual, |x - K'(tau)| / sqrt(K''), about 1e-8 here."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nig-criterion-9", "mjd-criterion-6", "mjd-criterion-6-fine", "mjd-10-sd-grid"],
+    )
+    def test_fit_matches_per_row(self, case, caplog):
+        mjd = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
+        incr = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
+        m, x, quad = {
+            "nig-criterion-9": (Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11), DEFAULT_SPI_QUAD),
+            "mjd-criterion-6": (mjd, incr, MJD_SPI_QUAD),
+            "mjd-criterion-6-fine": (mjd, incr, QuadratureSpec(64.0, 512)),
+            "mjd-10-sd-grid": (mjd, _sd_grid(mjd, 10.0, 801), MJD_SPI_QUAD),
+        }[case]
+        core, at_x, at_tilt, message = _core(m, x, quad, caplog)
+        assert "interpolated" in message
+        assert np.max(np.abs(np.log(core) - np.log(at_tilt))) <= 1e-9
+        assert np.max(np.abs(np.log(core) - np.log(at_x))) <= 5e-8
+
+    def test_one_sided_domain_gamma(self, caplog):
+        # the map is v = log(beta - tau). The standardized tilted gamma
+        # does not depend on the tilt, so the fit must return a constant
+        alpha, beta = 5.0, 2.0
+        m = _Gamma(alpha, beta)
+        x = np.linspace(0.05, 4.0, 1000) * alpha / beta
+        core, _, at_tilt, message = _core(m, x, DEFAULT_SPI_QUAD, caplog)
+        assert "interpolated" in message
+        assert np.max(np.abs(np.log(core) - np.log(at_tilt))) <= 1e-9
+        exact = [
+            alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1.0) * math.log(v) - beta * v
+            for v in x.tolist()
+        ]
+        np.testing.assert_allclose(spi_log_density_batch(m, x), exact, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "case, reason, failing",
+        [
+            ("empty", "too few rows", 0),
+            ("one point 1000 times", "all rows share one tilt", 0),
+            ("25-row grid", "too few rows", 0),
+            ("nig-50-sd-grid", "unusable node", 296),
+        ],
+    )
+    def test_per_row_path_is_the_rows_own_rule(self, case, reason, failing, caplog):
+        m = Nig(_NIG_P)
+        x = {
+            "empty": np.empty(0),
+            "one point 1000 times": np.full(1000, m.mean() + 0.5 * math.sqrt(m.variance())),
+            "25-row grid": _sd_grid(m, 6.0, 25),
+            "nig-50-sd-grid": _sd_grid(m, 50.0, 801),
+        }[case]
+        core, at_x, _, message = _core(m, x, DEFAULT_SPI_QUAD, caplog)
+        assert f"per row ({reason}" in message
+        assert np.array_equal(core, at_x, equal_nan=True)
+        assert np.sum(~(np.isfinite(core) & (core > 0.0))) == failing
+
+    def test_debug_record_per_batch(self, caplog):
+        m = Nig(_NIG_P)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            spi_log_density_batch(m, _sd_grid(m, 6.0, 401))
+            log_density_terms(m, _sd_grid(m, 50.0, 801))
+        fit, rows = (r.getMessage() for r in caplog.records)
+        assert all(r.levelname == "DEBUG" for r in caplog.records)
+        assert fit.startswith("p_bar(0) of 401 rows: interpolated after ")
+        assert "last-quarter coefficients" in fit
+        assert rows.startswith("p_bar(0) of 801 rows: per row (unusable node at tau = ")
+        assert "after 17 nodes" in rows
