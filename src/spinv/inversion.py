@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
 from .errors import InversionError, QuadratureError, ValidationError
@@ -163,6 +162,18 @@ def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     return c
 
 
+def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k c[k] T_k(t) by Clenshaw's recurrence, in three buffers of t's shape."""
+    t2 = 2.0 * t
+    b0, b1, b2 = np.empty_like(t), np.zeros_like(t), np.zeros_like(t)
+    for ck in c[:0:-1]:
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += ck
+        b0, b1, b2 = b2, b0, b1
+    return c[0] + t * b1 - b2
+
+
 def _interpolated(model: CgfModel, tau: np.ndarray, quad: QuadratureSpec):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
 
@@ -204,7 +215,7 @@ def _interpolated(model: CgfModel, tau: np.ndarray, quad: QuadratureSpec):
         c = _cheb_coeffs(log_p)
         tail = float(np.abs(c[-(c.size // 4):]).max())
         if tail <= _FIT_TOL:
-            return np.exp(chebval((2.0 * v - a - b) / (b - a), c)), nodes, tail, None
+            return np.exp(_clenshaw(c, (2.0 * v - a - b) / (b - a))), nodes, tail, None
     return None, nodes, tail, f"{nodes} nodes not converged"
 
 

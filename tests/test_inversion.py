@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, QuadratureError, ValidationError
@@ -14,6 +15,8 @@ from spinv.inversion import (
     MJD_SPI_QUAD,
     LogDensityResult,
     QuadratureSpec,
+    _cheb_coeffs,
+    _clenshaw,
     _p_bar_zero_rows,
     default_spi_quad,
     direct_ift_log_density,
@@ -310,6 +313,15 @@ class TestInterpolatedCore:
     log p_bar over the tilt. The fit agrees with each row's own rule taken
     at x = K'(tau); against the rule at the data x it also carries the
     saddlepoint residual, |x - K'(tau)| / sqrt(K''), about 1e-8 here."""
+
+    def test_coefficients_and_clenshaw_match_numpy(self):
+        n = 32
+        t = np.cos(np.pi * np.arange(n + 1) / n)
+        vals = np.exp(np.sin(3.0 * t))
+        c = _cheb_coeffs(vals)
+        np.testing.assert_allclose(c, chebyshev.chebfit(t, vals, n), rtol=0, atol=1e-12)
+        s = np.linspace(-1.0, 1.0, 101)
+        np.testing.assert_allclose(_clenshaw(c, s), chebyshev.chebval(s, c), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize(
         "case",
