@@ -174,7 +174,27 @@ def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c[0] + t * b1 - b2
 
 
-def _interpolated(model: CgfModel, tau: np.ndarray, quad: QuadratureSpec):
+def _read_fit(model: CgfModel, x, tau, c, to_v, a: float, b: float) -> np.ndarray:
+    """log p_bar at each row from the fit c of log p_bar(0) over v in [a, b].
+
+    The solver's tau leaves a residual x - K'(tau), so the per-row rule
+    takes the standardized tilted density at z = (x - K'(tau))/sqrt(K''(tau))
+    rather than at 0. p(x) is the same whichever tilt takes it, so that
+    density is p_bar(0) at the exact tilt tau_x, one Newton step from tau,
+    times sqrt(K''(tau)/K''(tau_x)) exp(-z^2/2); z is of the order of the
+    solver's tolerance, and the last factor is dropped. Reading the fit
+    there keeps the residual, up to 1e-8 nats, out of each row and keeps
+    the likelihood smooth in the parameters.
+    """
+    k2 = np.asarray(model.k2(tau), dtype=float)
+    tau_x = tau - (np.asarray(model.k1(tau), dtype=float) - x) / k2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = _clenshaw(c, (2.0 * to_v(tau_x) - a - b) / (b - a))
+        log_p += 0.5 * np.log(k2 / np.asarray(model.k2(tau_x), dtype=float))
+    return log_p
+
+
+def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
 
     Returns (p_bar or None, nodes used, largest last-quarter coefficient,
@@ -191,7 +211,6 @@ def _interpolated(model: CgfModel, tau: np.ndarray, quad: QuadratureSpec):
         return None, nodes, tail, "tilt not inside the domain"
     if not b > a:
         return None, nodes, tail, "all rows share one tilt"
-    log_p = np.empty(0)
     for n in _FIT_DEGREES:
         if 2 * (n + 1) > tau.size:
             return None, nodes, tail, "too few rows"
@@ -215,7 +234,7 @@ def _interpolated(model: CgfModel, tau: np.ndarray, quad: QuadratureSpec):
         c = _cheb_coeffs(log_p)
         tail = float(np.abs(c[-(c.size // 4):]).max())
         if tail <= _FIT_TOL:
-            return np.exp(_clenshaw(c, (2.0 * v - a - b) / (b - a))), nodes, tail, None
+            return np.exp(_read_fit(model, x, tau, c, to_v, a, b)), nodes, tail, None
     return None, nodes, tail, f"{nodes} nodes not converged"
 
 
@@ -230,20 +249,21 @@ def p_bar_zero_batch(
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
     257, each level reusing the values of the last. Each node is taken by
     quad at x = K'(tau_node). Once the last quarter of a level's Chebyshev
-    coefficients is at most _FIT_TOL, every row is read off the fit.
+    coefficients is at most _FIT_TOL, every row is read off the fit, with
+    the solver's residual taken into account (see _read_fit).
 
     Each row runs its own Simpson rule on the real part of the
     standardized tilted CF instead when a node is unusable, 257 nodes do
     not converge, the next level would need more than half as many nodes
     as there are rows (so always for 33 rows or fewer), or all rows share
-    one tilt. One DEBUG record per batch
-    gives the path, the node count and the last-quarter coefficient size.
+    one tilt. One DEBUG record per batch gives the path, the node count
+    and the last-quarter coefficient size.
 
     Nothing is raised for a bad row: a p_bar(0) that is not finite or not
     positive is returned as it is, and each caller decides what to do
     with it (see p_bar_error).
     """
-    p_bar, nodes, tail, reason = _interpolated(model, tau, quad)
+    p_bar, nodes, tail, reason = _interpolated(model, x, tau, quad)
     _log.debug(
         "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e",
         x.size, "interpolated" if reason is None else f"per row ({reason})", nodes, tail,
