@@ -26,8 +26,8 @@ run the core on that one row, and direct_ift_log_density is one row of
 direct_ift_log_density_batch.
 """
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +47,18 @@ _BLOCK_ENTRIES = 8192
 _FIT_DEGREES = (16, 32, 64, 128, 256)
 _FIT_TOL = 1e-10
 
-_log = logging.getLogger(__name__)
+
+def _debug(msg: str, *args):
+    """A DEBUG record on this module's logger, logging.getLogger(__name__).
+
+    A record is seen only through handlers that an application configures,
+    which imports logging first. Where nothing has imported it (the spinv
+    commands that load no scipy), no record could be seen, and the 3-5 ms
+    import of logging at each start is skipped.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,7 @@ def p_bar_zero_batch(
     with it (see p_bar_error).
     """
     p_bar, nodes, tail, reason = _interpolated(model, x, tau, quad)
-    _log.debug(
+    _debug(
         "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e",
         x.size, "interpolated" if reason is None else f"per row ({reason})", nodes, tail,
     )

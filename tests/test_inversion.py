@@ -2,11 +2,15 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+import spinv
 from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, QuadratureError, ValidationError
 from spinv.inversion import (
@@ -392,3 +396,24 @@ class TestInterpolatedCore:
         assert "last-quarter coefficients" in fit
         assert rows.startswith("p_bar(0) of 801 rows: per row (unusable node at tau = ")
         assert "after 17 nodes" in rows
+
+    def test_no_logging_import_for_a_process_that_does_not_log(self):
+        # an unconfigured process could not see a record, so the core does
+        # not import logging for it (3-5 ms at each CLI start)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from spinv import Nig, NigParams, spi_log_density_batch\n"
+            "spi_log_density_batch(Nig(NigParams(3e-4, 1000.0)), np.linspace(-0.01, 0.01, 100))\n"
+            "print('logging' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spinv.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
