@@ -46,6 +46,9 @@ _BLOCK_ENTRIES = 8192
 # and the bound on its last-quarter coefficients, in nats of log p_bar
 _FIT_DEGREES = (16, 32, 64, 128, 256)
 _FIT_TOL = 1e-10
+# a batch of fewer rows than this never tries the fit: it would need 17
+# nodes, the cost of half its rows, before it could tell whether it pays
+_FIT_MIN_ROWS = 34
 
 
 def _debug(msg: str, *args):
@@ -212,7 +215,7 @@ def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quadrat
     why the fit was not used).
     """
     nodes, tail = 0, math.nan
-    if 2 * (_FIT_DEGREES[0] + 1) > tau.size:
+    if tau.size < _FIT_MIN_ROWS:
         return None, nodes, tail, "too few rows"
     to_v, from_v = _tilt_map(model.domain())
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -223,7 +226,8 @@ def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quadrat
     if not b > a:
         return None, nodes, tail, "all rows share one tilt"
     for n in _FIT_DEGREES:
-        if 2 * (n + 1) > tau.size:
+        if n + 1 > tau.size:
+            # a level with more nodes than rows costs more than the rows
             return None, nodes, tail, "too few rows"
         # the points cos(pi j/n) not already in the previous level: all
         # of them on the first level, the odd j after
@@ -265,9 +269,8 @@ def p_bar_zero_batch(
 
     Each row runs its own Simpson rule on the real part of the
     standardized tilted CF instead when a node is unusable, 257 nodes do
-    not converge, the next level would need more than half as many nodes
-    as there are rows (so always for 33 rows or fewer), or all rows share
-    one tilt. One DEBUG record per batch gives the path, the node count
+    not converge, the next level would need more nodes than there are
+    rows, the batch has 33 rows or fewer, or all rows share one tilt. One DEBUG record per batch gives the path, the node count
     and the last-quarter coefficient size.
 
     Nothing is raised for a bad row: a p_bar(0) that is not finite or not
