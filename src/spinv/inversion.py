@@ -17,9 +17,10 @@ unusable rows instead of raising. Since x0 = K'(tau), p_bar(0) depends on
 x0 only through the tilt, so the core fits log p_bar at a few Chebyshev
 nodes in the tilt, each taken by the Simpson rule, and reads every row
 off the fit (Battles & Trefethen 2004 for the stopping rule). A batch the
-fit does not serve (33 rows or fewer, an unusable node, no convergence
-at 257 nodes) runs the Simpson rule on each row, in blocks. Each batch
-logs one DEBUG record saying which.
+fit does not serve (33 rows or fewer, an unusable node, a next level
+with more nodes than rows, no convergence at 257 nodes) runs the Simpson
+rule on each row, in blocks. Each batch logs one DEBUG record saying
+which.
 The scalar evaluators are views of the batch ones: spi_log_density and
 spa_log_density solve one saddlepoint (keeping its iteration count) and
 run the core on that one row, and direct_ift_log_density is one row of
