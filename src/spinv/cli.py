@@ -253,6 +253,7 @@ def _fit_payload(result, data):
         "nll": result.nll,
         "converged": result.converged,
         "n_evals": result.n_evals,
+        "failed_evals": result.failed_evals,
     }
 
 

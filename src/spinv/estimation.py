@@ -8,7 +8,9 @@ Optimization runs in an unconstrained vector space: positive parameters
 (sigma, lambda, nu, chi, psi) enter through their logs, so the simplex can
 roam freely and reported standard errors refer to the transformed
 coordinates (the scale used for jump parameters in the usual reporting
-convention for this model).
+convention for this model). The fits minimize by the simplex method of
+Nelder & Mead (1965, Comput. J. 7:308), in a port of scipy's algorithm
+that gives scipy's results bit for bit without importing scipy.optimize.
 
 The MJD likelihood treats log-price increments as i.i.d. given dt, which
 is the same thing as conditioning each transition on the previous level;
@@ -97,6 +99,7 @@ class FitResult:
     std_errors: np.ndarray
     n_evals: int
     converged: bool
+    failed_evals: dict
 
 
 @dataclass(frozen=True)
@@ -274,33 +277,130 @@ def moment_init(family: str, data: ReturnSeries):
 
 
 def _objective(family: str, data: ReturnSeries, method: str, quad):
+    """The NLL in unconstrained coordinates, +inf wherever it raises a
+    SpinvError or an OverflowError, and a dict that counts those failures
+    by exception type name over every call of the objective."""
     tr = transform_for(family)
+    failed = {}
 
     def f(vec):
         try:
             params = tr.from_vector(vec)
             return negative_log_likelihood(family, params, data, method, quad)
-        except (SpinvError, OverflowError):
+        except (SpinvError, OverflowError) as exc:
+            kind = type(exc).__name__
+            failed[kind] = failed.get(kind, 0) + 1
             return np.inf
 
-    return f
+    return f, failed
 
 
-def _stop_while_all_inf(intermediate_result):
-    # the best simplex value is +inf only when every vertex failed; Nelder-Mead
-    # cannot move from there and would run to maxfev
-    if intermediate_result.fun == np.inf:
-        raise StopIteration
+@dataclass(frozen=True)
+class _Minimum:
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _MaxFevReached(Exception):
+    """Raised in place of the evaluation that would exceed maxfev."""
+
+
+def _by_value(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
 def _nelder_mead(f, x0):
-    """scipy's Nelder-Mead on f from x0 with _NM_OPTIONS, stopped after the
-    first iteration whose whole simplex is +inf (then success is False)."""
-    from scipy.optimize import minimize
+    """Minimize f from x0 by the simplex method of Nelder & Mead (1965,
+    Comput. J. 7:308), with _NM_OPTIONS.
 
-    return minimize(
-        f, x0, method="Nelder-Mead", callback=_stop_while_all_inf, options=_NM_OPTIONS
-    )
+    This follows scipy's algorithm (scipy.optimize.minimize with
+    method="Nelder-Mead", not adaptive, no bounds) step for step, so x,
+    fun, nfev and success come out bit-identical to it: reflection 1,
+    expansion 2, contraction and shrink 1/2; a first simplex that scales
+    each coordinate by 1.05 (0 becomes 0.00025); a re-sort after every
+    iteration; maxfev checked before each evaluation, so that it can cut
+    into an expansion or a shrink. It also stops, with success False,
+    after the first iteration whose whole simplex is +inf: from there no
+    step can move.
+    """
+    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
+    maxiter, maxfev = _NM_OPTIONS["maxiter"], _NM_OPTIONS["maxfev"]
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = x0.size
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return f(x)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _MaxFevReached:
+        pass
+    # sorted twice, as scipy does: argsort is not stable, so ties may move
+    sim, fsim = _by_value(sim, fsim)
+    sim, fsim = _by_value(sim, fsim)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = call(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _MaxFevReached:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+        if fsim[0] == np.inf:
+            break
+    success = nfev < maxfev and iterations < maxiter and fsim[0] != np.inf
+    return _Minimum(sim[0], np.min(fsim), nfev, success)
 
 
 def fit_mle(
@@ -316,12 +416,17 @@ def fit_mle(
     for the moment-based default. Non-convergence is reported in the flag,
     not raised; the best point found is still returned. A fit whose whole
     simplex fails (nll = inf) stops after one iteration.
+
+    failed_evals counts the evaluations that failed and were taken as
+    +inf, by exception type name ({} when none failed). It counts the
+    Hessian's evaluations for the standard errors too, so it can be
+    nonzero when the search itself met no failure.
     """
     tr = transform_for(family)
     if init is None:
         init = moment_init(family, data)
     vec0 = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
-    f = _objective(family, data, method, quad)
+    f, failed = _objective(family, data, method, quad)
     res = _nelder_mead(f, vec0)
     try:
         se = hessian_std_errors(f, res.x)
@@ -336,6 +441,7 @@ def fit_mle(
         std_errors=se,
         n_evals=int(res.nfev),
         converged=bool(res.success),
+        failed_evals=failed,
     )
 
 
@@ -366,7 +472,7 @@ def profile_nll(
     if init is None:
         init = moment_init(family, data)
     vec = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
-    f = _objective(family, data, method, quad)
+    f, _ = _objective(family, data, method, quad)
     out = []
     warm = vec[free]
     for g in grid:

@@ -465,13 +465,16 @@ class TestImports:
     """A command loads the scipy modules it calls and no others."""
 
     _NIG = ["--family", "nig", "--params", "chi=0.0003", "psi=1000"]
+    _MJD = ["--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=3", "mu_j=-0.05", "nu=0.1"]
 
-    def _scipy_modules_after(self, tmp_path, commands):
+    def _scipy_modules_after(self, tmp_path, commands, block_scipy=False):
         """Exit codes of spinv.cli.main over commands in a fresh interpreter,
-        and the scipy modules loaded by then."""
+        and the scipy modules loaded by then. With block_scipy, every scipy
+        import raises ImportError."""
         script = (
             "import json, sys\n"
-            "import spinv, spinv.cli\n"
+            + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+            + "import spinv, spinv.cli\n"
             f"codes = [spinv.cli.main(argv) for argv in {commands!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
         )
@@ -487,8 +490,18 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    def _simulate(self):
-        return ["simulate", *self._NIG, "--n", "200", "--seed", "5", "--output", "p.csv"]
+    def _simulate(self, family=_NIG, output="p.csv"):
+        return ["simulate", *family, "--n", "200", "--seed", "5", "--output", output]
+
+    def _fit_and_profile(self):
+        return [
+            self._simulate(),
+            ["fit", "--family", "gbm", "--input", "p.csv", "--output", "f.json"],
+            ["profile", "--family", "gbm", "--param", "r", "--grid", "-1:1:1",
+             "--input", "p.csv", "--output", "g.csv"],
+            self._simulate(self._MJD, "m.csv"),
+            ["fit", "--family", "mjd", "--method", "oracle", "--input", "m.csv", "--output", "h.json"],
+        ]
 
     def test_density_simulate_loglik_load_no_scipy(self, tmp_path):
         codes, loaded = self._scipy_modules_after(
@@ -503,10 +516,24 @@ class TestImports:
         assert codes == [0, 0, 0]
         assert loaded == []
 
-    def test_fit_loads_the_optimizer(self, tmp_path):
+    def test_fit_and_profile_load_no_scipy(self, tmp_path):
+        codes, loaded = self._scipy_modules_after(tmp_path, self._fit_and_profile())
+        assert codes == [0, 0, 0, 0, 0]
+        assert loaded == []
+
+    def test_fit_and_profile_run_with_scipy_blocked(self, tmp_path):
+        codes, loaded = self._scipy_modules_after(tmp_path, self._fit_and_profile(), block_scipy=True)
+        assert codes == [0, 0, 0, 0, 0]
+        assert loaded == ["scipy"]
+        assert json.loads((tmp_path / "h.json").read_text())["converged"]
+
+    def test_nig_oracle_fit_loads_scipy_special_only(self, tmp_path):
         codes, loaded = self._scipy_modules_after(
             tmp_path,
-            [self._simulate(), ["fit", "--family", "gbm", "--input", "p.csv", "--output", "f.json"]],
+            [self._simulate(), ["fit", *self._NIG[:2], "--method", "oracle", "--input", "p.csv",
+                                "--output", "f.json"]],
         )
         assert codes == [0, 0]
-        assert "scipy.optimize" in loaded
+        # scipy's private modules and its version module come with any scipy import
+        public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
+        assert public - {"version"} == {"special"}

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import norm
 
+import spinv.estimation as est
 from spinv.errors import ConvergenceError, ValidationError
 from spinv.estimation import (
     GbmParams,
     ProfilePoint,
     ReturnSeries,
     _golden_min,
+    _nelder_mead,
+    _objective,
     _symmetric_tail_half_width,
     fit_mle,
     hessian_std_errors,
@@ -176,6 +180,111 @@ class TestFitMle:
         assert fit.n_evals <= 50
         assert fit.nll == math.inf and not fit.converged
         assert np.isnan(fit.std_errors).all()
+
+
+    def test_failed_evals_counted_by_type(self):
+        # every vertex, and every Hessian evaluation after the search, overflows
+        p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+        data = ReturnSeries(dt=_DT, returns=simulate_nig(p, 300, seed=4))
+        init = np.array([800.0, math.log(p.psi), p.mu, p.gamma])
+        fit = fit_mle("nig", data, method="oracle", init=init)
+        assert not fit.converged
+        hessian_evals = 1 + 2 * 4 * 4
+        assert fit.failed_evals == {"OverflowError": fit.n_evals + hessian_evals}
+
+    def test_no_failed_evals_reported_empty(self):
+        fit = fit_mle("gbm", _gbm_series(n=300, seed=2))
+        assert fit.converged
+        assert fit.failed_evals == {}
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _inf_above_plane(x):
+    # +inf on the half-space x0 + x1 + x2 > 1; the unconstrained minimum lies in it
+    if x.sum() > 1.0:
+        return math.inf
+    return float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2 + 3.0 * x[2] ** 2 + x[0] * x[2])
+
+
+def _inf_right_of_ten(x):
+    return math.inf if x[0] > 10.0 else float(x @ x)
+
+
+def _wiggle(x):
+    # finite everywhere, and its search ends in a shrink
+    return float(x @ x + 0.5 * np.sin(40.0 * x[0]))
+
+
+def _scipy_nelder_mead(f, x0):
+    def stop_while_all_inf(intermediate_result):
+        if intermediate_result.fun == np.inf:
+            raise StopIteration
+
+    return minimize(
+        f, x0, method="Nelder-Mead", callback=stop_while_all_inf, options=est._NM_OPTIONS
+    )
+
+
+def _assert_same_as_scipy(f, x0):
+    ours, ref = _nelder_mead(f, x0), _scipy_nelder_mead(f, x0)
+    assert np.array_equal(ours.x, ref.x)
+    assert ours.fun == ref.fun
+    assert ours.nfev == ref.nfev
+    assert ours.success == ref.success
+    return ours
+
+
+_ROSENBROCK_START = np.array([-1.2, 1.0, 0.0, 0.5, 2.0])
+
+
+class TestNelderMead:
+    """The port gives scipy's Nelder-Mead result bit for bit."""
+
+    def test_rosenbrock_from_a_zero_coordinate(self):
+        res = _assert_same_as_scipy(_rosenbrock, _ROSENBROCK_START)
+        assert res.success
+
+    def test_objective_infinite_on_a_half_space(self):
+        res = _assert_same_as_scipy(_inf_above_plane, np.array([0.0, -1.0, 0.5]))
+        assert res.success and math.isfinite(res.fun)
+
+    def test_all_infinite_start_stops_after_one_iteration(self):
+        res = _assert_same_as_scipy(_inf_right_of_ten, np.array([20.0, 1.0, 1.0]))
+        assert res.fun == math.inf and not res.success and res.nfev < 10
+
+    def test_mjd_oracle_fit(self):
+        p = MjdParams(
+            r=0.0445, sigma=np.exp(-2.41), lam=np.exp(4.96), mu_j=-0.00114, nu=np.exp(-4.32)
+        )
+        data = ReturnSeries(dt=_DT, returns=np.diff(simulate_mjd_path(p, 0.0, _DT, 4500, seed=7)))
+        f, _ = _objective("mjd", data, "oracle", None)
+        res = _assert_same_as_scipy(f, transform_for("mjd").to_vector(moment_init("mjd", data)))
+        assert res.success
+
+    @pytest.mark.parametrize(
+        "f, x0, maxfev",
+        [
+            pytest.param(_rosenbrock, _ROSENBROCK_START, 3, id="first-simplex"),
+            pytest.param(_rosenbrock, _ROSENBROCK_START, 7, id="expansion"),
+            pytest.param(_wiggle, np.array([1.0, -2.0, 0.5]), 251, id="shrink"),
+            pytest.param(_inf_right_of_ten, np.array([20.0, 1.0, 1.0]), 7, id="shrink-all-inf"),
+        ],
+    )
+    def test_maxfev_stop(self, monkeypatch, f, x0, maxfev):
+        # maxfev is checked before an evaluation, so each stop cuts off the
+        # rest of a first simplex, an expansion or a shrink
+        monkeypatch.setattr(est, "_NM_OPTIONS", dict(est._NM_OPTIONS, maxfev=maxfev))
+        res = _assert_same_as_scipy(f, x0)
+        assert res.nfev == maxfev and not res.success
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 30])
+    def test_maxiter_stop(self, monkeypatch, maxiter):
+        monkeypatch.setattr(est, "_NM_OPTIONS", dict(est._NM_OPTIONS, maxiter=maxiter))
+        res = _assert_same_as_scipy(_rosenbrock, _ROSENBROCK_START)
+        assert not res.success
 
 
 class TestProfile:
