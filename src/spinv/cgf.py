@@ -15,6 +15,7 @@ k_complex returns, so k_complex must hand back a new array (see
 CgfModel.k_complex).
 """
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -46,6 +47,11 @@ class CgfModel(ABC):
     Implementations provide K and its first two derivatives over the real
     domain, plus K over complex arguments whose real part lies inside the
     domain. All evaluation methods are vectorized over their argument.
+
+    saddlepoint_start is where the saddlepoint solver starts. A subclass
+    whose K' inverts in closed form may override it with the exact root;
+    the solver still checks the residual there, and iterates from it only
+    when the tolerance is not met.
     """
 
     @abstractmethod
@@ -71,6 +77,27 @@ class CgfModel(ABC):
     @abstractmethod
     def domain(self) -> DomainInterval:
         """Open interval on which K is finite."""
+
+    def saddlepoint_start(self, x):
+        """Start of the solve of K'(t) = x, elementwise, strictly inside the domain.
+
+        The default is the root of the quadratic CGF, (x - K'(0)) / K''(0),
+        kept at least 1% of the width from the ends of a bounded domain,
+        and within half the finite bound of a half-bounded one.
+        """
+        dom = self.domain()
+        t = (x - self.k1(0.0)) / self.k2(0.0)
+        if math.isfinite(dom.lo) and math.isfinite(dom.hi):
+            # keep the start away from the boundary singularities
+            inset = 0.01 * (dom.hi - dom.lo)
+            return np.clip(t, dom.lo + inset, dom.hi - inset)
+        # half-bounded domains: 0.5 * bound is strictly interior since the
+        # domain contains 0
+        if math.isfinite(dom.hi):
+            t = np.minimum(t, 0.5 * dom.hi)
+        if math.isfinite(dom.lo):
+            t = np.maximum(t, 0.5 * dom.lo)
+        return t
 
     def mean(self) -> float:
         return float(self.k1(0.0))

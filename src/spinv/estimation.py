@@ -420,7 +420,8 @@ def fit_mle(
     failed_evals counts the evaluations that failed and were taken as
     +inf, by exception type name ({} when none failed). It counts the
     Hessian's evaluations for the standard errors too, so it can be
-    nonzero when the search itself met no failure.
+    nonzero when the search itself met no failure. A search that ended
+    on +inf runs no Hessian, and its standard errors are NaN.
     """
     tr = transform_for(family)
     if init is None:
@@ -428,10 +429,12 @@ def fit_mle(
     vec0 = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
     f, failed = _objective(family, data, method, quad)
     res = _nelder_mead(f, vec0)
-    try:
-        se = hessian_std_errors(f, res.x)
-    except (SpinvError, np.linalg.LinAlgError):
-        se = np.full(res.x.size, np.nan)
+    se = np.full(res.x.size, np.nan)
+    if np.isfinite(res.fun):
+        try:
+            se = hessian_std_errors(f, res.x)
+        except (SpinvError, np.linalg.LinAlgError):
+            pass
     return FitResult(
         family=family,
         method=method,

@@ -28,11 +28,11 @@ direct_ift_log_density_batch.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._log import debug
 from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
 from .errors import InversionError, QuadratureError, ValidationError
 from .models import MjdTransition
@@ -50,19 +50,6 @@ _FIT_TOL = 1e-10
 # a batch of fewer rows than this never tries the fit: it would need 17
 # nodes, the cost of half its rows, before it could tell whether it pays
 _FIT_MIN_ROWS = 34
-
-
-def _debug(msg: str, *args):
-    """A DEBUG record on this module's logger, logging.getLogger(__name__).
-
-    A record is seen only through handlers that an application configures,
-    which imports logging first. Where nothing has imported it (the spinv
-    commands that load no scipy), no record could be seen, and the 3-5 ms
-    import of logging at each start is skipped.
-    """
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).debug(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -279,7 +266,8 @@ def p_bar_zero_batch(
     with it (see p_bar_error).
     """
     p_bar, nodes, tail, reason = _interpolated(model, x, tau, quad)
-    _debug(
+    debug(
+        __name__,
         "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e",
         x.size, "interpolated" if reason is None else f"per row ({reason})", nodes, tail,
     )

@@ -118,6 +118,10 @@ class Gaussian(CgfModel):
     def k2(self, t):
         return self._var + 0.0 * t
 
+    def saddlepoint_start(self, x):
+        """The exact root of K'(t) = x."""
+        return (np.asarray(x, dtype=float) - self.params.mu) / self._var
+
     def domain(self) -> DomainInterval:
         return DomainInterval(-np.inf, np.inf)
 
@@ -184,6 +188,27 @@ class Nig(CgfModel):
     def k2(self, t):
         t = np.asarray(t, dtype=float)
         return self._sqrt_chi * (self.params.psi + self.params.gamma**2) * self._d(t) ** -1.5
+
+    def saddlepoint_start(self, x):
+        """The exact root of K'(t) = x, where K' can be resolved there.
+
+        K'(t) = mu + sqrt(chi) s / sqrt(psi + gamma^2 - s^2) with s = t + gamma
+        inverts to s = d sqrt(psi + gamma^2) / sqrt(chi + d^2), d = x - mu;
+        the hypot keeps d^2 from overflowing. Far out, the root nears the
+        end of the domain, and D(t) = psi - t^2 - 2 t gamma is a difference
+        of terms of size m = psi + t^2 + 2|t gamma|. Once D is below 1e-6 m
+        (or not positive, outside the domain) its rounding alone moves K'
+        by the solver's default tolerance, 1e-10 relative, and the row
+        takes the default start instead.
+        """
+        p = self.params
+        d = np.asarray(x, dtype=float) - p.mu
+        t = self._half_width * d / np.hypot(self._sqrt_chi, d) - p.gamma
+        tg = t * p.gamma
+        resolved = p.psi - t * t - 2.0 * tg > 1e-6 * (p.psi + t * t + 2.0 * np.abs(tg))
+        if resolved.all():
+            return t
+        return np.where(resolved, t, super().saddlepoint_start(x))
 
     def domain(self) -> DomainInterval:
         g = self.params.gamma
