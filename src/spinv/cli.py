@@ -179,7 +179,10 @@ def _emit(text, output):
 
 
 def _emit_table(args, header, rows):
-    """The rows as CSV, or as JSON records with empty cells as null."""
+    """The rows as CSV, or as JSON records with empty cells as null.
+
+    A dict cell is a JSON object in both; in CSV it is written as its JSON text.
+    """
     if args.format == "json":
         records = [{k: None if v == "" else v for k, v in zip(header, row)} for row in rows]
         text = json.dumps(records, indent=2) + "\n"
@@ -187,7 +190,7 @@ def _emit_table(args, header, rows):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([json.dumps(v) if isinstance(v, dict) else v for v in row] for row in rows)
         text = buf.getvalue()
     _emit(text, args.output)
 
@@ -273,11 +276,11 @@ def cmd_profile(args):
     grid = _parse_grid(args.grid)
     init = _family_params(args.family, args.params) if args.params else None
     points = profile_nll(args.family, data, args.method, quad, args.param, grid, init=init)
-    rows = [[p.value, p.nll, p.converged] for p in points]
+    rows = [[p.value, p.nll, p.converged, p.failed_evals] for p in points]
     if fam.reference:
         ref = fit_mle(fam.reference, data)
-        rows.append([f"{fam.reference}_ref", ref.nll, ref.converged])
-    _emit_table(args, ["param_value", "nll", "converged"], rows)
+        rows.append([f"{fam.reference}_ref", ref.nll, ref.converged, ref.failed_evals])
+    _emit_table(args, ["param_value", "nll", "converged", "failed_evals"], rows)
     return 0
 
 

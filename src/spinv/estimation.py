@@ -107,6 +107,7 @@ class ProfilePoint:
     value: float
     nll: float
     converged: bool
+    failed_evals: dict
 
 
 @dataclass(frozen=True)
@@ -459,11 +460,13 @@ def profile_nll(
 ) -> list:
     """Profile NLL over one unconstrained coordinate, warm-starting along the grid.
 
-    Returns ProfilePoint(value, nll, converged) per grid entry. The
-    objective is +inf wherever the likelihood fails, so a grid value at
-    which it fails everywhere is recorded with nll = inf and
+    Returns ProfilePoint(value, nll, converged, failed_evals) per grid
+    entry. The objective is +inf wherever the likelihood fails, so a grid
+    value at which it fails everywhere is recorded with nll = inf and
     converged = False after one Nelder-Mead iteration, and the sweep goes
-    on from the last finite point.
+    on from the last finite point. failed_evals counts the failed
+    evaluations of that grid entry's re-fit, by exception type name, as
+    in FitResult.
     """
     tr = transform_for(family)
     if fixed_param not in tr.names:
@@ -475,7 +478,7 @@ def profile_nll(
     if init is None:
         init = moment_init(family, data)
     vec = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
-    f, _ = _objective(family, data, method, quad)
+    f, failed = _objective(family, data, method, quad)
     out = []
     warm = vec[free]
     for g in grid:
@@ -486,8 +489,9 @@ def profile_nll(
             full[free] = sub
             return f(full)
 
+        failed.clear()
         res = _nelder_mead(reduced, warm)
-        out.append(ProfilePoint(float(g), float(res.fun), bool(res.success)))
+        out.append(ProfilePoint(float(g), float(res.fun), bool(res.success), dict(failed)))
         if np.isfinite(res.fun):
             warm = res.x
     return out

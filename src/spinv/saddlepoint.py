@@ -12,7 +12,9 @@ proceeds in two phases:
    start, probe geometrically toward the root's side until the residual
    changes sign. K' diverges at domain endpoints, so a
    sign change must appear; if the probe saturates at an endpoint instead,
-   x0 is outside the range of K' and the mean is unattainable.
+   x0 is outside the range of K' and the mean is unattainable, unless K'
+   at the last float before the endpoint is already past x0: then the
+   root exists but cannot be resolved in floating point.
 
 2. Newton within the bracket. Steps that leave the domain are halved back
    inside; a proposal outside the bracket, a stalled residual (five
@@ -21,6 +23,13 @@ proceeds in two phases:
    double-exponential growth (compound Poisson) make plain Newton crawl
    back from an overshoot at O(1) step length, which is what the
    slow-progress trigger catches.
+
+solve_saddlepoint_batch runs Newton over arrays from the same start, with
+no bracket. A row whose K' has overshot the target by more than the
+target's own distance from the mean takes the Newton step on log K'
+(measured from K'(0)) instead, which covers the overshoot of an
+exponentially growing K' in a few steps. Rows that do not converge are
+re-solved one at a time by the scalar solver.
 """
 
 import math
@@ -57,11 +66,24 @@ def _make_solution(model: CgfModel, t: float, r: float, iterations: int) -> Sadd
     )
 
 
-def _next_probe(anchor: float, bound: float, x0: float, upward: bool) -> float:
-    """Next bracket probe from anchor toward bound (a domain endpoint)."""
+def _next_probe(model: CgfModel, anchor: float, bound: float, x0: float, upward: bool) -> float:
+    """Next bracket probe from anchor toward bound (a domain endpoint).
+
+    When the step to a finite bound underflows, the residual at the last
+    float before the bound decides: past x0 there, the root exists but
+    cannot be resolved in floating point (ConvergenceError); otherwise
+    K' saturates short of x0 (UnattainableMeanError).
+    """
     if math.isfinite(bound):
         step = 0.5 * (bound - anchor)
         if abs(step) < 1e-13 * max(1.0, abs(bound)):
+            r_last = float(model.k1(math.nextafter(bound, anchor))) - x0
+            if r_last > 0.0 if upward else r_last < 0.0:
+                raise ConvergenceError(
+                    f"K' crosses x0={x0} within float resolution of the end of "
+                    "the domain; the root cannot be resolved",
+                    best=None,
+                )
             raise UnattainableMeanError(
                 f"K' saturates before reaching x0={x0}; mean unattainable"
             )
@@ -112,7 +134,7 @@ def _solve_scalar(
             )
         missing_above = above is None
         anchor = below if missing_above else above
-        cand = _next_probe(anchor, dom.hi if missing_above else dom.lo, x0, missing_above)
+        cand = _next_probe(model, anchor, dom.hi if missing_above else dom.lo, x0, missing_above)
         rc = float(model.k1(cand)) - x0
         for _ in range(60):
             if not math.isnan(rc):
@@ -178,42 +200,75 @@ def solve_saddlepoint_batch(
     """Vectorized Newton across many x0 values; returns tau_hat array.
 
     All iterates are kept strictly inside the domain by step halving, so
-    the model's vectorized k1/k2 are always called on valid points. Entries
-    that have not met the tolerance after max_iter (rare: deep tilts with
-    poor starts) are re-solved one at a time with the safeguarded scalar
-    solver. One DEBUG record per call gives the number of rows, the Newton
-    iterations run and the rows re-solved; it is 0 iterations when every
-    row's start meets the tolerance, as the exact NIG start does.
+    the model's vectorized k1/k2 are always called on valid points. A row
+    whose K' has overshot the target by more than the target's distance
+    from the mean (K'(t) - x0 > x0 - K'(0), in the direction of x0) gets
+    the Newton step on log((K'(t) - K'(0)) / (x0 - K'(0))) = 0 instead,
+    where that step is finite and keeps t on the root's side of 0; there
+    it is always the longer step. Where K' grows like an exponential (the
+    jump tails of compound Poisson CGFs), plain Newton crawls back from
+    such an overshoot, and the step in log space covers it. Entries that
+    have not met the tolerance after max_iter are re-solved one at a time
+    with the safeguarded scalar solver. One DEBUG record per call gives
+    the number of rows, the Newton iterations run, the row steps taken in
+    log space and the rows re-solved; it is 0 iterations when every row's
+    start meets the tolerance, as the exact NIG start does.
     """
     x = np.asarray(x, dtype=float)
     dom = model.domain()
-    scale = np.maximum(1.0, np.abs(x))
+
+    def inside(t):
+        ok = np.isfinite(t)
+        if math.isfinite(dom.lo):
+            ok &= t > dom.lo
+        if math.isfinite(dom.hi):
+            ok &= t < dom.hi
+        return ok
+
+    bound = tol * np.maximum(1.0, np.abs(x))
+    mean = model.k1(0.0)
+    y = x - mean  # the root lies on the side of 0 that y's sign gives
     t = model.saddlepoint_start(x)
     done = np.zeros(x.shape, dtype=bool)
     iterations = 0
+    log_steps = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for _ in range(max_iter):
-            r = model.k1(t) - x
-            done = np.isfinite(r) & (np.abs(r) <= tol * scale)
+            k1 = model.k1(t)
+            r = k1 - x
+            done = np.abs(r) <= bound
             if done.all():
                 break
             iterations += 1
-            step = np.where(done, 0.0, -r / model.k2(t))
+            k2 = model.k2(t)
+            step = np.where(done, 0.0, -r / k2)
+            over = np.flatnonzero(r / y > 1.0)
+            over = over[~done[over]]
+            if over.size:
+                u = k1[over] - mean
+                s_log = -np.log(u / y[over]) * u / k2[over]
+                # for u / y > 2, log(u / y) > 1 - y / u, so s_log is always
+                # the longer step; it must stay on the root's side of 0
+                take = np.isfinite(s_log) & ((t[over] + s_log) * y[over] > 0.0)
+                step[over[take]] = s_log[take]
+                log_steps += int(np.count_nonzero(take))
             step = np.where(np.isfinite(step), step, 0.0)
             t_new = t + step
+            ok = inside(t_new)
             for _ in range(80):
-                bad = ~done & ~((t_new > dom.lo) & (t_new < dom.hi) & np.isfinite(t_new))
+                bad = ~done & ~ok
                 if not bad.any():
                     break
                 step = np.where(bad, 0.5 * step, step)
                 t_new = t + step
-            still_bad = ~((t_new > dom.lo) & (t_new < dom.hi) & np.isfinite(t_new))
-            t = np.where(still_bad, t, t_new)
+                ok = inside(t_new)
+            t = np.where(ok, t_new, t)
     rest = np.flatnonzero(~done)
     debug(
         __name__,
-        "saddlepoint of %d rows: %d Newton iterations, %d re-solved by the scalar solver",
-        x.size, iterations, rest.size,
+        "saddlepoint of %d rows: %d Newton iterations, %d row steps in log space, "
+        "%d re-solved by the scalar solver",
+        x.size, iterations, log_steps, rest.size,
     )
     for i in rest:
         try:

@@ -324,11 +324,12 @@ class TestProfile:
         )
         assert code == 0
         header, rows = _parse_csv(out)
-        assert header == ["param_value", "nll", "converged"]
+        assert header == ["param_value", "nll", "converged", "failed_evals"]
         assert len(rows) == 3  # two grid points plus the reference row
         assert rows[-1][0] == "gbm_ref"
         assert float(rows[0][1]) >= 0 or float(rows[0][1]) < 0  # numeric
         assert rows[0][2] == "True"
+        assert all(isinstance(json.loads(r[3]), dict) for r in rows)
 
     def test_gbm_profile_no_reference_row(self, capsys, tmp_path):
         prices = tmp_path / "g.csv"
@@ -384,6 +385,32 @@ class TestProfile:
         assert [[float(r[0]), float(r[1]), r[2]] for r in rows[:-1]] == [
             [p.value, p.nll, str(p.converged)] for p in expected
         ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_evaluations_counted_per_point(self, capsys, tmp_path, fmt):
+        # exp(800) overflows, so every re-fit at log_chi = 800 fails
+        prices = tmp_path / "nig.csv"
+        main(
+            [
+                "simulate", "--family", "nig", "--params", "chi=3e-4", "psi=1000",
+                "--n", "100", "--seed", "4", "--output", str(prices),
+            ]
+        )
+        code, out, _ = _run(
+            capsys,
+            [
+                "profile", "--family", "nig", "--method", "oracle", "--param", "log_chi",
+                "--grid", "-8:800:808", "--input", str(prices), "--format", fmt,
+            ],
+        )
+        assert code == 0
+        if fmt == "csv":
+            _, rows = _parse_csv(out)
+            counts = [json.loads(r[3]) for r in rows]
+        else:
+            counts = [r["failed_evals"] for r in json.loads(out)]
+        assert counts[0] == {}
+        assert counts[1] == {"OverflowError": 9}
 
     def test_invalid_params_exit_3(self, capsys, tmp_path):
         prices = tmp_path / "g.csv"

@@ -290,12 +290,15 @@ class TestProfile:
 
     def test_point_where_every_fit_fails_is_inf_not_converged(self):
         # exp(800) overflows, so at log_chi = 800 the objective is +inf
-        # everywhere; the sweep records that point and goes on
+        # everywhere; the sweep records that point, with its failures
+        # counted, and goes on; the counts are per grid point
         p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
         data = ReturnSeries(dt=_DT, returns=simulate_nig(p, 300, seed=4))
         pts = profile_nll("nig", data, "oracle", None, "log_chi", [800.0, math.log(p.chi)])
-        assert pts[0] == ProfilePoint(800.0, math.inf, False)
+        # 4 vertices, a reflection, a contraction and a 3-vertex shrink
+        assert pts[0] == ProfilePoint(800.0, math.inf, False, {"OverflowError": 9})
         assert math.isfinite(pts[1].nll) and pts[1].converged
+        assert pts[1].failed_evals == {}
 
 
 class TestHessianStdErrors:
