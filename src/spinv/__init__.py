@@ -59,6 +59,11 @@ from .models import (
     simulate_mjd_path,
     simulate_nig,
 )
-from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
+from .saddlepoint import (
+    SaddlepointBatch,
+    SaddlepointSolution,
+    solve_saddlepoint,
+    solve_saddlepoint_batch,
+)
 
 __version__ = "0.1.0"

@@ -52,6 +52,11 @@ class CgfModel(ABC):
     whose K' inverts in closed form may override it with the exact root;
     the solver still checks the residual there, and iterates from it only
     when the tolerance is not met.
+
+    k1_k2 is optional too. The batch solver calls it once per Newton step
+    for K' and K'' at the same points, so a subclass may override it to
+    share the work the two have in common. An override must return
+    exactly the bits of (k1(t), k2(t)), and raise where they raise.
     """
 
     @abstractmethod
@@ -73,6 +78,10 @@ class CgfModel(ABC):
     @abstractmethod
     def k2(self, t):
         """K''(t), strictly positive on the domain."""
+
+    def k1_k2(self, t):
+        """(K'(t), K''(t)) from one call; the default calls k1 and k2."""
+        return self.k1(t), self.k2(t)
 
     @abstractmethod
     def domain(self) -> DomainInterval:

@@ -188,8 +188,8 @@ def _read_fit(model: CgfModel, x, tau, c, to_v, a: float, b: float) -> np.ndarra
     there keeps the residual, up to 1e-8 nats, out of each row and keeps
     the likelihood smooth in the parameters.
     """
-    k2 = np.asarray(model.k2(tau), dtype=float)
-    tau_x = tau - (np.asarray(model.k1(tau), dtype=float) - x) / k2
+    k1, k2 = model.k1_k2(tau)
+    tau_x = tau - (k1 - x) / k2
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = _clenshaw(c, (2.0 * to_v(tau_x) - a - b) / (b - a))
         log_p += 0.5 * np.log(k2 / np.asarray(model.k2(tau_x), dtype=float))
@@ -297,9 +297,10 @@ def log_density_terms(
     core, bad rows included. Only the batch saddlepoint solve raises.
     """
     x = np.asarray(x, dtype=float)
-    tau = solve_saddlepoint_batch(model, x)
+    sp = solve_saddlepoint_batch(model, x)
+    tau = sp.tau
     tilt_term = np.asarray(model.k(tau), dtype=float) - tau * x
-    jacobian_term = -0.5 * np.log(np.asarray(model.k2(tau), dtype=float))
+    jacobian_term = -0.5 * np.log(sp.k2)
     if method == "spa":
         return tilt_term, jacobian_term, np.full(x.shape, math.exp(-_LOG_SQRT_TWO_PI))
     if quad is None:
@@ -368,10 +369,9 @@ def spa_log_density(model: CgfModel, x0: float) -> LogDensityResult:
 def spa_log_density_batch(model: CgfModel, x: np.ndarray) -> np.ndarray:
     """SPA log-density over many points of one model."""
     x = np.asarray(x, dtype=float)
-    tau = solve_saddlepoint_batch(model, x)
-    k_at = np.asarray(model.k(tau), dtype=float)
-    k2_at = np.asarray(model.k2(tau), dtype=float)
-    return k_at - tau * x - 0.5 * np.log(2.0 * math.pi * k2_at)
+    sp = solve_saddlepoint_batch(model, x)
+    k_at = np.asarray(model.k(sp.tau), dtype=float)
+    return k_at - sp.tau * x - 0.5 * np.log(2.0 * math.pi * sp.k2)
 
 
 def direct_ift_log_density_batch(

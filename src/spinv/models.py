@@ -189,6 +189,14 @@ class Nig(CgfModel):
         t = np.asarray(t, dtype=float)
         return self._sqrt_chi * (self.params.psi + self.params.gamma**2) * self._d(t) ** -1.5
 
+    def k1_k2(self, t):
+        """k1 and k2 on one D(t) and one domain check."""
+        t = np.asarray(t, dtype=float)
+        p = self.params
+        d = self._d(t)
+        k1 = p.mu + self._sqrt_chi * (t + p.gamma) / np.sqrt(d)
+        return k1, self._sqrt_chi * (p.psi + p.gamma**2) * d**-1.5
+
     def saddlepoint_start(self, x):
         """The exact root of K'(t) = x, where K' can be resolved there.
 
@@ -273,6 +281,15 @@ class MjdTransition(CgfModel):
         return self._var_diff + self._lam_dt * (
             (p.mu_j + p.nu**2 * t) ** 2 + p.nu**2
         ) * np.exp(self._jump_exponent(t))
+
+    def k1_k2(self, t):
+        """k1 and k2 on one exp(jump exponent) and one mu_J + nu^2 t."""
+        t = np.asarray(t, dtype=float)
+        p = self.params
+        a = p.mu_j + p.nu**2 * t
+        e = np.exp(self._jump_exponent(t))
+        k1 = self._base + self._var_diff * t + self._lam_dt * a * e
+        return k1, self._var_diff + self._lam_dt * (a**2 + p.nu**2) * e
 
     def domain(self) -> DomainInterval:
         return DomainInterval(-np.inf, np.inf)

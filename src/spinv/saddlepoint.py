@@ -25,11 +25,15 @@ proceeds in two phases:
    slow-progress trigger catches.
 
 solve_saddlepoint_batch runs Newton over arrays from the same start, with
-no bracket. A row whose K' has overshot the target by more than the
-target's own distance from the mean takes the Newton step on log K'
-(measured from K'(0)) instead, which covers the overshoot of an
-exponentially growing K' in a few steps. Rows that do not converge are
-re-solved one at a time by the scalar solver.
+no bracket, taking K' and K'' from one model.k1_k2 call per step. A row
+whose K' has overshot the target by more than the target's own distance
+from the mean takes the Newton step on log K' (measured from K'(0))
+instead, which covers the overshoot of an exponentially growing K' in a
+few steps; a row whose K' or K'' overflows goes halfway back toward its
+last iterate where both were finite. Rows that do not converge are
+re-solved one at a time by the scalar solver. The batch returns K'' at
+each root with the roots (SaddlepointBatch), so that its callers need
+not evaluate it again.
 """
 
 import math
@@ -194,28 +198,52 @@ def _solve_scalar(
     )
 
 
+@dataclass(frozen=True)
+class SaddlepointBatch:
+    """What solve_saddlepoint_batch found, row by row, and how.
+
+    k2 is K''(tau): from the solver's last evaluation for the rows it
+    converged, from model.k2 for the rows the scalar solver re-solved.
+    The counts are those of the DEBUG record.
+    """
+
+    tau: np.ndarray
+    k2: np.ndarray
+    iterations: int
+    log_steps: int
+    sent_back: int
+    re_solved: int
+
+
 def solve_saddlepoint_batch(
     model: CgfModel, x: np.ndarray, tol: float = 1e-10, max_iter: int = 100
-) -> np.ndarray:
-    """Vectorized Newton across many x0 values; returns tau_hat array.
+) -> SaddlepointBatch:
+    """Vectorized Newton across many x0 values, from one model.k1_k2 call per step.
 
-    All iterates are kept strictly inside the domain by step halving, so
-    the model's vectorized k1/k2 are always called on valid points. A row
+    On a domain with a finite end, step halving keeps every iterate
+    strictly inside it, so the model's vectorized k1_k2 is always called
+    on valid points; on all of R, where every step taken is finite, there
+    is nothing to check. A row
     whose K' has overshot the target by more than the target's distance
     from the mean (K'(t) - x0 > x0 - K'(0), in the direction of x0) gets
     the Newton step on log((K'(t) - K'(0)) / (x0 - K'(0))) = 0 instead,
     where that step is finite and keeps t on the root's side of 0; there
     it is always the longer step. Where K' grows like an exponential (the
     jump tails of compound Poisson CGFs), plain Newton crawls back from
-    such an overshoot, and the step in log space covers it. Entries that
-    have not met the tolerance after max_iter are re-solved one at a time
-    with the safeguarded scalar solver. One DEBUG record per call gives
-    the number of rows, the Newton iterations run, the row steps taken in
-    log space and the rows re-solved; it is 0 iterations when every row's
+    such an overshoot, and the step in log space covers it. A row whose K'
+    or K'' is not finite (an overflow) is sent halfway back toward its
+    last iterate where both were, or toward 0 if there was none. The
+    residual is checked at every iterate, the last included; entries that
+    have not met the tolerance after max_iter steps are re-solved one at
+    a time with the safeguarded scalar solver. One DEBUG record per call
+    gives the number of rows, the Newton iterations run, the row steps
+    taken in log space, the row steps sent back from a non-finite K' or
+    K'', and the rows re-solved; it is 0 iterations when every row's
     start meets the tolerance, as the exact NIG start does.
     """
     x = np.asarray(x, dtype=float)
     dom = model.domain()
+    bounded = math.isfinite(dom.lo) or math.isfinite(dom.hi)
 
     def inside(t):
         ok = np.isfinite(t)
@@ -229,21 +257,24 @@ def solve_saddlepoint_batch(
     mean = model.k1(0.0)
     y = x - mean  # the root lies on the side of 0 that y's sign gives
     t = model.saddlepoint_start(x)
-    done = np.zeros(x.shape, dtype=bool)
+    t_fin = np.zeros(x.shape)  # per row, the last iterate with finite K' and K''
     iterations = 0
     log_steps = 0
+    sent_back = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            k1 = model.k1(t)
+        while True:
+            k1, k2 = model.k1_k2(t)
             r = k1 - x
             done = np.abs(r) <= bound
-            if done.all():
+            if iterations == max_iter or done.all():
                 break
             iterations += 1
-            k2 = model.k2(t)
-            step = np.where(done, 0.0, -r / k2)
+            step = -r / k2
+            # step * K'' is finite only where K' and K'' are, and K'' > 0
+            fin = np.isfinite(step * k2)
+            np.copyto(t_fin, t, where=fin)
             over = np.flatnonzero(r / y > 1.0)
-            over = over[~done[over]]
+            over = over[~done[over] & fin[over]]
             if over.size:
                 u = k1[over] - mean
                 s_log = -np.log(u / y[over]) * u / k2[over]
@@ -252,27 +283,34 @@ def solve_saddlepoint_batch(
                 take = np.isfinite(s_log) & ((t[over] + s_log) * y[over] > 0.0)
                 step[over[take]] = s_log[take]
                 log_steps += int(np.count_nonzero(take))
-            step = np.where(np.isfinite(step), step, 0.0)
+            if not fin.all():
+                back = np.flatnonzero(~(fin | done))
+                step[back] = 0.5 * (t_fin[back] - t[back])
+                sent_back += back.size
+            step[done] = 0.0
             t_new = t + step
-            ok = inside(t_new)
-            for _ in range(80):
-                bad = ~done & ~ok
-                if not bad.any():
-                    break
-                step = np.where(bad, 0.5 * step, step)
-                t_new = t + step
+            if bounded:
                 ok = inside(t_new)
-            t = np.where(ok, t_new, t)
+                for _ in range(80):
+                    if ok.all():
+                        break
+                    step[~ok] *= 0.5
+                    t_new = t + step
+                    ok = inside(t_new)
+                t_new = np.where(ok, t_new, t)
+            t = t_new
     rest = np.flatnonzero(~done)
     debug(
         __name__,
         "saddlepoint of %d rows: %d Newton iterations, %d row steps in log space, "
-        "%d re-solved by the scalar solver",
-        x.size, iterations, log_steps, rest.size,
+        "%d sent back from a non-finite K' or K'', %d re-solved by the scalar solver",
+        x.size, iterations, log_steps, sent_back, rest.size,
     )
-    for i in rest:
-        try:
-            t[i] = solve_saddlepoint(model, float(x[i]), tol=tol, max_iter=max_iter).tau_hat
-        except ConvergenceError as exc:
-            raise type(exc)(f"observation {int(i)}: {exc}", best=exc.best) from exc
-    return t
+    if rest.size:
+        for i in rest:
+            try:
+                t[i] = solve_saddlepoint(model, float(x[i]), tol=tol, max_iter=max_iter).tau_hat
+            except ConvergenceError as exc:
+                raise type(exc)(f"observation {int(i)}: {exc}", best=exc.best) from exc
+        k2[rest] = model.k2(t[rest])
+    return SaddlepointBatch(t, k2, iterations, log_steps, sent_back, int(rest.size))

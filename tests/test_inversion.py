@@ -342,7 +342,7 @@ class TestInterpolatedCore:
             "mjd-criterion-6-fine": (mjd, incr, QuadratureSpec(64.0, 512)),
             "mjd-10-sd-grid": (mjd, _sd_grid(mjd, 10.0, 801), MJD_SPI_QUAD),
         }[case]
-        tau = solve_saddlepoint_batch(m, x)
+        tau = solve_saddlepoint_batch(m, x).tau
         for at in (np.asarray(m.k1(tau), dtype=float), x):
             core, rows, message = _core(m, at, tau, quad, caplog)
             assert "interpolated" in message
@@ -354,7 +354,7 @@ class TestInterpolatedCore:
         alpha, beta = 5.0, 2.0
         m = _Gamma(alpha, beta)
         x = np.linspace(0.05, 4.0, 1000) * alpha / beta
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), DEFAULT_SPI_QUAD, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x).tau, DEFAULT_SPI_QUAD, caplog)
         assert "interpolated" in message
         assert _max_log_gap(core, rows) <= 1e-9
         exact = [
@@ -380,7 +380,7 @@ class TestInterpolatedCore:
             "25-row grid": _sd_grid(m, 6.0, 25),
             "nig-50-sd-grid": _sd_grid(m, 50.0, 801),
         }[case]
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), DEFAULT_SPI_QUAD, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x).tau, DEFAULT_SPI_QUAD, caplog)
         assert f"per row ({reason}" in message
         assert np.array_equal(core, rows, equal_nan=True)
         assert np.sum(~(np.isfinite(core) & (core > 0.0))) == failing

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spinv.cgf import CgfModel, DomainInterval
-from spinv.errors import ConvergenceError, UnattainableMeanError
+from spinv.errors import ConvergenceError, DomainError, UnattainableMeanError
 from spinv.models import (
     Gaussian,
     GaussianParams,
@@ -34,6 +34,10 @@ _X_OVERSHOOT = -0.1613494368396049
 # criterion 6's MJD, and a jump-dominated MJD
 _C6 = MjdParams(r=0.0445, sigma=np.exp(-2.41), lam=np.exp(4.96), mu_j=-0.00114, nu=np.exp(-4.32))
 _LAM3 = MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1)
+# shares of a bounded domain's width, out to within 1e-12 of both ends
+_DOMAIN_SPAN = np.array([1e-12, 1e-9, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+# tilts out to where the MJD jump exponential overflows, and past it
+_MJD_T = np.array([-np.inf, -1e6, -3e3, -50.0, -1.0, 0.0, 1.0, 50.0, 3e3, 1e6, np.inf, np.nan])
 
 
 def _random_nig(rng):
@@ -210,14 +214,14 @@ class TestBatch:
     def test_matches_scalar(self):
         m = Nig(_NIG_P)
         xs = m.mean() + np.sqrt(m.variance()) * np.linspace(-6.0, 6.0, 41)
-        batch = solve_saddlepoint_batch(m, xs)
+        batch = solve_saddlepoint_batch(m, xs).tau
         scalar = np.array([solve_saddlepoint(m, float(x)).tau_hat for x in xs])
         _assert_within_scalar_gap(m, xs, batch, scalar)  # K'' here is ~5e-4
 
     def test_residuals_within_tolerance(self):
         m = MjdTransition(_LAM3, x0=0.0, dt=1.0 / 252.0)
         xs = m.mean() + np.sqrt(m.variance()) * np.linspace(-6.0, 6.0, 101)
-        taus = solve_saddlepoint_batch(m, xs)
+        taus = solve_saddlepoint_batch(m, xs).tau
         res = np.abs(m.k1(taus) - xs)
         assert np.all(res <= 1e-10 * np.maximum(1.0, np.abs(xs)))
 
@@ -236,7 +240,7 @@ class TestStart:
         for _ in range(100):
             m = _random_nig(rng)
             xs = m.mean() + rng.uniform(-6, 6, 20) * np.sqrt(m.variance())
-            batch = solve_saddlepoint_batch(m, xs)
+            batch = solve_saddlepoint_batch(m, xs).tau
             assert np.all(np.abs(m.k1(batch) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
             scalar = np.array([solve_saddlepoint(m, float(x)).tau_hat for x in xs])
             _assert_within_scalar_gap(m, xs, batch, scalar)
@@ -266,7 +270,7 @@ class TestStart:
         for x in m.mean() + np.array([-sds, sds]) * math.sqrt(m.variance()):
             for solve in (
                 lambda: solve_saddlepoint(m, x).tau_hat,
-                lambda: float(solve_saddlepoint_batch(m, np.array([x]))[0]),
+                lambda: float(solve_saddlepoint_batch(m, np.array([x])).tau[0]),
             ):
                 if outcome is None:
                     tau = solve()
@@ -304,18 +308,21 @@ class TestStart:
 
 
 def _batch_record(caplog, m, xs, **kw):
-    """(rows, Newton iterations, row steps in log space, rows re-solved)
-    from the batch solver's DEBUG record."""
+    """(rows, Newton iterations, row steps in log space, row steps sent
+    back, rows re-solved) from the batch solver's DEBUG record, which must
+    give the counts of the record the solver returns."""
     with caplog.at_level(logging.DEBUG, logger="spinv.saddlepoint"):
         caplog.clear()
-        solve_saddlepoint_batch(m, xs, **kw)
+        sol = solve_saddlepoint_batch(m, xs, **kw)
     (record,) = caplog.records
     counts = re.fullmatch(
         r"saddlepoint of (\d+) rows: (\d+) Newton iterations, (\d+) row steps in log space, "
-        r"(\d+) re-solved by the scalar solver",
+        r"(\d+) sent back from a non-finite K' or K'', (\d+) re-solved by the scalar solver",
         record.getMessage(),
     ).groups()
-    return tuple(int(c) for c in counts)
+    counts = tuple(int(c) for c in counts)
+    assert counts == (sol.tau.size, sol.iterations, sol.log_steps, sol.sent_back, sol.re_solved)
+    return counts
 
 
 def _grid(m, sds, n):
@@ -325,19 +332,19 @@ def _grid(m, sds, n):
 class TestBatchLog:
     def test_nig_starts_at_its_root(self, caplog):
         m = Nig(_NIG_P)
-        assert _batch_record(caplog, m, _grid(m, 6.0, 41)) == (41, 0, 0, 0)
+        assert _batch_record(caplog, m, _grid(m, 6.0, 41)) == (41, 0, 0, 0, 0)
 
     def test_mjd_iterates(self, caplog):
         # plain Newton from the quadratic start took 29 iterations here
         m = MjdTransition(_C6)
-        rows, iterations, log_steps, rest = _batch_record(caplog, m, _grid(m, 6.0, 101))
-        assert rows == 101 and 0 < iterations <= 10 and log_steps > 0 and rest == 0
+        rows, iterations, log_steps, sent_back, rest = _batch_record(caplog, m, _grid(m, 6.0, 101))
+        assert rows == 101 and 0 < iterations <= 10 and log_steps > 0 and sent_back == rest == 0
 
     def test_jump_dominated_rows_converge_in_the_batch(self, caplog):
         # TestBatch's lambda = 3 input: plain Newton crawled back from the
         # overshoot for 100 iterations and left 61 rows to the scalar solver
         m = MjdTransition(_LAM3, x0=0.0, dt=1.0 / 252.0)
-        rows, iterations, log_steps, rest = _batch_record(caplog, m, _grid(m, 6.0, 101))
+        rows, iterations, log_steps, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101))
         assert rows == 101 and iterations <= 12 and log_steps > 0 and rest == 0
 
     def test_log_step_stays_on_the_roots_side_of_zero(self, caplog):
@@ -346,45 +353,133 @@ class TestBatchLog:
         # solver
         m = Knee(a=1000.0, eps=0.01)
         xs = np.linspace(-50.0, 50.0, 101)
-        rows, iterations, _, rest = _batch_record(caplog, m, xs)
+        rows, iterations, _, _, rest = _batch_record(caplog, m, xs)
         assert rows == 101 and iterations <= 15 and rest == 0
-        taus = solve_saddlepoint_batch(m, xs)
+        taus = solve_saddlepoint_batch(m, xs).tau
         assert np.all(np.abs(m.k1(taus) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
 
     def test_scalar_re_solve_is_counted(self, caplog, monkeypatch):
         # two iterations leave rows unconverged; the record counts the
         # scalar solves that follow, which run at the default budget here
         # so that each succeeds
-        calls = []
-
-        def counting_solve(model, x0, tol, max_iter):
-            calls.append(x0)
-            return solve_saddlepoint(model, x0, tol=tol)
-
-        monkeypatch.setattr("spinv.saddlepoint.solve_saddlepoint", counting_solve)
+        calls = _count_scalar_solves(monkeypatch)
         m = MjdTransition(_C6)
-        rows, iterations, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=2)
+        rows, iterations, _, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=2)
         assert (rows, iterations) == (101, 2)
         assert rest == len(calls) > 0
 
+    def test_last_step_is_checked(self, caplog):
+        # the grid converges on the 7th step, so with max_iter=7 only a
+        # check of the residual after the last step keeps its rows from
+        # the scalar solver
+        m = MjdTransition(_C6)
+        _, iterations, _, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=7)
+        assert (iterations, rest) == (7, 0)
+
+
+def _count_scalar_solves(monkeypatch):
+    """Make the batch solver's scalar re-solves run at the default budget,
+    so that each succeeds; returns the list of their targets."""
+    calls = []
+
+    def counting_solve(model, x0, tol, max_iter):
+        calls.append(x0)
+        return solve_saddlepoint(model, x0, tol=tol)
+
+    monkeypatch.setattr("spinv.saddlepoint.solve_saddlepoint", counting_solve)
+    return calls
+
+
+class TestK1K2:
+    @pytest.mark.parametrize(
+        "m, t",
+        [
+            (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), np.linspace(-5.0, 5.0, 11)),
+            (Exponential(2.0), np.array([-10.0, 0.0, 1.0, 1.999])),
+            (Knee(a=1000.0, eps=0.01), np.linspace(-1.0, 1.0, 21)),
+            (Nig(_NIG_P), _DOMAIN_SPAN),
+            (Nig(_NIG_SMALL), _DOMAIN_SPAN),
+            (MjdTransition(_C6), _MJD_T),
+            (MjdTransition(_LAM3, x0=0.0, dt=1.0 / 252.0), _MJD_T),
+        ],
+    )
+    def test_equals_k1_and_k2_bit_for_bit(self, m, t):
+        # _DOMAIN_SPAN is a share of the domain's width from its lower end;
+        # _MJD_T reaches where exp(jump exponent) overflows (inf) and
+        # where it is not defined (nan)
+        if isinstance(m, Nig):
+            dom = m.domain()
+            t = dom.lo + (dom.hi - dom.lo) * t
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arg in (t, t[len(t) // 2]):
+                k1, k2 = m.k1_k2(arg)
+                assert np.array_equal(k1, m.k1(arg), equal_nan=True)
+                assert np.array_equal(k2, m.k2(arg), equal_nan=True)
+            if isinstance(m, MjdTransition):
+                k2 = m.k1_k2(t)[1]
+                assert np.isinf(k2).any() and np.isnan(k2).any()
+
+    @pytest.mark.parametrize("params", [_NIG_P, _NIG_SMALL])
+    def test_nig_raises_outside_the_domain_as_k1_does(self, params):
+        m = Nig(params)
+        dom = m.domain()
+        width = dom.hi - dom.lo
+        for t in (dom.lo - 1e-6 * width, dom.hi + 1.0, np.array([0.0, dom.hi + 1e-6 * width])):
+            for f in (m.k1, m.k1_k2):
+                with pytest.raises(DomainError):
+                    f(t)
+
+    def test_returned_k2_is_k2_at_tau(self, monkeypatch):
+        # from the solver's last evaluation, and from model.k2 for the
+        # rows the scalar solver re-solved (max_iter=2 leaves rows to it)
+        calls = _count_scalar_solves(monkeypatch)
+        for m, kw in (
+            (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), {}),
+            (Nig(_NIG_P), {}),
+            (Knee(a=1000.0, eps=0.01), {}),
+            (MjdTransition(_C6), {}),
+            (MjdTransition(_C6), {"max_iter": 2}),
+        ):
+            sol = solve_saddlepoint_batch(m, _grid(m, 6.0, 101), **kw)
+            assert sol.re_solved == (len(calls) if kw else 0)
+            assert np.array_equal(sol.k2, m.k2(sol.tau))
+        assert len(calls) > 0
+
+
+def _random_mjd_batches(seed, n):
+    """n random MJD models, each with 50 targets within 6 sd of its mean."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m = MjdTransition(
+            MjdParams(
+                r=rng.uniform(-0.2, 0.2),
+                sigma=10 ** rng.uniform(-2, 0),
+                lam=10 ** rng.uniform(-1, 3),
+                mu_j=rng.uniform(-0.1, 0.1),
+                nu=10 ** rng.uniform(-3, -0.5),
+            ),
+            x0=0.0,
+            dt=1.0 / 252.0,
+        )
+        yield m, m.mean() + rng.uniform(-6, 6, 50) * np.sqrt(m.variance())
+
 
 class TestRandomMjd:
+    def test_overflowing_rows_are_sent_back(self):
+        # rows whose iterate lands where K' overflows must find their way
+        # back in the batch rather than sit there until max_iter and go to
+        # the scalar solver
+        sent_back = re_solved = 0
+        for m, xs in _random_mjd_batches(7, 200):
+            sol = solve_saddlepoint_batch(m, xs)
+            assert np.all(np.abs(m.k1(sol.tau) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
+            sent_back += sol.sent_back
+            re_solved += sol.re_solved
+        assert sent_back > 0 and re_solved <= 10
+
     def test_batch_meets_tolerance_and_matches_scalar(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(60):
-            m = MjdTransition(
-                MjdParams(
-                    r=rng.uniform(-0.2, 0.2),
-                    sigma=10 ** rng.uniform(-2, 0),
-                    lam=10 ** rng.uniform(-1, 3),
-                    mu_j=rng.uniform(-0.1, 0.1),
-                    nu=10 ** rng.uniform(-3, -0.5),
-                ),
-                x0=0.0,
-                dt=1.0 / 252.0,
-            )
-            xs = m.mean() + rng.uniform(-6, 6, 50) * np.sqrt(m.variance())
-            batch = solve_saddlepoint_batch(m, xs)
+        for m, xs in _random_mjd_batches(2024, 60):
+            batch = solve_saddlepoint_batch(m, xs).tau
             assert np.all(np.abs(m.k1(batch) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
             solved = []
             for i, x in enumerate(xs):
