@@ -127,6 +127,12 @@ def _quad_from_args(args, fam):
     )
 
 
+def _rule_defaults(field):
+    """One field of each family's SPI rule and of the direct rule, for --help."""
+    spi = ", ".join(f"{name} {getattr(fam.spi_quad, field):g}" for name, fam in FAMILIES.items())
+    return f"spi: {spi}; direct: {getattr(DEFAULT_DIRECT_QUAD, field):g}"
+
+
 def _is_number(text):
     try:
         float(text)
@@ -326,8 +332,20 @@ def build_parser():
         p.add_argument("--output", default=None)
         p.add_argument("--format", default=None, choices=["csv", "json"])
         p.add_argument("--dt", type=float, default=1.0 / 252.0)
-        p.add_argument("--quad-upper", type=float, default=None)
-        p.add_argument("--quad-points", type=int, default=None)
+        p.add_argument(
+            "--quad-upper",
+            type=float,
+            default=None,
+            help="upper end of the inversion rule's range [0, U] (default: "
+            + _rule_defaults("upper_limit") + ")",
+        )
+        p.add_argument(
+            "--quad-points",
+            type=int,
+            default=None,
+            help="evaluations of the rule, an even count bumped to odd; spi takes "
+            "the trapezoid rule, direct Simpson's (default: " + _rule_defaults("n_points") + ")",
+        )
 
     d = sub.add_parser("density", help="log-density over an x grid")
     common(d)

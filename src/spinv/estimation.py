@@ -566,7 +566,9 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     # underresolves evaluations out to the window's edge. Even this spec is
     # off by up to 1.6 nats near the edge at theta = 4.94 (the heaviest
     # candidate golden-section tries at theta0 = 2) without raising, and
-    # raises from theta = 5.5 up; the drift moves theta_hat by only 4e-6
+    # raises from theta = 5.19 up. The error is the truncation at s = 800
+    # (the CF there is still 0.11), not the step; the drift moves theta_hat
+    # by only 4e-6
     quad = QuadratureSpec(800.0, 16384)
 
     def cross_entropy(theta):

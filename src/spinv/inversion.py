@@ -5,8 +5,8 @@ All three share the decomposition
     log p(x0) = [K(tau) - tau*x0] + [-1/2 log K''(tau)] + log p_bar(0)
 
 where p_bar is the density of the standardized tilted variable at zero.
-SPI computes p_bar(0) by Fourier inversion of a CF that is real, positive
-and Gaussian-like, so a fixed-range Simpson rule converges fast. SPA
+SPI computes p_bar(0) by Fourier inversion of a CF that is Gaussian-like
+near zero, so a fixed-range trapezoid rule converges fast. SPA
 replaces p_bar(0) with the standard normal value (2*pi)^{-1/2}, exact only
 for Gaussians. Direct IFT inverts the raw characteristic function, whose
 oscillatory integrand degrades in the tails; its result is clamped at
@@ -15,12 +15,21 @@ oscillatory integrand degrades in the tails; its result is clamped at
 Every p_bar(0) comes from one batch core, p_bar_zero_batch, which marks
 unusable rows instead of raising. Since x0 = K'(tau), p_bar(0) depends on
 x0 only through the tilt, so the core fits log p_bar at a few Chebyshev
-nodes in the tilt, each taken by the Simpson rule, and reads every row
-off the fit (Battles & Trefethen 2004 for the stopping rule). A batch the
-fit does not serve (33 rows or fewer, an unusable node, a next level
-with more nodes than rows, no convergence at 257 nodes) runs the Simpson
-rule on each row, in blocks. Each batch logs one DEBUG record saying
-which.
+nodes in the tilt and reads every row off the fit (Battles & Trefethen
+2004 for the stopping rule). A batch the fit does not serve (33 rows or
+fewer, an unusable node, a next level with more nodes than rows, no
+convergence at 257 nodes) takes each row by itself, in blocks. Each batch
+logs one DEBUG record saying which, with the rule's error indicators.
+
+A node or row is taken by the trapezoid rule on the real part of the
+standardized tilted CF. That integrand is even and analytic in a strip,
+where the trapezoid rule converges geometrically as its step shrinks
+(Trefethen & Weideman 2014, SIAM Rev. 56:385); Simpson's rule is
+(4 T_h - T_2h)/3 and so carries the error of the rule with twice the
+step. Direct IFT keeps its Simpson rule. The point count stays odd for
+both: the even-indexed points of an SPI rule are the trapezoid rule of
+twice the step, and the gap between the two is the step error indicator.
+
 The scalar evaluators are views of the batch ones: spi_log_density and
 spa_log_density solve one saddlepoint (keeping its iteration count) and
 run the core on that one row, and direct_ift_log_density is one row of
@@ -54,10 +63,14 @@ _FIT_MIN_ROWS = 34
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite Simpson rule on [0, upper_limit] with n_points evaluations.
+    """A rule on [0, upper_limit] with n_points evaluations, n_points odd.
 
-    Simpson needs an even subinterval count, so an even n_points is bumped
-    up by one; asking for 512 runs 513 evaluations.
+    SPI takes the trapezoid rule on these points and direct IFT the
+    composite Simpson rule, which needs an even subinterval count. The
+    count is odd for SPI too, so that its even-indexed points form the
+    trapezoid rule of twice the step: the core's step error indicator at
+    no extra CF cost. An even n_points is bumped up by one; asking for 512
+    runs 513 evaluations.
     """
 
     upper_limit: float
@@ -74,7 +87,7 @@ class QuadratureSpec:
 
 DEFAULT_DIRECT_QUAD = QuadratureSpec(150.0, 512)
 DEFAULT_SPI_QUAD = QuadratureSpec(100.0, 512)
-MJD_SPI_QUAD = QuadratureSpec(16.0, 128)
+MJD_SPI_QUAD = QuadratureSpec(32.0, 64)
 
 
 def default_spi_quad(model: CgfModel) -> QuadratureSpec:
@@ -98,10 +111,25 @@ def _simpson_weights(n_points: int) -> np.ndarray:
     return w
 
 
+def _simpson_sum(vals: np.ndarray) -> np.ndarray:
+    """Simpson's weighted sum (1, 4, 2, ..., 4, 1) along the last axis of vals.
+
+    Plain sums rather than a product with the weights: numpy hands a
+    matrix-vector product to BLAS, whose threads spin a second core for
+    nothing on products this small.
+    """
+    return (
+        vals[..., 0]
+        + vals[..., -1]
+        + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+        + 2.0 * vals[..., 2:-1:2].sum(axis=-1)
+    )
+
+
 def _simpson_rows(vals: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """(1/pi) * Simpson over [0, upper_limit] of each row of vals."""
+    """(1/pi) * Simpson over [0, upper_limit] of each row of vals: the direct IFT rule."""
     h = quad.upper_limit / (quad.n_points - 1)
-    return h / 3.0 * vals.dot(_simpson_weights(quad.n_points)) / math.pi
+    return h / 3.0 * _simpson_sum(vals) / math.pi
 
 
 def simpson_integrate(f, a: float, b: float, n_points: int) -> float:
@@ -117,22 +145,44 @@ def simpson_integrate(f, a: float, b: float, n_points: int) -> float:
         i = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise QuadratureError("integrand not finite", abscissa=float(xs[i]))
     h = (b - a) / (n - 1)
-    return float(h / 3.0 * np.dot(_simpson_weights(n), vals))
+    return float(h / 3.0 * _simpson_sum(vals))
 
 
-def _p_bar_zero_rows(
-    model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec
-) -> np.ndarray:
-    """p_bar(0) of every row by its own Simpson rule, in blocks of about _BLOCK_ENTRIES CF entries."""
+def _largest(vals: np.ndarray) -> float:
+    """The largest of vals, NaN left out (0 when there is nothing else)."""
+    return float(np.fmax.reduce(vals, initial=0.0))
+
+
+def _p_bar_zero_rows(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec):
+    """p_bar(0) of every row by its own trapezoid rule, in blocks of about _BLOCK_ENTRIES CF entries.
+
+    p_bar(0) = (1/pi) * integral over [0, upper_limit] of Re cf(s), taken
+    with weights h, and h/2 at s = 0 and s = upper_limit.
+
+    Returns (p_bar, step, truncation). step is the largest relative gap
+    between the rule and the trapezoid rule on its even-indexed points
+    (step 2h). Under geometric convergence that gap is about the error of
+    the coarser rule, so it overstates the error of the rule itself.
+    truncation is the largest |Re cf(upper_limit)|, the size of the
+    integrand where the rule cuts it off (it is 1 at s = 0).
+    """
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
+    h = quad.upper_limit / (quad.n_points - 1)
     rows = max(1, _BLOCK_ENTRIES // quad.n_points)
-    out = np.empty(x.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # fine and coarse hold T_h / h and T_2h / 2h of each row
+    fine, coarse, last = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, x.size, rows):
             b = slice(lo, lo + rows)
-            cf = standardized_tilted_cf(model, tau[b, None], x[b, None], s)
-            out[b] = _simpson_rows(cf.real, quad)
-    return out
+            re = standardized_tilted_cf(model, tau[b, None], x[b, None], s).real
+            ends = 0.5 * (re[:, 0] + re[:, -1])
+            even = re[:, ::2].sum(axis=1) - ends
+            fine[b] = even + re[:, 1::2].sum(axis=1)
+            coarse[b] = even
+            last[b] = re[:, -1]
+        p_bar = h / math.pi * fine
+        step = np.abs(1.0 - 2.0 * coarse / fine)
+    return p_bar, _largest(step), _largest(np.abs(last))
 
 
 def _tilt_map(dom: DomainInterval):
@@ -199,10 +249,11 @@ def _read_fit(model: CgfModel, x, tau, c, to_v, a: float, b: float) -> np.ndarra
 def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
 
-    Returns (p_bar or None, nodes used, largest last-quarter coefficient,
-    why the fit was not used).
+    Returns (fit, nodes used, largest last-quarter coefficient, why the
+    fit was not used). fit is None, or (p_bar, step, truncation) as
+    _p_bar_zero_rows returns them, with the indicators over the nodes.
     """
-    nodes, tail = 0, math.nan
+    nodes, tail, step, trunc = 0, math.nan, 0.0, 0.0
     if tau.size < _FIT_MIN_ROWS:
         return None, nodes, tail, "too few rows"
     to_v, from_v = _tilt_map(model.domain())
@@ -222,7 +273,8 @@ def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quadrat
         j = np.arange(n + 1) if nodes == 0 else np.arange(1, n, 2)
         tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n))
         x_j = np.asarray(model.k1(tau_j), dtype=float)
-        p_j = _p_bar_zero_rows(model, x_j, tau_j, quad)
+        p_j, step_j, trunc_j = _p_bar_zero_rows(model, x_j, tau_j, quad)
+        step, trunc = max(step, step_j), max(trunc, trunc_j)
         bad = np.flatnonzero(~(np.isfinite(p_j) & (p_j > 0.0)))
         if bad.size:
             return None, nodes + j.size, tail, f"unusable node at tau = {float(tau_j[bad[0]])!r}"
@@ -237,7 +289,8 @@ def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quadrat
         c = _cheb_coeffs(log_p)
         tail = float(np.abs(c[-(c.size // 4):]).max())
         if tail <= _FIT_TOL:
-            return np.exp(_read_fit(model, x, tau, c, to_v, a, b)), nodes, tail, None
+            p_bar = np.exp(_read_fit(model, x, tau, c, to_v, a, b))
+            return (p_bar, step, trunc), nodes, tail, None
     return None, nodes, tail, f"{nodes} nodes not converged"
 
 
@@ -251,28 +304,36 @@ def p_bar_zero_batch(
     p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
     257, each level reusing the values of the last. Each node is taken by
-    quad at x = K'(tau_node). Once the last quarter of a level's Chebyshev
-    coefficients is at most _FIT_TOL, every row is read off the fit, with
-    the solver's residual taken into account (see _read_fit).
+    the trapezoid rule of quad at x = K'(tau_node). Once the last quarter
+    of a level's Chebyshev coefficients is at most _FIT_TOL, every row is
+    read off the fit, with the solver's residual taken into account (see
+    _read_fit).
 
-    Each row runs its own Simpson rule on the real part of the
+    Each row runs its own trapezoid rule on the real part of the
     standardized tilted CF instead when a node is unusable, 257 nodes do
     not converge, the next level would need more nodes than there are
-    rows, the batch has 33 rows or fewer, or all rows share one tilt. One DEBUG record per batch gives the path, the node count
-    and the last-quarter coefficient size.
+    rows, the batch has 33 rows or fewer, or all rows share one tilt.
+
+    One DEBUG record per batch gives the path, the node count, the
+    last-quarter coefficient size and the rule's two error indicators
+    (see _p_bar_zero_rows), over the nodes or, on the per-row path, over
+    the rows: the step error, the largest relative gap to the rule of
+    twice the step, and the truncation, the largest |Re cf| at the upper
+    limit.
 
     Nothing is raised for a bad row: a p_bar(0) that is not finite or not
     positive is returned as it is, and each caller decides what to do
     with it (see p_bar_error).
     """
-    p_bar, nodes, tail, reason = _interpolated(model, x, tau, quad)
+    fit, nodes, tail, reason = _interpolated(model, x, tau, quad)
+    p_bar, step, trunc = fit if fit is not None else _p_bar_zero_rows(model, x, tau, quad)
     debug(
         __name__,
-        "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e",
+        "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e, "
+        "step error %.1e, truncation %.1e",
         x.size, "interpolated" if reason is None else f"per row ({reason})", nodes, tail,
+        step, trunc,
     )
-    if p_bar is None:
-        p_bar = _p_bar_zero_rows(model, x, tau, quad)
     return p_bar
 
 

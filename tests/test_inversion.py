@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -76,7 +77,7 @@ class TestQuadratureSpec:
             MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1), 0.0, 1.0 / 252.0
         )
         q = default_spi_quad(m)
-        assert (q.upper_limit, q.n_points) == (16.0, 129)
+        assert (q.upper_limit, q.n_points) == (32.0, 65)
         g = default_spi_quad(Gaussian(GaussianParams(mu=0.0, sigma=1.0)))
         assert (g.upper_limit, g.n_points) == (100.0, 513)
 
@@ -184,7 +185,7 @@ class TestNigAgainstBesselForm:
         for z in (-2.0, 0.0, 2.0):
             x = mean + z * sd
             spi = spi_log_density(m, x).log_density
-            np.testing.assert_allclose(spi, nig_exact_log_density(_NIG_P, x), atol=1e-4)
+            np.testing.assert_allclose(spi, nig_exact_log_density(_NIG_P, x), atol=1e-5)
 
 
 class TestDirectIft:
@@ -228,6 +229,18 @@ class TestMjdRoutes:
             spi = spi_log_density(m, float(x), quad=quad).log_density
             mix = float(mjd_truncated_log_density(m, float(x)))
             np.testing.assert_allclose(spi, mix, atol=1e-8)
+
+    @pytest.mark.parametrize("case, bound", [("criterion-6", 1e-4), ("10-sd-grid", 1e-3)])
+    def test_default_rule_matches_mixture(self, case, bound):
+        # the default trapezoid rule (32, 65) is off by 4.2e-6 and 7.9e-5
+        # nats here
+        m = MjdTransition(_MJD_P, x0=0.0, dt=1.0 / 252.0)
+        x = {
+            "criterion-6": np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7)),
+            "10-sd-grid": _sd_grid(m, 10.0, 801),
+        }[case]
+        gap = np.abs(spi_log_density_batch(m, x) - mjd_truncated_log_density(m, x))
+        assert np.max(gap) <= bound
 
 
 class TestBatchRoutes:
@@ -306,7 +319,7 @@ def _core(m, x, tau, quad, caplog):
         caplog.clear()
         core = p_bar_zero_batch(m, x, tau, quad)
     (record,) = caplog.records
-    return core, _p_bar_zero_rows(m, x, tau, quad), record.getMessage()
+    return core, _p_bar_zero_rows(m, x, tau, quad)[0], record.getMessage()
 
 
 def _max_log_gap(p, q):
@@ -396,6 +409,29 @@ class TestInterpolatedCore:
         assert "last-quarter coefficients" in fit
         assert rows.startswith("p_bar(0) of 801 rows: per row (unusable node at tau = ")
         assert "after 17 nodes" in rows
+
+    @pytest.mark.parametrize(
+        "case, path, step, truncation",
+        [
+            # both indicators small where the rule is good to 4.2e-6 nats
+            ("mjd-criterion-6", "interpolated", (5e-4, 6e-4), (1.1e-5, 1.3e-5)),
+            # the default rule is off by up to 2.25 nats on these rows and
+            # raises nothing; the integrand is still at 0.8 where it is cut
+            ("nig-heavy-tail", "per row", (2e-3, 4e-3), (0.79, 0.81)),
+        ],
+    )
+    def test_debug_record_error_indicators(self, case, path, step, truncation, caplog):
+        if case == "mjd-criterion-6":
+            m = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
+            x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
+        else:
+            m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
+            x = np.arange(-11.0, -1.0)
+        _, _, message = _core(m, x, solve_saddlepoint_batch(m, x).tau, default_spi_quad(m), caplog)
+        assert message.startswith(f"p_bar(0) of {x.size} rows: {path}")
+        found = re.search(r"step error (\S+), truncation (\S+)$", message)
+        assert step[0] < float(found.group(1)) < step[1]
+        assert truncation[0] < float(found.group(2)) < truncation[1]
 
     def test_no_logging_import_for_a_process_that_does_not_log(self):
         # an unconfigured process could not see a record, so the core does
