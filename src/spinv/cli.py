@@ -6,10 +6,10 @@ Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 family comes from its record in estimation.FAMILIES: the --family choices,
 the --params names and defaults, the model, oracle, simulator and more.
 
-density evaluates its grid in one batch pass through the inversion core;
-an spi row whose p_bar(0) is unusable carries its own error. When the
-batch saddlepoint solve fails, an spi or spa grid is redone row by row
-through the scalar evaluators, so that only the rows it cannot solve fail.
+density evaluates its grid in one batch pass: the batch saddlepoint solve
+marks the rows it cannot solve, and the inversion core the spi rows whose
+p_bar(0) is unusable, so each such row carries its own error and the rest
+of the grid is unaffected.
 
 Price CSVs hold one observation per line, either a single price column or
 (date, price); a header is detected by a non-numeric last field. Returns
@@ -48,8 +48,8 @@ from .inversion import (
     direct_ift_log_density_batch,
     log_density_terms,
     p_bar_error,
-    spa_log_density,
-    spi_log_density,
+    spa_log_density,  # noqa: F401 (unused; perfbench/tracing.py patches it)
+    spi_log_density,  # noqa: F401 (unused; perfbench/tracing.py patches it)
 )
 from .models import MjdTransition, Nig  # noqa: F401 (unused; perfbench/tracing.py patches them)
 
@@ -204,28 +204,21 @@ def _emit_table(args, header, rows):
 def _density_rows(model, xs, method, quad):
     """spi or spa rows of the density table from one batch pass over the grid.
 
-    A row whose p_bar(0) is unusable gets that as its error; any other
-    failure raises for the whole grid.
+    A row whose saddlepoint solve failed, or whose p_bar(0) is unusable,
+    gets that as its error.
     """
-    tilt, jac, p_bar = log_density_terms(model, xs, method, quad)
+    tilt, jac, p_bar, sp = log_density_terms(model, xs, method, quad)
     rows = []
-    for x, t, j, p in zip(xs.tolist(), tilt.tolist(), jac.tolist(), p_bar.tolist()):
-        error = p_bar_error(p, f"at x0 = {x}")
+    for i, (x, t, j, p, failed) in enumerate(
+        zip(xs.tolist(), tilt.tolist(), jac.tolist(), p_bar.tolist(), sp.reason.tolist())
+    ):
+        error = str(sp.error(i)) if failed else p_bar_error(p, f"at x0 = {x}")
         if error:
             rows.append([x, "", "", "", "", error])
         else:
             log_p_bar = math.log(p)
             rows.append([x, t + j + log_p_bar, t, j, log_p_bar, ""])
     return rows
-
-
-def _density_row(model, x, method, quad):
-    """One spi or spa row of the density table through the scalar evaluators."""
-    try:
-        r = spi_log_density(model, x, quad) if method == "spi" else spa_log_density(model, x)
-    except SpinvError as exc:
-        return [x, "", "", "", "", str(exc)]
-    return [x, r.log_density, r.tilt_term, r.jacobian_term, r.log_p_bar, ""]
 
 
 def cmd_density(args):
@@ -239,12 +232,7 @@ def cmd_density(args):
         values = direct_ift_log_density_batch(model, xs, quad) if direct else fam.oracle(model, xs)
         rows = [[x, v, "", "", "", ""] for x, v in zip(xs.tolist(), values.tolist())]
     else:
-        try:
-            rows = _density_rows(model, xs, args.method, quad)
-        except ConvergenceError:
-            # the batch solver fails the whole grid; row by row, only the
-            # rows it cannot solve fail
-            rows = [_density_row(model, x, args.method, quad) for x in xs.tolist()]
+        rows = _density_rows(model, xs, args.method, quad)
     _emit_table(args, header, rows)
     return 5 if any(row[-1] for row in rows) else 0
 

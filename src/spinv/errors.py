@@ -42,11 +42,7 @@ class InversionError(SpinvError):
 
 
 class ConvergenceError(SpinvError):
-    """Iterative solver exhausted its budget; carries the best iterate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Iterative solver exhausted its budget, or its root cannot be resolved."""
 
 
 class UnattainableMeanError(ConvergenceError):

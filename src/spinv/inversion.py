@@ -349,19 +349,10 @@ def p_bar_error(p_bar: float, where: str):
     return None
 
 
-def log_density_terms(
-    model: CgfModel, x: np.ndarray, method: str = "spi", quad: QuadratureSpec = None
-):
-    """(tilt_term, jacobian_term, p_bar) arrays over x, from one batch pass.
-
-    method "spa" takes p_bar(0) = (2 pi)^{-1/2}; "spi" takes it from the
-    core, bad rows included. Only the batch saddlepoint solve raises.
-    """
-    x = np.asarray(x, dtype=float)
-    sp = solve_saddlepoint_batch(model, x)
-    tau = sp.tau
+def _solved_terms(model: CgfModel, x, tau, k2, method: str, quad: QuadratureSpec):
+    """(tilt_term, jacobian_term, p_bar) over rows whose saddlepoint tau was solved."""
     tilt_term = np.asarray(model.k(tau), dtype=float) - tau * x
-    jacobian_term = -0.5 * np.log(sp.k2)
+    jacobian_term = -0.5 * np.log(k2)
     if method == "spa":
         return tilt_term, jacobian_term, np.full(x.shape, math.exp(-_LOG_SQRT_TWO_PI))
     if quad is None:
@@ -369,16 +360,38 @@ def log_density_terms(
     return tilt_term, jacobian_term, p_bar_zero_batch(model, x, tau, quad)
 
 
+def log_density_terms(
+    model: CgfModel, x: np.ndarray, method: str = "spi", quad: QuadratureSpec = None
+):
+    """(tilt_term, jacobian_term, p_bar, sp) arrays over x, from one batch pass.
+
+    method "spa" takes p_bar(0) = (2 pi)^{-1/2}; "spi" takes it from the
+    core, bad rows included. sp is the SaddlepointBatch: where a row's
+    solve failed, its three terms are NaN and sp.error(i) says why.
+    Nothing is raised for a bad row.
+    """
+    x = np.asarray(x, dtype=float)
+    sp = solve_saddlepoint_batch(model, x)
+    solved = sp.reason == 0
+    terms = np.full((3, x.size), np.nan)
+    if solved.any():
+        terms[:, solved] = _solved_terms(model, x[solved], sp.tau[solved], sp.k2[solved], method, quad)
+    return (*terms, sp)
+
+
 def spi_log_density_batch(
     model: CgfModel, x: np.ndarray, quad: QuadratureSpec = None
 ) -> np.ndarray:
     """SPI log-density over many points of one model, in one batch pass.
 
-    Likelihood evaluation calls this once per optimizer step. Raises
+    Likelihood evaluation calls this once per optimizer step. Raises the
+    error of the first point whose saddlepoint solve failed, else
     InversionError for the first point whose p_bar(0) is unusable.
     """
     x = np.asarray(x, dtype=float)
-    tilt_term, jacobian_term, p_bar = log_density_terms(model, x, "spi", quad)
+    sp = solve_saddlepoint_batch(model, x)
+    sp.raise_first_failure()
+    tilt_term, jacobian_term, p_bar = _solved_terms(model, x, sp.tau, sp.k2, "spi", quad)
     bad = np.flatnonzero(~(np.isfinite(p_bar) & (p_bar > 0.0)))
     if bad.size:
         i = int(bad[0])
@@ -428,9 +441,13 @@ def spa_log_density(model: CgfModel, x0: float) -> LogDensityResult:
 
 
 def spa_log_density_batch(model: CgfModel, x: np.ndarray) -> np.ndarray:
-    """SPA log-density over many points of one model."""
+    """SPA log-density over many points of one model.
+
+    Raises the error of the first point whose saddlepoint solve failed.
+    """
     x = np.asarray(x, dtype=float)
     sp = solve_saddlepoint_batch(model, x)
+    sp.raise_first_failure()
     k_at = np.asarray(model.k(sp.tau), dtype=float)
     return k_at - sp.tau * x - 0.5 * np.log(2.0 * math.pi * sp.k2)
 

@@ -1,39 +1,26 @@
-"""Safeguarded Newton solver for the saddlepoint equation K'(tau) = x0.
+"""Safeguarded Newton solver for the saddlepoint equation K'(tau) = x0, over arrays.
 
 K is convex on its domain, so K'(t) - x0 is increasing and the root is
-unique when x0 lies in the range of K'. The solve starts at
-model.saddlepoint_start(x0): the root of the quadratic CGF by default,
-the exact root for a model whose K' inverts in closed form (NIG,
-Gaussian). Every solve checks the residual at the start and returns
-there, with no iteration, when it meets the tolerance. Otherwise it
-proceeds in two phases:
+unique when x0 lies in the range of K'. solve_saddlepoint_batch starts
+every row at model.saddlepoint_start(x) (the exact root for NIG and
+Gaussian) and checks the residual at every iterate, the start included.
 
-1. Bracket. Starting from 0 (whose residual sign is known) and the
-   start, probe geometrically toward the root's side until the residual
-   changes sign. K' diverges at domain endpoints, so a
-   sign change must appear; if the probe saturates at an endpoint instead,
-   x0 is outside the range of K' and the mean is unattainable, unless K'
-   at the last float before the endpoint is already past x0: then the
-   root exists but cannot be resolved in floating point.
-
-2. Newton within the bracket. Steps that leave the domain are halved back
-   inside; a proposal outside the bracket, a stalled residual (five
-   non-decreasing iterations), or slow geometric progress (two consecutive
-   reductions weaker than 4x) each trigger a bisection step. CGFs with
-   double-exponential growth (compound Poisson) make plain Newton crawl
-   back from an overshoot at O(1) step length, which is what the
-   slow-progress trigger catches.
-
-solve_saddlepoint_batch runs Newton over arrays from the same start, with
-no bracket, taking K' and K'' from one model.k1_k2 call per step. A row
-whose K' has overshot the target by more than the target's own distance
-from the mean takes the Newton step on log K' (measured from K'(0))
-instead, which covers the overshoot of an exponentially growing K' in a
-few steps; a row whose K' or K'' overflows goes halfway back toward its
-last iterate where both were finite. Rows that do not converge are
-re-solved one at a time by the scalar solver. The batch returns K'' at
-each root with the roots (SaddlepointBatch), so that its callers need
-not evaluate it again.
+1. Newton. Each iteration takes K' and K'' from one model.k1_k2 call. A
+   row whose K' has overshot the target by more than the target's own
+   distance from the mean takes the Newton step on log K' (measured from
+   K'(0)) instead, which covers the overshoot of an exponentially growing
+   K' (compound Poisson jumps) in a few steps.
+2. Guard. A row whose step is not finite, would leave the domain, or did
+   not halve |residual| is guarded from then on: it holds a bracket from
+   the signs of its residuals (0 on the mean's side, the end of the
+   domain on the other), steps toward an open end, and bisects wherever
+   the Newton step does not serve it (_Guard).
+3. Failure. A row that cannot finish gets NaN tau and K'' and a reason:
+   not converged (max_iter ran out, or its bracket no longer splits),
+   unattainable (K' saturates short of x0), or unresolvable (K' crosses
+   x0 within float resolution of a finite end of the domain). The batch
+   never raises for a row; SaddlepointBatch.error(i) builds its
+   exception, and solve_saddlepoint, a one-row view, raises it.
 """
 
 import math
@@ -45,10 +32,8 @@ from ._log import debug
 from .cgf import CgfModel
 from .errors import ConvergenceError, UnattainableMeanError
 
-_STALL_LIMIT = 5
-_SLOW_LIMIT = 2
-_SLOW_RATIO = 0.25
-_MAX_PROBES = 200
+# SaddlepointBatch.reason codes; 0 is a solved row
+NOT_CONVERGED, UNATTAINABLE, UNRESOLVABLE = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -60,221 +45,218 @@ class SaddlepointSolution:
     iterations: int
 
 
-def _make_solution(model: CgfModel, t: float, r: float, iterations: int) -> SaddlepointSolution:
-    return SaddlepointSolution(
-        tau_hat=float(t),
-        k_at=float(model.k(t)),
-        k2_at=float(model.k2(t)),
-        residual=float(r),
-        iterations=iterations,
-    )
+@dataclass(frozen=True)
+class SaddlepointBatch:
+    """What solve_saddlepoint_batch found, row by row, and how.
 
-
-def _next_probe(model: CgfModel, anchor: float, bound: float, x0: float, upward: bool) -> float:
-    """Next bracket probe from anchor toward bound (a domain endpoint).
-
-    When the step to a finite bound underflows, the residual at the last
-    float before the bound decides: past x0 there, the root exists but
-    cannot be resolved in floating point (ConvergenceError); otherwise
-    K' saturates short of x0 (UnattainableMeanError).
+    tau is the root and k2 is K''(tau), from the solver's last
+    evaluation; both are NaN where the row failed. residual is K'(t) - x
+    at each row's last iterate, and reason is 0 for a solved row, else
+    NOT_CONVERGED, UNATTAINABLE or UNRESOLVABLE. The counts are those of
+    the DEBUG record.
     """
-    if math.isfinite(bound):
-        step = 0.5 * (bound - anchor)
-        if abs(step) < 1e-13 * max(1.0, abs(bound)):
-            r_last = float(model.k1(math.nextafter(bound, anchor))) - x0
-            if r_last > 0.0 if upward else r_last < 0.0:
-                raise ConvergenceError(
-                    f"K' crosses x0={x0} within float resolution of the end of "
-                    "the domain; the root cannot be resolved",
-                    best=None,
-                )
-            raise UnattainableMeanError(
-                f"K' saturates before reaching x0={x0}; mean unattainable"
+
+    x: np.ndarray
+    tau: np.ndarray
+    k2: np.ndarray
+    residual: np.ndarray
+    reason: np.ndarray
+    max_iter: int
+    iterations: int
+    log_steps: int
+    guarded: int
+    bisections: int
+
+    def error(self, i: int):
+        """The exception of row i, or None where the row was solved."""
+        x0 = float(self.x[i])
+        reason = self.reason[i]
+        if reason == NOT_CONVERGED:
+            return ConvergenceError(
+                f"saddlepoint iteration did not converge for x0={x0} "
+                f"(residual {float(self.residual[i]):.3e} after {self.max_iter} iterations)"
             )
-        return anchor + step
-    if abs(anchor) > 1e15:
-        raise UnattainableMeanError(
-            f"K' saturates before reaching x0={x0}; mean unattainable"
-        )
-    step = max(1.0, abs(anchor))
-    return anchor + step if upward else anchor - step
+        if reason == UNATTAINABLE:
+            return UnattainableMeanError(f"K' saturates before reaching x0={x0}; mean unattainable")
+        if reason == UNRESOLVABLE:
+            return ConvergenceError(
+                f"K' crosses x0={x0} within float resolution of the end of the domain; "
+                "the root cannot be resolved"
+            )
+        return None
+
+    def raise_first_failure(self):
+        """Raise the exception of the first failed row, naming its observation index."""
+        if self.reason.any():
+            i = int(np.flatnonzero(self.reason)[0])
+            raise type(self.error(i))(f"observation {i}: {self.error(i)}")
 
 
 def solve_saddlepoint(
     model: CgfModel, x0: float, tol: float = 1e-10, max_iter: int = 100
 ) -> SaddlepointSolution:
-    """Solve K'(tau_hat) = x0 to |residual| <= tol * max(1, |x0|)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _solve_scalar(model, x0, tol, max_iter)
+    """Solve K'(tau_hat) = x0 to |residual| <= tol * max(1, |x0|).
+
+    One row of solve_saddlepoint_batch; raises the row's exception where
+    it failed.
+    """
+    sp = solve_saddlepoint_batch(model, np.array([float(x0)]), tol, max_iter)
+    exc = sp.error(0)
+    if exc is not None:
+        raise exc
+    tau = float(sp.tau[0])
+    k2, residual = float(sp.k2[0]), float(sp.residual[0])
+    return SaddlepointSolution(tau, float(model.k(tau)), k2, residual, sp.iterations)
 
 
-def _solve_scalar(
-    model: CgfModel, x0: float, tol: float, max_iter: int
-) -> SaddlepointSolution:
-    x0 = float(x0)
-    dom = model.domain()
-    scale = max(1.0, abs(x0))
-    r0 = float(model.k1(0.0)) - x0
-    if abs(r0) <= tol * scale:
-        return _make_solution(model, 0.0, r0, 0)
-    t = float(model.saddlepoint_start(x0))
-    r = float(model.k1(t)) - x0
-    if math.isfinite(r) and abs(r) <= tol * scale:
-        return _make_solution(model, t, r, 0)
+class _Guard:
+    """The brackets of the guarded rows, and their steps.
 
-    below = 0.0 if r0 < 0.0 else None  # largest t seen with K'(t) < x0
-    above = 0.0 if r0 > 0.0 else None  # smallest t seen with K'(t) > x0
-    if not math.isnan(r):  # +-inf still carries a usable sign
-        if r < 0.0:
-            below = t if below is None else max(below, t)
-        else:
-            above = t if above is None else min(above, t)
-    probes = 0
-    while below is None or above is None:
-        if probes >= _MAX_PROBES:
-            raise ConvergenceError(
-                f"could not bracket the saddlepoint for x0={x0}",
-                best=_make_solution(model, t if dom.contains(t) else 0.0, r, 0),
-            )
-        missing_above = above is None
-        anchor = below if missing_above else above
-        cand = _next_probe(model, anchor, dom.hi if missing_above else dom.lo, x0, missing_above)
-        rc = float(model.k1(cand)) - x0
-        for _ in range(60):
-            if not math.isnan(rc):
-                break
-            cand = 0.5 * (cand + anchor)
-            rc = float(model.k1(cand)) - x0
-        if math.isnan(rc):
-            raise ConvergenceError(
-                f"K' not evaluable while bracketing x0={x0}", best=None
-            )
-        if rc < 0.0:
-            below = cand if below is None else max(below, cand)
-        else:
-            above = cand if above is None else min(above, cand)
-        probes += 1
+    Arrays span the batch; rows holds the guarded rows still iterating.
+    Where y = x - K'(0) > 0 the root lies up from 0: lo starts at 0 and hi
+    at the domain's upper end, and the other way round where y <= 0. A
+    residual that is not a number counts as past the root.
 
-    if math.isnan(r) or not (below < t < above):
-        t = 0.5 * (below + above)
-        r = float(model.k1(t)) - x0
-    stall = 0
-    slow = 0
-    for it in range(1, max_iter + 1):
-        if math.isfinite(r) and abs(r) <= tol * scale:
-            return _make_solution(model, t, r, it - 1)
-        if not math.isnan(r):
-            if r < 0.0:
-                below = max(below, t)
-            else:
-                above = min(above, t)
-        bisect = stall >= _STALL_LIMIT or slow >= _SLOW_LIMIT or not math.isfinite(r)
-        if not bisect:
-            step = -r / float(model.k2(t))
-            t_new = t + step
-            while not dom.contains(t_new):
-                step *= 0.5
-                t_new = t + step
-            if not (below < t_new < above):
-                bisect = True
-        if bisect:
-            t_new = 0.5 * (below + above)
-        r_new = float(model.k1(t_new)) - x0
-        if math.isfinite(r_new) and math.isfinite(r) and abs(r_new) < abs(r):
-            stall = 0
-        else:
-            stall += 1
-        if bisect or (math.isfinite(r_new) and abs(r_new) <= _SLOW_RATIO * abs(r)):
-            slow = 0
-        else:
-            slow += 1
-        t, r = t_new, r_new
-    if math.isfinite(r) and abs(r) <= tol * scale:
-        return _make_solution(model, t, r, max_iter)
-    raise ConvergenceError(
-        f"saddlepoint iteration did not converge for x0={x0} "
-        f"(residual {r:.3e} after {max_iter} iterations)",
-        best=_make_solution(model, t, r, max_iter),
-    )
-
-
-@dataclass(frozen=True)
-class SaddlepointBatch:
-    """What solve_saddlepoint_batch found, row by row, and how.
-
-    k2 is K''(tau): from the solver's last evaluation for the rows it
-    converged, from model.k2 for the rows the scalar solver re-solved.
-    The counts are those of the DEBUG record.
+    A bracket is open, its far end still the domain's, until a residual
+    past the root is seen. Until then the row steps toward the far end:
+    halfway to a finite end, max(1, |t|) toward an infinite one, failing
+    once |t| passes 1e15 or the step falls below float resolution. A row
+    that took a step before it was guarded takes the Newton step instead
+    where that goes further. A bracket that closes sends the row to its
+    midpoint. In a closed bracket the row takes the Newton step, halved
+    back into the domain, where that lands strictly inside the bracket
+    after a step that halved |residual| or was not a Newton step, and
+    bisects otherwise.
     """
 
-    tau: np.ndarray
-    k2: np.ndarray
-    iterations: int
-    log_steps: int
-    sent_back: int
-    re_solved: int
+    def __init__(self, model, x, y):
+        dom = model.domain()
+        self.model, self.x, self.dom = model, x, dom
+        self.up = y > 0.0
+        self.lo = np.where(self.up, 0.0, dom.lo)
+        self.hi = np.where(self.up, dom.hi, 0.0)
+        self.closed = np.zeros(x.shape, dtype=bool)
+        self.stepped = np.zeros(x.shape, dtype=bool)  # guarded past the first iteration
+        self.bisected = np.zeros(x.shape, dtype=bool)  # the last step was not a Newton step
+        self.reason = np.zeros(x.shape, dtype=np.uint8)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.guarded = 0
+        self.bisections = 0
+
+    def step(self, t, r, step, halved, t_new, done, new, first):
+        """Write the next iterates of the guarded rows into t_new.
+
+        step holds the Newton (or log) steps from t, and halved whether
+        the last step halved |r|. new are the rows that leave plain Newton
+        at this iteration, the first if first is true.
+        """
+        new = np.setdiff1d(new, self.rows, assume_unique=True)
+        self.guarded += new.size
+        self.stepped[new] = not first
+        g = np.union1d(self.rows, new)
+        g = g[~done[g]]
+        tg, rg, up = t[g], r[g], self.up[g]
+        # narrow each bracket by the sign of the residual here
+        past = np.where(up, ~(rg <= 0.0), ~(rg >= 0.0))
+        short = np.where(up, rg < 0.0, rg > 0.0)
+        lo = np.where(np.where(up, short, past), np.maximum(self.lo[g], tg), self.lo[g])
+        hi = np.where(np.where(up, past, short), np.minimum(self.hi[g], tg), self.hi[g])
+        was_closed = self.closed[g]
+        closed = was_closed | past
+        self.lo[g], self.hi[g], self.closed[g] = lo, hi, closed
+        near, far = np.where(up, lo, hi), np.where(up, hi, lo)
+        half = 0.5 * (far - near)
+        infinite = np.isinf(far)
+        away = np.copysign(np.maximum(1.0, np.abs(near)), far)
+        probe = np.where(infinite, near + away, near + half)
+        s = step[g]
+        q = tg + s
+        for _ in range(80):
+            out = np.isfinite(s) & ~_inside(self.dom, q)
+            if not out.any():
+                break
+            s[out] *= 0.5
+            q = tg + s
+        newton = np.where(
+            closed,
+            was_closed & np.isfinite(rg) & (self.bisected[g] | halved[g]) & (lo < q) & (q < hi),
+            self.stepped[g] & np.where(up, (probe < q) & (q < far), (far < q) & (q < probe)),
+        )
+        p = np.where(newton, q, np.where(closed, 0.5 * (lo + hi), probe))
+        probing = ~closed & ~newton
+        reason = np.where(probing & infinite & (np.abs(near) > 1e15), UNATTAINABLE, 0)
+        # toward the domain's finite end, once the step is below float
+        # resolution, K' at the last float before the end decides
+        tiny = np.flatnonzero(
+            probing & ~infinite & (np.abs(half) < 1e-13 * np.maximum(1.0, np.abs(far)))
+        )
+        if tiny.size:
+            r_last = self.model.k1(np.nextafter(far[tiny], near[tiny])) - self.x[g[tiny]]
+            crossed = np.where(up[tiny], r_last > 0.0, r_last < 0.0)
+            reason[tiny] = np.where(crossed, UNRESOLVABLE, UNATTAINABLE)
+        # a step that no longer moves the row leaves it where it is
+        reason[(reason == 0) & (p == tg)] = NOT_CONVERGED
+        fail = reason > 0
+        self.bisected[g] = ~newton
+        self.bisections += int(np.count_nonzero(~newton & ~fail))
+        t_new[g] = np.where(fail, tg, p)
+        self.reason[g] = reason
+        self.rows = g[~fail]
+
+
+def _inside(dom, t):
+    """Whether each t lies strictly inside the domain."""
+    ok = np.isfinite(t)
+    if math.isfinite(dom.lo):
+        ok &= t > dom.lo
+    if math.isfinite(dom.hi):
+        ok &= t < dom.hi
+    return ok
 
 
 def solve_saddlepoint_batch(
     model: CgfModel, x: np.ndarray, tol: float = 1e-10, max_iter: int = 100
 ) -> SaddlepointBatch:
-    """Vectorized Newton across many x0 values, from one model.k1_k2 call per step.
+    """Solve K'(tau) = x row by row, from one model.k1_k2 call per iteration.
 
-    On a domain with a finite end, step halving keeps every iterate
-    strictly inside it, so the model's vectorized k1_k2 is always called
-    on valid points; on all of R, where every step taken is finite, there
-    is nothing to check. A row
-    whose K' has overshot the target by more than the target's distance
-    from the mean (K'(t) - x0 > x0 - K'(0), in the direction of x0) gets
-    the Newton step on log((K'(t) - K'(0)) / (x0 - K'(0))) = 0 instead,
-    where that step is finite and keeps t on the root's side of 0; there
-    it is always the longer step. Where K' grows like an exponential (the
-    jump tails of compound Poisson CGFs), plain Newton crawls back from
-    such an overshoot, and the step in log space covers it. A row whose K'
-    or K'' is not finite (an overflow) is sent halfway back toward its
-    last iterate where both were, or toward 0 if there was none. The
-    residual is checked at every iterate, the last included; entries that
-    have not met the tolerance after max_iter steps are re-solved one at
-    a time with the safeguarded scalar solver. One DEBUG record per call
-    gives the number of rows, the Newton iterations run, the row steps
-    taken in log space, the row steps sent back from a non-finite K' or
-    K'', and the rows re-solved; it is 0 iterations when every row's
-    start meets the tolerance, as the exact NIG start does.
+    A row's log step (module docstring) is taken where K'(t) - x0 >
+    x0 - K'(0) in the direction of x0, the step on
+    log((K'(t) - K'(0)) / (x0 - K'(0))) = 0 is finite and it keeps t on
+    the root's side of 0; there it is always the longer step. Guarded
+    rows stay strictly inside the domain, so k1_k2 is only ever called
+    on valid points. One DEBUG record per call gives the rows, the
+    iterations (0 when every start meets the tolerance, as the exact NIG
+    start does), the row steps in log space, the rows guarded, their
+    steps other than Newton's, and the failed rows by reason.
     """
     x = np.asarray(x, dtype=float)
     dom = model.domain()
     bounded = math.isfinite(dom.lo) or math.isfinite(dom.hi)
-
-    def inside(t):
-        ok = np.isfinite(t)
-        if math.isfinite(dom.lo):
-            ok &= t > dom.lo
-        if math.isfinite(dom.hi):
-            ok &= t < dom.hi
-        return ok
-
     bound = tol * np.maximum(1.0, np.abs(x))
     mean = model.k1(0.0)
     y = x - mean  # the root lies on the side of 0 that y's sign gives
     t = model.saddlepoint_start(x)
-    t_fin = np.zeros(x.shape)  # per row, the last iterate with finite K' and K''
+    a_half = np.inf  # per row, half of |residual| at the last iterate
+    guard = None
     iterations = 0
     log_steps = 0
-    sent_back = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         while True:
             k1, k2 = model.k1_k2(t)
-            r = k1 - x
-            done = np.abs(r) <= bound
-            if iterations == max_iter or done.all():
+            nr = x - k1  # minus the residual
+            a = np.abs(nr)
+            done = a <= bound
+            if guard is not None:
+                done |= guard.reason > 0
+            finished = done.all()
+            if finished or iterations == max_iter:
                 break
             iterations += 1
-            step = -r / k2
+            step = nr / k2
             # step * K'' is finite only where K' and K'' are, and K'' > 0
-            fin = np.isfinite(step * k2)
-            np.copyto(t_fin, t, where=fin)
-            over = np.flatnonzero(r / y > 1.0)
-            over = over[~done[over] & fin[over]]
+            good = np.isfinite(step * k2)
+            over = np.flatnonzero(nr / y < -1.0)
+            over = over[~done[over] & good[over]]
             if over.size:
                 u = k1[over] - mean
                 s_log = -np.log(u / y[over]) * u / k2[over]
@@ -283,34 +265,35 @@ def solve_saddlepoint_batch(
                 take = np.isfinite(s_log) & ((t[over] + s_log) * y[over] > 0.0)
                 step[over[take]] = s_log[take]
                 log_steps += int(np.count_nonzero(take))
-            if not fin.all():
-                back = np.flatnonzero(~(fin | done))
-                step[back] = 0.5 * (t_fin[back] - t[back])
-                sent_back += back.size
-            step[done] = 0.0
+            np.putmask(step, done, 0.0)
             t_new = t + step
+            halved = a <= a_half
+            good &= halved
             if bounded:
-                ok = inside(t_new)
-                for _ in range(80):
-                    if ok.all():
-                        break
-                    step[~ok] *= 0.5
-                    t_new = t + step
-                    ok = inside(t_new)
-                t_new = np.where(ok, t_new, t)
+                good &= _inside(dom, t_new)
+            good |= done
+            if guard is not None or not good.all():
+                if guard is None:
+                    guard = _Guard(model, x, y)
+                guard.step(t, -nr, step, halved, t_new, done, np.flatnonzero(~good), iterations == 1)
             t = t_new
-    rest = np.flatnonzero(~done)
+            a *= 0.5
+            a_half = a
+    reason = np.zeros(x.shape, dtype=np.uint8) if guard is None else guard.reason
+    counts = (0, 0, 0)
+    if not finished or guard is not None:
+        reason[~done] = NOT_CONVERGED
+        counts = np.bincount(reason, minlength=4)[1:]
+        failed = reason > 0
+        t = np.where(failed, np.nan, t)
+        k2 = np.where(failed, np.nan, k2)
+    guarded, bisections = (0, 0) if guard is None else (guard.guarded, guard.bisections)
     debug(
         __name__,
-        "saddlepoint of %d rows: %d Newton iterations, %d row steps in log space, "
-        "%d sent back from a non-finite K' or K'', %d re-solved by the scalar solver",
-        x.size, iterations, log_steps, sent_back, rest.size,
+        "saddlepoint of %d rows: %d iterations, %d row steps in log space, %d rows guarded, "
+        "%d bisections, failed: %d not converged, %d unattainable, %d unresolvable",
+        x.size, iterations, log_steps, guarded, bisections, *counts,
     )
-    if rest.size:
-        for i in rest:
-            try:
-                t[i] = solve_saddlepoint(model, float(x[i]), tol=tol, max_iter=max_iter).tau_hat
-            except ConvergenceError as exc:
-                raise type(exc)(f"observation {int(i)}: {exc}", best=exc.best) from exc
-        k2[rest] = model.k2(t[rest])
-    return SaddlepointBatch(t, k2, iterations, log_steps, sent_back, int(rest.size))
+    return SaddlepointBatch(
+        x, t, k2, -nr, reason, max_iter, iterations, log_steps, guarded, bisections
+    )

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -138,8 +139,8 @@ class TestDensity:
         assert rows[0][1] == "" and rows[0][5] != ""
 
     def test_unsolvable_rows_fail_alone(self, capsys):
-        # the batch solver cannot reach 5e9 or 1e10 and fails the whole
-        # grid; the row-by-row pass keeps the row at 0
+        # the batch solver marks 5e9 and 1e10 as unattainable, since K'
+        # saturates short of them, and solves the row at 0 in the same pass
         code, out, _ = _run(
             capsys,
             [
@@ -153,17 +154,59 @@ class TestDensity:
         assert len(rows) == 3
         assert np.isfinite(float(rows[0][1])) and rows[0][5] == ""
         for row in rows[1:]:
-            assert row[1] == "" and row[5] != ""
+            assert row[1:5] == ["", "", "", ""]
+            assert row[5] == f"K' saturates before reaching x0={row[0]}; mean unattainable"
+
+    def test_unconverged_rows_fail_alone(self, capsys, monkeypatch):
+        # out to 2000 sd of a heavy-tailed NIG the root crowds the end of
+        # the domain, where rounding moves K' by more than the tolerance:
+        # those rows cannot converge, and each says so with the residual
+        # it stopped at, in the one batch pass that solves the other rows
+        solves = []
+
+        def counting_solve(model, x):
+            solves.append(np.size(x))
+            return solve_saddlepoint_batch(model, x)
+
+        monkeypatch.setattr("spinv.inversion.solve_saddlepoint_batch", counting_solve)
+        monkeypatch.setattr("spinv.inversion.solve_saddlepoint", lambda model, x0: solves.append(1))
+        code, out, _ = _run(
+            capsys,
+            [
+                "density", "--family", "nig", "--method", "spa",
+                "--params", "chi=0.125", "psi=0.125",
+                "--grid", "-2000:2000:100",
+            ],
+        )
+        assert code == 5 and solves == [41]
+        _, rows = _parse_csv(out)
+        failed = {float(r[0]): r[5] for r in rows if r[5]}
+        assert sorted(failed) == [x for x in range(-2000, 2001, 100) if abs(x) >= 800 or abs(x) == 500]
+        for x, error in failed.items():
+            assert re.fullmatch(
+                rf"saddlepoint iteration did not converge for x0={x} "
+                r"\(residual -?\d\.\d{3}e[+-]\d+ after 100 iterations\)",
+                error,
+            )
+        assert failed[2000.0].endswith("(residual -3.856e-06 after 100 iterations)")
+        assert all(np.isfinite(float(r[1])) for r in rows if not r[5])
+        # +-300 sd start past the resolved NIG root and probe toward the end
+        # of the domain first; a Newton step taken there instead moves the
+        # row's log-density by 1.8e-10
+        for r in rows:
+            if abs(float(r[0])) == 300.0:
+                assert abs(float(r[1]) + 116.97528527814424) < 1e-11
 
     def test_batch_pass_fails_the_same_rows_as_scalar(self, capsys):
         # heavy tails: the default rule gives p_bar(0) <= 0 at x = -4 and
-        # from x = -12 down, but not in between, all within one batch
-        # saddlepoint solve. This checks that the batch and scalar passes
-        # agree row by row, not that the values are accurate: between -11
-        # and -2 they are off the Bessel density by up to 2.3 nats.
+        # from x = -12 down, but not in between, while every row's
+        # saddlepoint is solved. This checks that the batch pass and the
+        # scalar evaluators agree row by row, not that the values are
+        # accurate: between -11 and -2 they are off the Bessel density by
+        # up to 2.3 nats.
         p = NigParams(chi=0.125, psi=0.125)
         xs = np.arange(-24.0, 0.5, 1.0)
-        solve_saddlepoint_batch(Nig(p), xs)  # the grid takes the one-pass path
+        assert not solve_saddlepoint_batch(Nig(p), xs).reason.any()
         code, out, _ = _run(
             capsys,
             [

@@ -17,7 +17,14 @@ from spinv.models import (
     Nig,
     NigParams,
 )
-from spinv.saddlepoint import solve_saddlepoint, solve_saddlepoint_batch
+from spinv.inversion import spa_log_density_batch
+from spinv.saddlepoint import (
+    NOT_CONVERGED,
+    UNATTAINABLE,
+    UNRESOLVABLE,
+    solve_saddlepoint,
+    solve_saddlepoint_batch,
+)
 
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
@@ -226,10 +233,16 @@ class TestBatch:
         assert np.all(res <= 1e-10 * np.maximum(1.0, np.abs(xs)))
 
     def test_error_carries_observation_index(self):
+        # the batch marks the row it cannot solve; the density raises for it
         m = Exponential(2.0)
         xs = np.array([0.6, 1.0, -0.5])
+        sol = solve_saddlepoint_batch(m, xs)
+        assert sol.reason.tolist() == [0, 0, UNATTAINABLE]
+        assert np.isnan(sol.tau[2]) and np.isnan(sol.k2[2])
+        assert np.all(np.isfinite(sol.tau[:2]))
+        assert type(sol.error(2)) is UnattainableMeanError and sol.error(0) is None
         with pytest.raises(UnattainableMeanError, match="observation 2"):
-            solve_saddlepoint_batch(m, xs)
+            spa_log_density_batch(m, xs)
 
 
 class TestStart:
@@ -246,33 +259,39 @@ class TestStart:
             _assert_within_scalar_gap(m, xs, batch, scalar)
 
     @pytest.mark.parametrize(
-        "params, sds, outcome",
+        "params, sds, reason",
         [
-            (_NIG_P, 50.0, None),
-            (_NIG_P, 1e3, None),
-            (_NIG_P, 1e6, ConvergenceError),
-            (_NIG_P, 1e9, UnattainableMeanError),
-            (_NIG_P, 1e12, UnattainableMeanError),
-            (_NIG_SMALL, 50.0, None),
-            (_NIG_SMALL, 1e3, ConvergenceError),
-            (_NIG_SMALL, 1e6, ConvergenceError),
-            (_NIG_SMALL, 1e9, UnattainableMeanError),
-            (_NIG_SMALL, 1e12, UnattainableMeanError),
+            (_NIG_P, 50.0, 0),
+            (_NIG_P, 1e3, 0),
+            (_NIG_P, 1e6, NOT_CONVERGED),
+            (_NIG_P, 1e9, UNATTAINABLE),
+            (_NIG_P, 1e12, UNATTAINABLE),
+            (_NIG_SMALL, 50.0, 0),
+            (_NIG_SMALL, 1e3, NOT_CONVERGED),
+            (_NIG_SMALL, 1e6, UNRESOLVABLE),
+            (_NIG_SMALL, 1e9, UNATTAINABLE),
+            (_NIG_SMALL, 1e12, UNATTAINABLE),
         ],
     )
-    def test_far_nig_rows_solve_or_raise_as_from_the_quadratic_start(self, params, sds, outcome):
-        # outcome is None where the solve succeeds, else the exact exception
-        # type it raises (UnattainableMeanError is a ConvergenceError);
-        # starting NIG at its exact root must not change either. At 1e6 sd
-        # for _NIG_SMALL, K' at the last float before the end of the
-        # domain is past x, so the mean is attainable but not resolvable.
+    def test_far_nig_rows_solve_or_raise_as_from_the_quadratic_start(self, params, sds, reason):
+        # reason is 0 where the solve succeeds, else the row's reason,
+        # which sets the exact exception type it raises
+        # (UnattainableMeanError is a ConvergenceError); starting NIG at its
+        # exact root must not change either. At 1e6 sd for _NIG_SMALL, K'
+        # at the last float before the end of the domain is past x, so the
+        # mean is attainable but not resolvable; at 1e3 sd rounding moves
+        # K' by more than the tolerance between neighbouring floats.
         m = Nig(params)
+        outcome = {NOT_CONVERGED: ConvergenceError, UNRESOLVABLE: ConvergenceError}.get(
+            reason, UnattainableMeanError
+        )
         for x in m.mean() + np.array([-sds, sds]) * math.sqrt(m.variance()):
+            assert solve_saddlepoint_batch(m, np.array([x])).reason.tolist() == [reason]
             for solve in (
                 lambda: solve_saddlepoint(m, x).tau_hat,
-                lambda: float(solve_saddlepoint_batch(m, np.array([x])).tau[0]),
+                lambda: _batch_row(solve_saddlepoint_batch(m, np.array([x]))),
             ):
-                if outcome is None:
+                if not reason:
                     tau = solve()
                     assert m.domain().contains(tau)
                     assert abs(float(m.k1(tau)) - x) <= 1e-10 * max(1.0, abs(x))
@@ -307,21 +326,34 @@ class TestStart:
             np.testing.assert_allclose(m.k1(t), xs, rtol=1e-10, atol=1e-10)
 
 
+def _batch_row(sol):
+    """tau of a one-row batch, or the row's exception raised."""
+    exc = sol.error(0)
+    if exc is not None:
+        raise exc
+    return float(sol.tau[0])
+
+
 def _batch_record(caplog, m, xs, **kw):
-    """(rows, Newton iterations, row steps in log space, row steps sent
-    back, rows re-solved) from the batch solver's DEBUG record, which must
-    give the counts of the record the solver returns."""
+    """(rows, iterations, row steps in log space, rows guarded,
+    bisections, failed rows not converged, unattainable, unresolvable)
+    from the batch solver's DEBUG record, which must give the counts of
+    the record the solver returns."""
     with caplog.at_level(logging.DEBUG, logger="spinv.saddlepoint"):
         caplog.clear()
         sol = solve_saddlepoint_batch(m, xs, **kw)
     (record,) = caplog.records
     counts = re.fullmatch(
-        r"saddlepoint of (\d+) rows: (\d+) Newton iterations, (\d+) row steps in log space, "
-        r"(\d+) sent back from a non-finite K' or K'', (\d+) re-solved by the scalar solver",
+        r"saddlepoint of (\d+) rows: (\d+) iterations, (\d+) row steps in log space, "
+        r"(\d+) rows guarded, (\d+) bisections, failed: (\d+) not converged, "
+        r"(\d+) unattainable, (\d+) unresolvable",
         record.getMessage(),
     ).groups()
     counts = tuple(int(c) for c in counts)
-    assert counts == (sol.tau.size, sol.iterations, sol.log_steps, sol.sent_back, sol.re_solved)
+    failed = tuple(int(np.count_nonzero(sol.reason == k)) for k in (1, 2, 3))
+    assert counts == (
+        sol.tau.size, sol.iterations, sol.log_steps, sol.guarded, sol.bisections, *failed
+    )
     return counts
 
 
@@ -332,62 +364,63 @@ def _grid(m, sds, n):
 class TestBatchLog:
     def test_nig_starts_at_its_root(self, caplog):
         m = Nig(_NIG_P)
-        assert _batch_record(caplog, m, _grid(m, 6.0, 41)) == (41, 0, 0, 0, 0)
+        assert _batch_record(caplog, m, _grid(m, 6.0, 41)) == (41, 0, 0, 0, 0, 0, 0, 0)
 
     def test_mjd_iterates(self, caplog):
         # plain Newton from the quadratic start took 29 iterations here
         m = MjdTransition(_C6)
-        rows, iterations, log_steps, sent_back, rest = _batch_record(caplog, m, _grid(m, 6.0, 101))
-        assert rows == 101 and 0 < iterations <= 10 and log_steps > 0 and sent_back == rest == 0
+        rows, iterations, log_steps, guarded, _, *failed = _batch_record(caplog, m, _grid(m, 6.0, 101))
+        assert rows == 101 and 0 < iterations <= 10 and log_steps > 0
+        assert guarded == 0 and failed == [0, 0, 0]
 
     def test_jump_dominated_rows_converge_in_the_batch(self, caplog):
         # TestBatch's lambda = 3 input: plain Newton crawled back from the
-        # overshoot for 100 iterations and left 61 rows to the scalar solver
+        # overshoot for 100 iterations and left 61 rows unsolved
         m = MjdTransition(_LAM3, x0=0.0, dt=1.0 / 252.0)
-        rows, iterations, log_steps, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101))
-        assert rows == 101 and iterations <= 12 and log_steps > 0 and rest == 0
+        rows, iterations, log_steps, _, _, *failed = _batch_record(caplog, m, _grid(m, 6.0, 101))
+        assert rows == 101 and iterations <= 12 and log_steps > 0 and failed == [0, 0, 0]
 
-    def test_log_step_stays_on_the_roots_side_of_zero(self, caplog):
+    @pytest.mark.parametrize("a", [1000.0, 1e4])
+    def test_log_step_stays_on_the_roots_side_of_zero(self, caplog, a):
         # a log step taken across 0 and the plain step back from there
-        # cycle; without the side test, 20 of these rows go to the scalar
-        # solver
-        m = Knee(a=1000.0, eps=0.01)
+        # cycle; without the side test, 20 of the a = 1000 rows are left
+        # unsolved. Where log K' is concave (a = 1e4), the log step lands
+        # short of the root and plain Newton jumps past it again: the row
+        # zigzags until it is guarded (30 iterations if it never were).
+        m = Knee(a=a, eps=0.01)
         xs = np.linspace(-50.0, 50.0, 101)
-        rows, iterations, _, _, rest = _batch_record(caplog, m, xs)
-        assert rows == 101 and iterations <= 15 and rest == 0
+        rows, iterations, *_, nc, un, ur = _batch_record(caplog, m, xs)
+        assert rows == 101 and iterations <= 15 and (nc, un, ur) == (0, 0, 0)
         taus = solve_saddlepoint_batch(m, xs).tau
         assert np.all(np.abs(m.k1(taus) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
 
-    def test_scalar_re_solve_is_counted(self, caplog, monkeypatch):
-        # two iterations leave rows unconverged; the record counts the
-        # scalar solves that follow, which run at the default budget here
-        # so that each succeeds
-        calls = _count_scalar_solves(monkeypatch)
+    def test_unconverged_rows_are_marked(self, caplog):
+        # two iterations leave rows short of the tolerance: they fail
+        # alone, with NaN tau and K'', and the rest keep their roots
         m = MjdTransition(_C6)
-        rows, iterations, _, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=2)
-        assert (rows, iterations) == (101, 2)
-        assert rest == len(calls) > 0
+        xs = _grid(m, 6.0, 101)
+        rows, iterations, *_, nc, un, ur = _batch_record(caplog, m, xs, max_iter=2)
+        assert (rows, iterations, un, ur) == (101, 2, 0, 0) and 0 < nc < rows
+        sol = solve_saddlepoint_batch(m, xs, max_iter=2)
+        failed = sol.reason == NOT_CONVERGED
+        assert np.count_nonzero(failed) == nc
+        assert np.all(np.isnan(sol.tau[failed])) and np.all(np.isnan(sol.k2[failed]))
+        ok = ~failed
+        assert np.all(np.abs(m.k1(sol.tau[ok]) - xs[ok]) <= 1e-10 * np.maximum(1.0, np.abs(xs[ok])))
+        (i, *_) = np.flatnonzero(failed)
+        assert re.fullmatch(
+            rf"saddlepoint iteration did not converge for x0={float(xs[i])} "
+            r"\(residual -?\d\.\d{3}e[+-]\d+ after 2 iterations\)",
+            str(sol.error(i)),
+        )
 
     def test_last_step_is_checked(self, caplog):
         # the grid converges on the 7th step, so with max_iter=7 only a
         # check of the residual after the last step keeps its rows from
-        # the scalar solver
+        # failing
         m = MjdTransition(_C6)
-        _, iterations, _, _, rest = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=7)
-        assert (iterations, rest) == (7, 0)
-
-
-def _count_scalar_solves(monkeypatch):
-    """Make the batch solver's scalar re-solves run at the default budget,
-    so that each succeeds; returns the list of their targets."""
-    calls = []
-
-    def counting_solve(model, x0, tol, max_iter):
-        calls.append(x0)
-        return solve_saddlepoint(model, x0, tol=tol)
-
-    monkeypatch.setattr("spinv.saddlepoint.solve_saddlepoint", counting_solve)
-    return calls
+        _, iterations, *_, nc, un, ur = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=7)
+        assert (iterations, nc, un, ur) == (7, 0, 0, 0)
 
 
 class TestK1K2:
@@ -429,21 +462,22 @@ class TestK1K2:
                 with pytest.raises(DomainError):
                     f(t)
 
-    def test_returned_k2_is_k2_at_tau(self, monkeypatch):
-        # from the solver's last evaluation, and from model.k2 for the
-        # rows the scalar solver re-solved (max_iter=2 leaves rows to it)
-        calls = _count_scalar_solves(monkeypatch)
+    def test_returned_k2_is_k2_at_tau(self):
+        # from the solver's last evaluation; max_iter=2 leaves rows
+        # unconverged, which are marked failed with NaN tau and K''
         for m, kw in (
             (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), {}),
             (Nig(_NIG_P), {}),
             (Knee(a=1000.0, eps=0.01), {}),
+            (Knee(a=1e4, eps=0.01), {}),
             (MjdTransition(_C6), {}),
             (MjdTransition(_C6), {"max_iter": 2}),
         ):
             sol = solve_saddlepoint_batch(m, _grid(m, 6.0, 101), **kw)
-            assert sol.re_solved == (len(calls) if kw else 0)
-            assert np.array_equal(sol.k2, m.k2(sol.tau))
-        assert len(calls) > 0
+            ok = sol.reason == 0
+            assert ok.all() != bool(kw)
+            assert np.array_equal(sol.k2[ok], m.k2(sol.tau[ok]))
+            assert np.all(np.isnan(sol.tau[~ok])) and np.all(np.isnan(sol.k2[~ok]))
 
 
 def _random_mjd_batches(seed, n):
@@ -465,17 +499,18 @@ def _random_mjd_batches(seed, n):
 
 
 class TestRandomMjd:
-    def test_overflowing_rows_are_sent_back(self):
+    def test_overflowing_rows_are_guarded(self):
         # rows whose iterate lands where K' overflows must find their way
-        # back in the batch rather than sit there until max_iter and go to
-        # the scalar solver
-        sent_back = re_solved = 0
+        # back inside their bracket rather than sit there until max_iter;
+        # the slowest batch takes 16 iterations
+        guarded = slowest = 0
         for m, xs in _random_mjd_batches(7, 200):
             sol = solve_saddlepoint_batch(m, xs)
+            assert not sol.reason.any()
             assert np.all(np.abs(m.k1(sol.tau) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
-            sent_back += sol.sent_back
-            re_solved += sol.re_solved
-        assert sent_back > 0 and re_solved <= 10
+            guarded += sol.guarded
+            slowest = max(slowest, sol.iterations)
+        assert guarded > 0 and slowest <= 18
 
     def test_batch_meets_tolerance_and_matches_scalar(self):
         for m, xs in _random_mjd_batches(2024, 60):
