@@ -37,7 +37,6 @@ from .inversion import (
     direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,
-    p_bar_zero,
     p_bar_zero_batch,
     simpson_integrate,
     spa_log_density,

@@ -12,7 +12,8 @@ runs vertically through the tilt point, where the real part of the CGF
 argument stays fixed at tau. standardized_tilted_cf builds that contour
 from its real and imaginary parts and finishes the exponent in the array
 k_complex returns, so k_complex must hand back a new array (see
-CgfModel.k_complex).
+CgfModel.k_complex). K''(tau) comes from the caller, which took it with
+K'(tau) in one k1_k2 call or from the saddlepoint solver.
 """
 
 import math
@@ -44,19 +45,17 @@ class DomainInterval:
 class CgfModel(ABC):
     """A distribution known through its cumulant generating function.
 
-    Implementations provide K and its first two derivatives over the real
-    domain, plus K over complex arguments whose real part lies inside the
-    domain. All evaluation methods are vectorized over their argument.
+    A model states four things: K over the real domain (k), K' and K''
+    together (k1_k2), K over complex arguments whose real part lies inside
+    the domain (k_complex), and the domain. All evaluation methods are
+    vectorized over their argument. k1 and k2 each read one half of
+    k1_k2; the solver and the inversion core call k1_k2 and carry K''
+    on from there, so neither takes K'' again at a point where it has it.
 
     saddlepoint_start is where the saddlepoint solver starts. A subclass
     whose K' inverts in closed form may override it with the exact root;
     the solver still checks the residual there, and iterates from it only
     when the tolerance is not met.
-
-    k1_k2 is optional too. The batch solver calls it once per Newton step
-    for K' and K'' at the same points, so a subclass may override it to
-    share the work the two have in common. An override must return
-    exactly the bits of (k1(t), k2(t)), and raise where they raise.
     """
 
     @abstractmethod
@@ -72,30 +71,32 @@ class CgfModel(ABC):
         """
 
     @abstractmethod
-    def k1(self, t):
-        """K'(t)."""
-
-    @abstractmethod
-    def k2(self, t):
-        """K''(t), strictly positive on the domain."""
-
     def k1_k2(self, t):
-        """(K'(t), K''(t)) from one call; the default calls k1 and k2."""
-        return self.k1(t), self.k2(t)
+        """(K'(t), K''(t)) from one call; K'' is strictly positive on the domain."""
 
     @abstractmethod
     def domain(self) -> DomainInterval:
         """Open interval on which K is finite."""
 
-    def saddlepoint_start(self, x):
+    def k1(self, t):
+        """K'(t), the first half of k1_k2."""
+        return self.k1_k2(t)[0]
+
+    def k2(self, t):
+        """K''(t), the second half of k1_k2."""
+        return self.k1_k2(t)[1]
+
+    def saddlepoint_start(self, x, mean, variance):
         """Start of the solve of K'(t) = x, elementwise, strictly inside the domain.
 
-        The default is the root of the quadratic CGF, (x - K'(0)) / K''(0),
-        kept at least 1% of the width from the ends of a bounded domain,
-        and within half the finite bound of a half-bounded one.
+        mean and variance are K'(0) and K''(0), which the solver has
+        already taken. The default is the root of the quadratic CGF,
+        (x - mean) / variance, kept at least 1% of the width from the ends
+        of a bounded domain, and within half the finite bound of a
+        half-bounded one.
         """
         dom = self.domain()
-        t = (x - self.k1(0.0)) / self.k2(0.0)
+        t = (x - mean) / variance
         if math.isfinite(dom.lo) and math.isfinite(dom.hi):
             # keep the start away from the boundary singularities
             inset = 0.01 * (dom.hi - dom.lo)
@@ -124,15 +125,16 @@ def char_fn(model: CgfModel, s):
     return val
 
 
-def standardized_tilted_cf(model: CgfModel, tau_hat, x0, s):
+def standardized_tilted_cf(model: CgfModel, tau_hat, k2, x0, s):
     """CF of the standardized tilted variable, evaluated at real s.
 
-    With tau_hat solving K'(tau_hat) = x0, this is the CF of
+    With tau_hat solving K'(tau_hat) = x0 and k2 = K''(tau_hat), which the
+    caller took with K' there, this is the CF of
     (X(tau_hat) - x0) / sqrt(K''(tau_hat)); its value at s = 0 is 1.
-    tau_hat and x0 may be column arrays, one row per point, which
+    tau_hat, k2 and x0 may be column arrays, one row per point, which
     broadcast against s. Entries that overflow are returned as they are.
     """
-    k2 = np.asarray(model.k2(tau_hat), dtype=float)
+    k2 = np.asarray(k2, dtype=float)
     if not np.all(k2 > 0.0):
         raise DomainError(f"K'' must be positive at the tilt, got {np.min(k2)}")
     # the contour z = tau_hat + i*y, y = s / sqrt(K''); no complex temporaries

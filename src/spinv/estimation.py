@@ -28,8 +28,8 @@ from .inversion import (
     DEFAULT_SPI_QUAD,
     MJD_SPI_QUAD,
     QuadratureSpec,
-    _simpson_weights,
     direct_ift_log_density_batch,
+    simpson_sum,
     spa_log_density_batch,
     spi_log_density_batch,
 )
@@ -561,7 +561,6 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     xs = np.linspace(0.0, half_width, n_points)
     h = half_width / (n_points - 1)
     p_truth = np.exp(nig_exact_log_density(truth, xs))
-    weights = 2.0 * h / 3.0 * _simpson_weights(n_points) * p_truth
     # the bracket reaches heavy-tailed candidates, where the default spec
     # underresolves evaluations out to the window's edge. Even this spec is
     # off by up to 1.6 nats near the edge at theta = 4.94 (the heaviest
@@ -578,7 +577,7 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
             logp = spi_log_density_batch(model, xs, quad)
         else:
             logp = spa_log_density_batch(model, xs)
-        return -float(np.dot(weights, logp))
+        return -2.0 * h / 3.0 * float(simpson_sum(p_truth * logp))
 
     return _golden_min(cross_entropy, 0.0, 4.0 * theta0, tol=1e-8 + 1e-6 * theta0)
 

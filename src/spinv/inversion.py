@@ -32,8 +32,9 @@ twice the step, and the gap between the two is the step error indicator.
 
 The scalar evaluators are views of the batch ones: spi_log_density and
 spa_log_density solve one saddlepoint (keeping its iteration count) and
-run the core on that one row, and direct_ift_log_density is one row of
-direct_ift_log_density_batch.
+take that row's terms from the batch code, so an SPA row, and an SPI row
+where the core takes each row by itself, equals its batch row bit for
+bit; direct_ift_log_density is one row of direct_ift_log_density_batch.
 """
 
 import math
@@ -104,14 +105,7 @@ class LogDensityResult:
     saddlepoint: SaddlepointSolution
 
 
-def _simpson_weights(n_points: int) -> np.ndarray:
-    w = np.ones(n_points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
-def _simpson_sum(vals: np.ndarray) -> np.ndarray:
+def simpson_sum(vals: np.ndarray) -> np.ndarray:
     """Simpson's weighted sum (1, 4, 2, ..., 4, 1) along the last axis of vals.
 
     Plain sums rather than a product with the weights: numpy hands a
@@ -129,7 +123,7 @@ def _simpson_sum(vals: np.ndarray) -> np.ndarray:
 def _simpson_rows(vals: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
     """(1/pi) * Simpson over [0, upper_limit] of each row of vals: the direct IFT rule."""
     h = quad.upper_limit / (quad.n_points - 1)
-    return h / 3.0 * _simpson_sum(vals) / math.pi
+    return h / 3.0 * simpson_sum(vals) / math.pi
 
 
 def simpson_integrate(f, a: float, b: float, n_points: int) -> float:
@@ -145,7 +139,7 @@ def simpson_integrate(f, a: float, b: float, n_points: int) -> float:
         i = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise QuadratureError("integrand not finite", abscissa=float(xs[i]))
     h = (b - a) / (n - 1)
-    return float(h / 3.0 * _simpson_sum(vals))
+    return float(h / 3.0 * simpson_sum(vals))
 
 
 def _largest(vals: np.ndarray) -> float:
@@ -153,8 +147,12 @@ def _largest(vals: np.ndarray) -> float:
     return float(np.fmax.reduce(vals, initial=0.0))
 
 
-def _p_bar_zero_rows(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec):
+def _p_bar_zero_rows(
+    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
+):
     """p_bar(0) of every row by its own trapezoid rule, in blocks of about _BLOCK_ENTRIES CF entries.
+
+    k2 is K''(tau), row by row.
 
     p_bar(0) = (1/pi) * integral over [0, upper_limit] of Re cf(s), taken
     with weights h, and h/2 at s = 0 and s = upper_limit.
@@ -174,7 +172,7 @@ def _p_bar_zero_rows(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quad
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, x.size, rows):
             b = slice(lo, lo + rows)
-            re = standardized_tilted_cf(model, tau[b, None], x[b, None], s).real
+            re = standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s).real
             ends = 0.5 * (re[:, 0] + re[:, -1])
             even = re[:, ::2].sum(axis=1) - ends
             fine[b] = even + re[:, 1::2].sum(axis=1)
@@ -226,8 +224,10 @@ def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c[0] + t * b1 - b2
 
 
-def _read_fit(model: CgfModel, x, tau, c, to_v, a: float, b: float) -> np.ndarray:
+def _read_fit(model: CgfModel, x, tau, k2, c, to_v, a: float, b: float) -> np.ndarray:
     """log p_bar at each row from the fit c of log p_bar(0) over v in [a, b].
+
+    k2 is K''(tau), row by row.
 
     The solver's tau leaves a residual x - K'(tau), so the per-row rule
     takes the standardized tilted density at z = (x - K'(tau))/sqrt(K''(tau))
@@ -238,15 +238,16 @@ def _read_fit(model: CgfModel, x, tau, c, to_v, a: float, b: float) -> np.ndarra
     there keeps the residual, up to 1e-8 nats, out of each row and keeps
     the likelihood smooth in the parameters.
     """
-    k1, k2 = model.k1_k2(tau)
-    tau_x = tau - (k1 - x) / k2
+    tau_x = tau - (model.k1(tau) - x) / k2
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = _clenshaw(c, (2.0 * to_v(tau_x) - a - b) / (b - a))
         log_p += 0.5 * np.log(k2 / np.asarray(model.k2(tau_x), dtype=float))
     return log_p
 
 
-def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec):
+def _interpolated(
+    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
+):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
 
     Returns (fit, nodes used, largest last-quarter coefficient, why the
@@ -272,8 +273,8 @@ def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quadrat
         # of them on the first level, the odd j after
         j = np.arange(n + 1) if nodes == 0 else np.arange(1, n, 2)
         tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n))
-        x_j = np.asarray(model.k1(tau_j), dtype=float)
-        p_j, step_j, trunc_j = _p_bar_zero_rows(model, x_j, tau_j, quad)
+        x_j, k2_j = model.k1_k2(tau_j)
+        p_j, step_j, trunc_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, quad)
         step, trunc = max(step, step_j), max(trunc, trunc_j)
         bad = np.flatnonzero(~(np.isfinite(p_j) & (p_j > 0.0)))
         if bad.size:
@@ -289,25 +290,25 @@ def _interpolated(model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: Quadrat
         c = _cheb_coeffs(log_p)
         tail = float(np.abs(c[-(c.size // 4):]).max())
         if tail <= _FIT_TOL:
-            p_bar = np.exp(_read_fit(model, x, tau, c, to_v, a, b))
+            p_bar = np.exp(_read_fit(model, x, tau, k2, c, to_v, a, b))
             return (p_bar, step, trunc), nodes, tail, None
     return None, nodes, tail, f"{nodes} nodes not converged"
 
 
 def p_bar_zero_batch(
-    model: CgfModel, x: np.ndarray, tau: np.ndarray, quad: QuadratureSpec
+    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
 ) -> np.ndarray:
-    """p_bar(0) at each point x with solved saddlepoint tau: the batch core.
+    """p_bar(0) at each point x with solved saddlepoint tau and K''(tau) = k2: the batch core.
 
     p_bar(0) depends on x only through tau, since x = K'(tau), so a batch
     samples one smooth function of the tilt. The core interpolates log
     p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
     257, each level reusing the values of the last. Each node is taken by
-    the trapezoid rule of quad at x = K'(tau_node). Once the last quarter
-    of a level's Chebyshev coefficients is at most _FIT_TOL, every row is
-    read off the fit, with the solver's residual taken into account (see
-    _read_fit).
+    the trapezoid rule of quad at x = K'(tau_node), with K'' from the same
+    k1_k2 call. Once the last quarter of a level's Chebyshev coefficients
+    is at most _FIT_TOL, every row is read off the fit, with the solver's
+    residual taken into account (see _read_fit).
 
     Each row runs its own trapezoid rule on the real part of the
     standardized tilted CF instead when a node is unusable, 257 nodes do
@@ -325,8 +326,8 @@ def p_bar_zero_batch(
     positive is returned as it is, and each caller decides what to do
     with it (see p_bar_error).
     """
-    fit, nodes, tail, reason = _interpolated(model, x, tau, quad)
-    p_bar, step, trunc = fit if fit is not None else _p_bar_zero_rows(model, x, tau, quad)
+    fit, nodes, tail, reason = _interpolated(model, x, tau, k2, quad)
+    p_bar, step, trunc = fit if fit is not None else _p_bar_zero_rows(model, x, tau, k2, quad)
     debug(
         __name__,
         "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e, "
@@ -357,7 +358,7 @@ def _solved_terms(model: CgfModel, x, tau, k2, method: str, quad: QuadratureSpec
         return tilt_term, jacobian_term, np.full(x.shape, math.exp(-_LOG_SQRT_TWO_PI))
     if quad is None:
         quad = default_spi_quad(model)
-    return tilt_term, jacobian_term, p_bar_zero_batch(model, x, tau, quad)
+    return tilt_term, jacobian_term, p_bar_zero_batch(model, x, tau, k2, quad)
 
 
 def log_density_terms(
@@ -399,23 +400,18 @@ def spi_log_density_batch(
     return tilt_term + jacobian_term + np.log(p_bar)
 
 
-def p_bar_zero(
-    model: CgfModel, sp: SaddlepointSolution, x0: float, quad: QuadratureSpec = None
-) -> float:
-    """Density of the standardized tilted variable at zero: one row of the core."""
-    if quad is None:
-        quad = default_spi_quad(model)
-    x, tau = np.array([x0], dtype=float), np.array([sp.tau_hat])
-    val = float(p_bar_zero_batch(model, x, tau, quad)[0])
-    error = p_bar_error(val, f"at x0 = {x0}")
+def _log_density_row(model: CgfModel, x0: float, method: str, quad: QuadratureSpec):
+    """One row of _solved_terms, at the saddlepoint solve_saddlepoint finds."""
+    x0 = float(x0)
+    sp = solve_saddlepoint(model, x0)
+    x, tau, k2 = np.array([x0]), np.array([sp.tau_hat]), np.array([sp.k2_at])
+    tilt_term, jacobian_term, p_bar = (
+        float(v[0]) for v in _solved_terms(model, x, tau, k2, method, quad)
+    )
+    error = p_bar_error(p_bar, f"at x0 = {x0}")
     if error:
         raise InversionError(error)
-    return val
-
-
-def _result(sp: SaddlepointSolution, x0: float, log_p_bar: float) -> LogDensityResult:
-    tilt_term = sp.k_at - sp.tau_hat * x0
-    jacobian_term = -0.5 * math.log(sp.k2_at)
+    log_p_bar = math.log(p_bar)
     return LogDensityResult(
         log_density=tilt_term + jacobian_term + log_p_bar,
         tilt_term=tilt_term,
@@ -429,15 +425,12 @@ def spi_log_density(
     model: CgfModel, x0: float, quad: QuadratureSpec = None
 ) -> LogDensityResult:
     """Saddlepoint-adjusted inversion: exact up to quadrature error."""
-    x0 = float(x0)
-    sp = solve_saddlepoint(model, x0)
-    return _result(sp, x0, math.log(p_bar_zero(model, sp, x0, quad)))
+    return _log_density_row(model, x0, "spi", quad)
 
 
 def spa_log_density(model: CgfModel, x0: float) -> LogDensityResult:
     """Classical saddlepoint approximation; no quadrature involved."""
-    x0 = float(x0)
-    return _result(solve_saddlepoint(model, x0), x0, -_LOG_SQRT_TWO_PI)
+    return _log_density_row(model, x0, "spa", None)
 
 
 def spa_log_density_batch(model: CgfModel, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Built-in models: Gaussian, normal inverse Gaussian, Merton jump diffusion.
 
+Each model writes the four methods of CgfModel: k, k_complex, domain, and
+k1_k2, the one place it states K' and K''. k1 and k2 are the base class's
+readings of k1_k2.
+
 The NIG uses the variance-mixture parametrization
 
     X = mu + gamma*W + sqrt(W)*Z,   W ~ IG with E(W) = sqrt(chi/psi),
@@ -112,13 +116,10 @@ class Gaussian(CgfModel):
         z = np.asarray(z, dtype=complex)
         return self.params.mu * z + 0.5 * self._var * z * z
 
-    def k1(self, t):
-        return self.params.mu + self._var * t
+    def k1_k2(self, t):
+        return self.params.mu + self._var * t, self._var + 0.0 * t
 
-    def k2(self, t):
-        return self._var + 0.0 * t
-
-    def saddlepoint_start(self, x):
+    def saddlepoint_start(self, x, mean, variance):
         """The exact root of K'(t) = x."""
         return (np.asarray(x, dtype=float) - self.params.mu) / self._var
 
@@ -179,25 +180,17 @@ class Nig(CgfModel):
         u += z * p.mu
         return u.reshape(shape)
 
-    def k1(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.params.mu + self._sqrt_chi * (t + self.params.gamma) / np.sqrt(
-            self._d(t)
-        )
-
-    def k2(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._sqrt_chi * (self.params.psi + self.params.gamma**2) * self._d(t) ** -1.5
-
     def k1_k2(self, t):
-        """k1 and k2 on one D(t) and one domain check."""
+        """K'(t) = mu + sqrt(chi) (t + gamma) / sqrt(D(t)) and
+        K''(t) = sqrt(chi) (psi + gamma^2) D(t)^-1.5, on one D(t); raises
+        DomainError outside the domain, where D(t) <= 0."""
         t = np.asarray(t, dtype=float)
         p = self.params
         d = self._d(t)
         k1 = p.mu + self._sqrt_chi * (t + p.gamma) / np.sqrt(d)
         return k1, self._sqrt_chi * (p.psi + p.gamma**2) * d**-1.5
 
-    def saddlepoint_start(self, x):
+    def saddlepoint_start(self, x, mean, variance):
         """The exact root of K'(t) = x, where K' can be resolved there.
 
         K'(t) = mu + sqrt(chi) s / sqrt(psi + gamma^2 - s^2) with s = t + gamma
@@ -216,7 +209,7 @@ class Nig(CgfModel):
         resolved = p.psi - t * t - 2.0 * tg > 1e-6 * (p.psi + t * t + 2.0 * np.abs(tg))
         if resolved.all():
             return t
-        return np.where(resolved, t, super().saddlepoint_start(x))
+        return np.where(resolved, t, super().saddlepoint_start(x, mean, variance))
 
     def domain(self) -> DomainInterval:
         g = self.params.gamma
@@ -266,24 +259,16 @@ class MjdTransition(CgfModel):
         out += jump
         return out.reshape(shape)
 
-    def k1(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        return (
-            self._base
-            + self._var_diff * t
-            + self._lam_dt * (p.mu_j + p.nu**2 * t) * np.exp(self._jump_exponent(t))
-        )
-
-    def k2(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        return self._var_diff + self._lam_dt * (
-            (p.mu_j + p.nu**2 * t) ** 2 + p.nu**2
-        ) * np.exp(self._jump_exponent(t))
-
     def k1_k2(self, t):
-        """k1 and k2 on one exp(jump exponent) and one mu_J + nu^2 t."""
+        """K' and K'' on one exp(jump exponent) e and one a = mu_J + nu^2 t:
+
+            K'(t) = base + sigma^2 dt t + lam dt a e,
+            K''(t) = sigma^2 dt + lam dt (a^2 + nu^2) e.
+
+        Nothing is raised: where e overflows the two are infinite, and
+        where e is not defined (t not a number, or inf - inf in the
+        exponent) NaN.
+        """
         t = np.asarray(t, dtype=float)
         p = self.params
         a = p.mu_j + p.nu**2 * t

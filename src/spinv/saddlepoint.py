@@ -5,7 +5,8 @@ unique when x0 lies in the range of K'. solve_saddlepoint_batch starts
 every row at model.saddlepoint_start(x) (the exact root for NIG and
 Gaussian) and checks the residual at every iterate, the start included.
 
-1. Newton. Each iteration takes K' and K'' from one model.k1_k2 call. A
+1. Newton. The solve takes K'(0) and K''(0) from one model.k1_k2 call,
+   and each iteration K' and K'' at its iterates from one more. A
    row whose K' has overshot the target by more than the target's own
    distance from the mean takes the Newton step on log K' (measured from
    K'(0)) instead, which covers the overshoot of an exponentially growing
@@ -16,9 +17,10 @@ Gaussian) and checks the residual at every iterate, the start included.
    domain on the other), steps toward an open end, and bisects wherever
    the Newton step does not serve it (_Guard).
 3. Failure. A row that cannot finish gets NaN tau and K'' and a reason:
-   not converged (max_iter ran out, or its bracket no longer splits),
-   unattainable (K' saturates short of x0), or unresolvable (K' crosses
-   x0 within float resolution of a finite end of the domain). The batch
+   not converged (max_iter ran out), unattainable (K' saturates short of
+   x0), or unresolvable (K' crosses x0 within float resolution: the
+   row's bracket no longer splits, or K' at the last float before a
+   finite end of the domain is already past x0). The batch
    never raises for a row; SaddlepointBatch.error(i) builds its
    exception, and solve_saddlepoint, a one-row view, raises it.
 """
@@ -80,8 +82,8 @@ class SaddlepointBatch:
             return UnattainableMeanError(f"K' saturates before reaching x0={x0}; mean unattainable")
         if reason == UNRESOLVABLE:
             return ConvergenceError(
-                f"K' crosses x0={x0} within float resolution of the end of the domain; "
-                "the root cannot be resolved"
+                f"K' crosses x0={x0} within float resolution; the root cannot be resolved "
+                f"(residual {float(self.residual[i]):.3e})"
             )
         return None
 
@@ -194,8 +196,9 @@ class _Guard:
             r_last = self.model.k1(np.nextafter(far[tiny], near[tiny])) - self.x[g[tiny]]
             crossed = np.where(up[tiny], r_last > 0.0, r_last < 0.0)
             reason[tiny] = np.where(crossed, UNRESOLVABLE, UNATTAINABLE)
-        # a step that no longer moves the row leaves it where it is
-        reason[(reason == 0) & (p == tg)] = NOT_CONVERGED
+        # a step that no longer moves the row leaves it where it is: the
+        # root lies between two adjacent floats
+        reason[(reason == 0) & (p == tg)] = UNRESOLVABLE
         fail = reason > 0
         self.bisected[g] = ~newton
         self.bisections += int(np.count_nonzero(~newton & ~fail))
@@ -233,9 +236,9 @@ def solve_saddlepoint_batch(
     dom = model.domain()
     bounded = math.isfinite(dom.lo) or math.isfinite(dom.hi)
     bound = tol * np.maximum(1.0, np.abs(x))
-    mean = model.k1(0.0)
+    mean, variance = model.k1_k2(0.0)
     y = x - mean  # the root lies on the side of 0 that y's sign gives
-    t = model.saddlepoint_start(x)
+    t = model.saddlepoint_start(x, mean, variance)
     a_half = np.inf  # per row, half of |residual| at the last iterate
     guard = None
     iterations = 0

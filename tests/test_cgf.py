@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinv.cgf import DomainInterval, char_fn, standardized_tilted_cf
+from spinv.cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
 from spinv.errors import DomainError
 from spinv.saddlepoint import solve_saddlepoint
 from spinv.models import (
@@ -65,6 +65,14 @@ class TestCgfDerivatives:
             np.testing.assert_allclose(model.k1(t), d1, rtol=1e-5, atol=1e-8)
             np.testing.assert_allclose(model.k2(t), d2, rtol=1e-3, atol=1e-6)
 
+    def test_a_model_writes_k_k_complex_k1_k2_and_domain(self):
+        assert CgfModel.__abstractmethods__ == {"k", "k_complex", "k1_k2", "domain"}
+
+    @pytest.mark.parametrize("cls", [Gaussian, Nig, MjdTransition], ids=lambda c: c.__name__)
+    def test_built_in_models_state_k1_and_k2_only_in_k1_k2(self, cls):
+        assert "k1_k2" in vars(cls)
+        assert "k1" not in vars(cls) and "k2" not in vars(cls)
+
     @pytest.mark.parametrize("model", _family_models())
     def test_mean_variance_are_cumulants(self, model):
         np.testing.assert_allclose(model.mean(), model.k1(0.0), rtol=1e-14)
@@ -105,7 +113,7 @@ class TestStandardizedTiltedCf:
         for m in _family_models():
             x0 = m.mean() + 0.7 * np.sqrt(m.variance())
             sp = solve_saddlepoint(m, x0)
-            v = standardized_tilted_cf(m, sp.tau_hat, x0, 0.0)
+            v = standardized_tilted_cf(m, sp.tau_hat, sp.k2_at, x0, 0.0)
             np.testing.assert_allclose(v, 1.0 + 0.0j, atol=1e-10)
 
     def test_gaussian_is_standard_normal_cf(self):
@@ -115,7 +123,7 @@ class TestStandardizedTiltedCf:
         x0 = 1.3
         sp = solve_saddlepoint(m, x0)
         s = np.linspace(0.0, 8.0, 33)
-        v = standardized_tilted_cf(m, sp.tau_hat, x0, s)
+        v = standardized_tilted_cf(m, sp.tau_hat, sp.k2_at, x0, s)
         np.testing.assert_allclose(v.real, np.exp(-0.5 * s**2), atol=1e-13)
         np.testing.assert_allclose(v.imag, 0.0, atol=1e-13)
 
@@ -152,16 +160,18 @@ class TestTiltedCfKernel:
         sd = np.sqrt(model.variance())
         x0 = model.mean() + sd * np.linspace(-8.0, 8.0, 17)
         tau = np.array([solve_saddlepoint(model, x).tau_hat for x in x0])
-        cols = (tau[:, None].copy(), x0[:, None].copy(), self._S.copy())
+        k2 = model.k2(tau)
+        cols = (tau[:, None].copy(), k2[:, None].copy(), x0[:, None].copy(), self._S.copy())
         with np.errstate(over="ignore", under="ignore"):
             got = standardized_tilted_cf(model, *cols)
-            want = _reference_cf(model, *cols)
+            want = _reference_cf(model, cols[0], cols[2], cols[3])
         assert got.shape == (x0.size, self._S.size)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
         # the kernel reads its inputs and writes only arrays of its own
         np.testing.assert_array_equal(cols[0], tau[:, None])
-        np.testing.assert_array_equal(cols[1], x0[:, None])
-        np.testing.assert_array_equal(cols[2], self._S)
+        np.testing.assert_array_equal(cols[1], k2[:, None])
+        np.testing.assert_array_equal(cols[2], x0[:, None])
+        np.testing.assert_array_equal(cols[3], self._S)
 
     @pytest.mark.parametrize("params", [_family_models()[1].params, _family_models()[2].params])
     @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -171,14 +181,17 @@ class TestTiltedCfKernel:
         # within 1% of the interval's width from one end
         tau = (dom.lo + 0.005 * (dom.hi - dom.lo)) if side < 0 else (dom.hi - 0.005 * (dom.hi - dom.lo))
         x0 = float(m.k1(tau))
-        got = standardized_tilted_cf(m, tau, x0, self._S)
+        got = standardized_tilted_cf(m, tau, m.k2(tau), x0, self._S)
         np.testing.assert_allclose(got, _reference_cf(m, tau, x0, self._S), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
     def test_zero_d_inputs(self, model):
         x0 = model.mean() + 1.5 * np.sqrt(model.variance())
-        tau = solve_saddlepoint(model, x0).tau_hat
+        sp = solve_saddlepoint(model, x0)
+        tau = sp.tau_hat
         for s in (0.0, 0.7, 3.0):
-            got = standardized_tilted_cf(model, np.float64(tau), np.float64(x0), np.float64(s))
+            got = standardized_tilted_cf(
+                model, np.float64(tau), np.float64(sp.k2_at), np.float64(x0), np.float64(s)
+            )
             assert np.shape(got) == ()
             np.testing.assert_allclose(got, _reference_cf(model, tau, x0, s), rtol=0.0, atol=1e-13)

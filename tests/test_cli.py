@@ -15,7 +15,7 @@ import spinv.cli
 from spinv.cli import main, read_price_csv
 from spinv.errors import InversionError, ParseError, ValidationError
 from spinv.estimation import GbmParams, ReturnSeries, negative_log_likelihood, profile_nll
-from spinv.inversion import spi_log_density
+from spinv.inversion import spa_log_density, spi_log_density
 from spinv.models import GaussianParams, MjdParams, Nig, NigParams, gaussian_log_density
 from spinv.saddlepoint import solve_saddlepoint_batch
 
@@ -159,9 +159,10 @@ class TestDensity:
 
     def test_unconverged_rows_fail_alone(self, capsys, monkeypatch):
         # out to 2000 sd of a heavy-tailed NIG the root crowds the end of
-        # the domain, where rounding moves K' by more than the tolerance:
-        # those rows cannot converge, and each says so with the residual
-        # it stopped at, in the one batch pass that solves the other rows
+        # the domain, where rounding moves K' by more than the tolerance
+        # between neighbouring floats: those rows cannot be resolved, and
+        # each says so with the residual it stopped at, in the one batch
+        # pass that solves the other rows
         solves = []
 
         def counting_solve(model, x):
@@ -184,11 +185,11 @@ class TestDensity:
         assert sorted(failed) == [x for x in range(-2000, 2001, 100) if abs(x) >= 800 or abs(x) == 500]
         for x, error in failed.items():
             assert re.fullmatch(
-                rf"saddlepoint iteration did not converge for x0={x} "
-                r"\(residual -?\d\.\d{3}e[+-]\d+ after 100 iterations\)",
+                rf"K' crosses x0={x} within float resolution; the root cannot be resolved "
+                r"\(residual -?\d\.\d{3}e[+-]\d+\)",
                 error,
             )
-        assert failed[2000.0].endswith("(residual -3.856e-06 after 100 iterations)")
+        assert failed[2000.0].endswith("(residual -3.856e-06)")
         assert all(np.isfinite(float(r[1])) for r in rows if not r[5])
         # +-300 sd start past the resolved NIG root and probe toward the end
         # of the domain first; a Newton step taken there instead moves the
@@ -229,6 +230,35 @@ class TestDensity:
         for row in rows:
             if not row[5]:
                 assert abs(float(row[1]) - expected[float(row[0])]) < 1e-5
+
+    @pytest.mark.parametrize("method", ["spa", "spi"])
+    def test_scalar_rows_equal_the_density_rows(self, capsys, method):
+        # the scalar evaluators take a row's terms from the batch code, so
+        # each equals its CLI row to the bit: on this grid, taking the
+        # Jacobian term by math.log rather than np.log moves it by one ulp
+        # at x = -0.225 and 0.341. The SPI rows take the per-row rule here
+        # (the fit meets an unusable node), as a scalar row does
+        p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+        code, out, _ = _run(
+            capsys,
+            [
+                "density", "--family", "nig", "--method", method,
+                "--params", "chi=0.0003", "psi=1000", "mu=-0.0003", "gamma=2",
+                "--grid", "-1:1:0.001",
+            ],
+        )
+        assert code == (5 if method == "spi" else 0)
+        _, rows = _parse_csv(out)
+        assert len(rows) == 2001
+        evaluate = spi_log_density if method == "spi" else spa_log_density
+        for row in rows:
+            try:
+                r = evaluate(Nig(p), float(row[0]))
+            except InversionError as exc:
+                assert row[1:] == ["", "", "", "", str(exc)]
+            else:
+                want = [r.log_density, r.tilt_term, r.jacobian_term, r.log_p_bar]
+                assert [float(v) for v in row[1:5]] == want and row[5] == ""
 
     def test_quad_override_fixes_it(self, capsys):
         code, out, _ = _run(

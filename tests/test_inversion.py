@@ -27,7 +27,6 @@ from spinv.inversion import (
     direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,
-    p_bar_zero,
     p_bar_zero_batch,
     simpson_integrate,
     spa_log_density,
@@ -49,7 +48,7 @@ from spinv.models import (
     simulate_mjd_path,
     simulate_nig,
 )
-from spinv.saddlepoint import solve_saddlepoint, solve_saddlepoint_batch
+from spinv.saddlepoint import solve_saddlepoint_batch
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
 _FINE_QUAD = QuadratureSpec(800.0, 16384)
@@ -127,9 +126,8 @@ class TestGaussianCollapse:
 
     def test_p_bar_is_standard_normal_density(self):
         m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
-        sp = solve_saddlepoint(m, 1.5)
         np.testing.assert_allclose(
-            p_bar_zero(m, sp, 1.5), 1.0 / np.sqrt(2 * np.pi), rtol=1e-12
+            math.exp(spi_log_density(m, 1.5).log_p_bar), 1.0 / np.sqrt(2 * np.pi), rtol=1e-12
         )
 
 
@@ -299,11 +297,9 @@ class _Gamma(CgfModel):
     def k_complex(self, z):
         return -self.alpha * np.log(1.0 - np.asarray(z, dtype=complex) / self.beta)
 
-    def k1(self, t):
-        return self.alpha / (self.beta - np.asarray(t))
-
-    def k2(self, t):
-        return self.alpha / (self.beta - np.asarray(t)) ** 2
+    def k1_k2(self, t):
+        u = self.beta - np.asarray(t)
+        return self.alpha / u, self.alpha / u**2
 
     def domain(self):
         return DomainInterval(-math.inf, self.beta)
@@ -313,13 +309,13 @@ def _sd_grid(m, width, rows):
     return m.mean() + math.sqrt(m.variance()) * np.linspace(-width, width, rows)
 
 
-def _core(m, x, tau, quad, caplog):
-    """The batch core's p_bar(0) at (x, tau), each row's own rule there, and the core's log record."""
+def _core(m, x, sp, quad, caplog):
+    """The batch core's p_bar(0) at x and the solver's tau and K'', each row's own rule there, and the core's log record."""
     with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
         caplog.clear()
-        core = p_bar_zero_batch(m, x, tau, quad)
+        core = p_bar_zero_batch(m, x, sp.tau, sp.k2, quad)
     (record,) = caplog.records
-    return core, _p_bar_zero_rows(m, x, tau, quad)[0], record.getMessage()
+    return core, _p_bar_zero_rows(m, x, sp.tau, sp.k2, quad)[0], record.getMessage()
 
 
 def _max_log_gap(p, q):
@@ -355,9 +351,9 @@ class TestInterpolatedCore:
             "mjd-criterion-6-fine": (mjd, incr, QuadratureSpec(64.0, 512)),
             "mjd-10-sd-grid": (mjd, _sd_grid(mjd, 10.0, 801), MJD_SPI_QUAD),
         }[case]
-        tau = solve_saddlepoint_batch(m, x).tau
-        for at in (np.asarray(m.k1(tau), dtype=float), x):
-            core, rows, message = _core(m, at, tau, quad, caplog)
+        sp = solve_saddlepoint_batch(m, x)
+        for at in (m.k1(sp.tau), x):
+            core, rows, message = _core(m, at, sp, quad, caplog)
             assert "interpolated" in message
             assert _max_log_gap(core, rows) <= 1e-9
 
@@ -367,7 +363,7 @@ class TestInterpolatedCore:
         alpha, beta = 5.0, 2.0
         m = _Gamma(alpha, beta)
         x = np.linspace(0.05, 4.0, 1000) * alpha / beta
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x).tau, DEFAULT_SPI_QUAD, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), DEFAULT_SPI_QUAD, caplog)
         assert "interpolated" in message
         assert _max_log_gap(core, rows) <= 1e-9
         exact = [
@@ -393,7 +389,7 @@ class TestInterpolatedCore:
             "25-row grid": _sd_grid(m, 6.0, 25),
             "nig-50-sd-grid": _sd_grid(m, 50.0, 801),
         }[case]
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x).tau, DEFAULT_SPI_QUAD, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), DEFAULT_SPI_QUAD, caplog)
         assert f"per row ({reason}" in message
         assert np.array_equal(core, rows, equal_nan=True)
         assert np.sum(~(np.isfinite(core) & (core > 0.0))) == failing
@@ -427,7 +423,7 @@ class TestInterpolatedCore:
         else:
             m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
             x = np.arange(-11.0, -1.0)
-        _, _, message = _core(m, x, solve_saddlepoint_batch(m, x).tau, default_spi_quad(m), caplog)
+        _, _, message = _core(m, x, solve_saddlepoint_batch(m, x), default_spi_quad(m), caplog)
         assert message.startswith(f"p_bar(0) of {x.size} rows: {path}")
         found = re.search(r"step error (\S+), truncation (\S+)$", message)
         assert step[0] < float(found.group(1)) < step[1]

@@ -59,14 +59,11 @@ class VarianceGamma(CgfModel):
         z = np.asarray(z, dtype=complex)
         return self.params.mu * z - np.log(self._q(z)) / self.params.nu
 
-    def k1(self, t):
-        p = self.params
-        return p.mu + (p.theta + p.sigma**2 * t) / self._q(t)
-
-    def k2(self, t):
+    def k1_k2(self, t):
         p = self.params
         q = self._q(t)
-        return p.sigma**2 / q + p.nu * (p.theta + p.sigma**2 * t) ** 2 / q**2
+        a = p.theta + p.sigma**2 * t
+        return p.mu + a / q, p.sigma**2 / q + p.nu * a**2 / q**2
 
     def domain(self) -> DomainInterval:
         p = self.params

@@ -41,8 +41,6 @@ _X_OVERSHOOT = -0.1613494368396049
 # criterion 6's MJD, and a jump-dominated MJD
 _C6 = MjdParams(r=0.0445, sigma=np.exp(-2.41), lam=np.exp(4.96), mu_j=-0.00114, nu=np.exp(-4.32))
 _LAM3 = MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1)
-# shares of a bounded domain's width, out to within 1e-12 of both ends
-_DOMAIN_SPAN = np.array([1e-12, 1e-9, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
 # tilts out to where the MJD jump exponential overflows, and past it
 _MJD_T = np.array([-np.inf, -1e6, -3e3, -50.0, -1.0, 0.0, 1.0, 50.0, 3e3, 1e6, np.inf, np.nan])
 
@@ -78,11 +76,9 @@ class Exponential(CgfModel):
     def k_complex(self, z):
         return -np.log(1.0 - np.asarray(z, dtype=complex) / self.rate)
 
-    def k1(self, t):
-        return 1.0 / (self.rate - np.asarray(t, dtype=float))
-
-    def k2(self, t):
-        return 1.0 / (self.rate - np.asarray(t, dtype=float)) ** 2
+    def k1_k2(self, t):
+        u = self.rate - np.asarray(t, dtype=float)
+        return 1.0 / u, 1.0 / u**2
 
     def domain(self) -> DomainInterval:
         return DomainInterval(-np.inf, self.rate)
@@ -108,13 +104,10 @@ class Knee(CgfModel):
         bend = e * (t * np.arctan(t / e) - 0.5 * e * np.log1p((t / e) ** 2))
         return 0.5 * t**2 + (self.a - 1.0) * (0.5 * t**2 - bend)
 
-    def k1(self, t):
+    def k1_k2(self, t):
         t = np.asarray(t, dtype=float)
-        return t + (self.a - 1.0) * (t - self.eps * np.arctan(t / self.eps))
-
-    def k2(self, t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 + (self.a - 1.0) * t**2 / (t**2 + self.eps**2)
+        k1 = t + (self.a - 1.0) * (t - self.eps * np.arctan(t / self.eps))
+        return k1, 1.0 + (self.a - 1.0) * t**2 / (t**2 + self.eps**2)
 
     def domain(self) -> DomainInterval:
         return DomainInterval(-np.inf, np.inf)
@@ -263,11 +256,11 @@ class TestStart:
         [
             (_NIG_P, 50.0, 0),
             (_NIG_P, 1e3, 0),
-            (_NIG_P, 1e6, NOT_CONVERGED),
+            (_NIG_P, 1e6, UNRESOLVABLE),
             (_NIG_P, 1e9, UNATTAINABLE),
             (_NIG_P, 1e12, UNATTAINABLE),
             (_NIG_SMALL, 50.0, 0),
-            (_NIG_SMALL, 1e3, NOT_CONVERGED),
+            (_NIG_SMALL, 1e3, UNRESOLVABLE),
             (_NIG_SMALL, 1e6, UNRESOLVABLE),
             (_NIG_SMALL, 1e9, UNATTAINABLE),
             (_NIG_SMALL, 1e12, UNATTAINABLE),
@@ -279,12 +272,12 @@ class TestStart:
         # (UnattainableMeanError is a ConvergenceError); starting NIG at its
         # exact root must not change either. At 1e6 sd for _NIG_SMALL, K'
         # at the last float before the end of the domain is past x, so the
-        # mean is attainable but not resolvable; at 1e3 sd rounding moves
-        # K' by more than the tolerance between neighbouring floats.
+        # mean is attainable but not resolvable; at 1e3 sd (1e6 for _NIG_P)
+        # rounding moves K' by more than the tolerance between neighbouring
+        # floats, so the bracket stops splitting short of it: unresolvable
+        # too.
         m = Nig(params)
-        outcome = {NOT_CONVERGED: ConvergenceError, UNRESOLVABLE: ConvergenceError}.get(
-            reason, UnattainableMeanError
-        )
+        outcome = ConvergenceError if reason == UNRESOLVABLE else UnattainableMeanError
         for x in m.mean() + np.array([-sds, sds]) * math.sqrt(m.variance()):
             assert solve_saddlepoint_batch(m, np.array([x])).reason.tolist() == [reason]
             for solve in (
@@ -299,6 +292,19 @@ class TestStart:
                     with pytest.raises(ConvergenceError) as excinfo:
                         solve()
                     assert type(excinfo.value) is outcome
+
+    def test_unresolvable_row_stops_early_and_names_its_residual(self):
+        # at 1e3 sd of _NIG_SMALL the bracket stops splitting between two
+        # neighbouring floats long before max_iter runs out
+        m = Nig(_NIG_SMALL)
+        x = m.mean() + 1e3 * math.sqrt(m.variance())
+        sol = solve_saddlepoint_batch(m, np.array([x]))
+        assert sol.reason.tolist() == [UNRESOLVABLE] and sol.iterations < sol.max_iter
+        assert abs(sol.residual[0]) > 1e-10 * x
+        assert str(sol.error(0)) == (
+            f"K' crosses x0={x} within float resolution; the root cannot be resolved "
+            f"(residual {float(sol.residual[0]):.3e})"
+        )
 
     @pytest.mark.parametrize(
         "m",
@@ -317,12 +323,12 @@ class TestStart:
             t = np.clip(t, dom.lo + inset, dom.hi - inset)
         elif isinstance(m, Exponential):
             t = np.minimum(t, 0.5 * dom.hi)
-        np.testing.assert_array_equal(CgfModel.saddlepoint_start(m, xs), t)
+        np.testing.assert_array_equal(CgfModel.saddlepoint_start(m, xs, *m.k1_k2(0.0)), t)
 
     def test_closed_form_starts_are_roots(self):
         for m in (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), Nig(_NIG_P), Nig(_NIG_SMALL)):
             xs = m.mean() + np.sqrt(m.variance()) * np.linspace(-50.0, 50.0, 41)
-            t = m.saddlepoint_start(xs)
+            t = m.saddlepoint_start(xs, *m.k1_k2(0.0))
             np.testing.assert_allclose(m.k1(t), xs, rtol=1e-10, atol=1e-10)
 
 
@@ -424,33 +430,16 @@ class TestBatchLog:
 
 
 class TestK1K2:
-    @pytest.mark.parametrize(
-        "m, t",
-        [
-            (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), np.linspace(-5.0, 5.0, 11)),
-            (Exponential(2.0), np.array([-10.0, 0.0, 1.0, 1.999])),
-            (Knee(a=1000.0, eps=0.01), np.linspace(-1.0, 1.0, 21)),
-            (Nig(_NIG_P), _DOMAIN_SPAN),
-            (Nig(_NIG_SMALL), _DOMAIN_SPAN),
-            (MjdTransition(_C6), _MJD_T),
-            (MjdTransition(_LAM3, x0=0.0, dt=1.0 / 252.0), _MJD_T),
-        ],
-    )
-    def test_equals_k1_and_k2_bit_for_bit(self, m, t):
-        # _DOMAIN_SPAN is a share of the domain's width from its lower end;
+    @pytest.mark.parametrize("params", [_C6, _LAM3])
+    def test_mjd_is_inf_and_nan_where_the_jump_exponential_is(self, params):
         # _MJD_T reaches where exp(jump exponent) overflows (inf) and
-        # where it is not defined (nan)
-        if isinstance(m, Nig):
-            dom = m.domain()
-            t = dom.lo + (dom.hi - dom.lo) * t
+        # where it is not defined (nan); k1_k2 raises for neither
+        m = MjdTransition(params, x0=0.0, dt=1.0 / 252.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for arg in (t, t[len(t) // 2]):
-                k1, k2 = m.k1_k2(arg)
-                assert np.array_equal(k1, m.k1(arg), equal_nan=True)
-                assert np.array_equal(k2, m.k2(arg), equal_nan=True)
-            if isinstance(m, MjdTransition):
-                k2 = m.k1_k2(t)[1]
-                assert np.isinf(k2).any() and np.isnan(k2).any()
+            k1, k2 = m.k1_k2(_MJD_T)
+        assert np.isinf(k2).any() and np.isnan(k2).any()
+        assert np.array_equal(np.isnan(k1), np.isnan(k2))
+        assert np.all(np.isfinite(k2[np.abs(_MJD_T) <= 50.0]))
 
     @pytest.mark.parametrize("params", [_NIG_P, _NIG_SMALL])
     def test_nig_raises_outside_the_domain_as_k1_does(self, params):
