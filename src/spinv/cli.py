@@ -1,7 +1,9 @@
 """Command-line front end: density grids, fitting, profiles, simulation.
 
 Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
---output or stdout. Exit codes: 0 success, 2 input parsing, 3 validation,
+--output or stdout; density and profile emit JSON records with --format
+json. Each subcommand declares only the flags it reads. Exit codes: 0
+success, 2 input parsing (an undeclared flag included), 3 validation,
 4 convergence, 5 inversion/quadrature failure. What a command knows of a
 family comes from its record in estimation.FAMILIES: the --family choices,
 the --params names and defaults, the model, oracle, simulator and more.
@@ -53,7 +55,6 @@ from .inversion import (
 )
 from .models import MjdTransition, Nig  # noqa: F401 (unused; perfbench/tracing.py patches them)
 
-_PARAM_ALIASES = {"lambda": "lam"}
 # the most rows a --grid may ask for, checked before anything is allocated
 _MAX_GRID_ROWS = 10**7
 # exit code by error type, first match; validation and domain errors give 3
@@ -62,13 +63,13 @@ _EXIT_CODES = (
 )
 
 
-def _parse_params(pairs):
+def _parse_params(pairs, aliases):
     out = {}
     for token in pairs or []:
         key, sep, value = token.partition("=")
         if not sep:
             raise ValidationError(f"--params expects key=value, got {token!r}")
-        key = _PARAM_ALIASES.get(key, key)
+        key = aliases.get(key, key)
         if key in out:
             raise ValidationError(f"--params gives {key!r} more than once")
         try:
@@ -79,9 +80,15 @@ def _parse_params(pairs):
 
 
 def _family_params(family, pairs):
-    """The family's params object; fields with a default may be left out."""
-    cls = FAMILIES[family].transform.params
-    params = _parse_params(pairs)
+    """The family's params object; fields with a default may be left out.
+
+    A field may also be named by its unconstrained coordinate less "log_"
+    (mjd's lam as lambda, from log_lambda).
+    """
+    tr = FAMILIES[family].transform
+    cls = tr.params
+    aliases = {n.removeprefix("log_"): f.name for f, n in zip(fields(cls), tr.names)}
+    params = _parse_params(pairs, aliases)
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
     if missing:
         raise ValidationError(f"family {family!r} needs --params {' '.join(missing)}")
@@ -207,17 +214,11 @@ def _density_rows(model, xs, method, quad):
     A row whose saddlepoint solve failed, or whose p_bar(0) is unusable,
     gets that as its error.
     """
-    tilt, jac, p_bar, sp = log_density_terms(model, xs, method, quad)
+    *terms, p_bar, sp = log_density_terms(model, xs, method, quad)
     rows = []
-    for i, (x, t, j, p, failed) in enumerate(
-        zip(xs.tolist(), tilt.tolist(), jac.tolist(), p_bar.tolist(), sp.reason.tolist())
-    ):
-        error = str(sp.error(i)) if failed else p_bar_error(p, f"at x0 = {x}")
-        if error:
-            rows.append([x, "", "", "", "", error])
-        else:
-            log_p_bar = math.log(p)
-            rows.append([x, t + j + log_p_bar, t, j, log_p_bar, ""])
+    for i, row in enumerate(zip(xs.tolist(), *(v.tolist() for v in terms))):
+        error = str(sp.error(i)) if sp.reason[i] else p_bar_error(p_bar[i], f"at x0 = {row[0]}")
+        rows.append([row[0], "", "", "", "", error] if error else [*row, ""])
     return rows
 
 
@@ -312,57 +313,53 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=True):
+    def command(name, func, help, method=True, params=True, table=False):
+        """A subcommand with the flag groups its func reads: method and rule, params, format."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--family", required=True, choices=list(FAMILIES))
         if method:
             p.add_argument("--method", default="spi", choices=["spi", "spa", "direct", "oracle"])
-        p.add_argument("--params", nargs="+", metavar="K=V")
+            p.add_argument(
+                "--quad-upper",
+                type=float,
+                default=None,
+                help="upper end of the inversion rule's range [0, U] (default: "
+                + _rule_defaults("upper_limit") + ")",
+            )
+            p.add_argument(
+                "--quad-points",
+                type=int,
+                default=None,
+                help="evaluations of the rule, an even count bumped to odd; spi takes the "
+                "trapezoid rule, direct Simpson's (default: " + _rule_defaults("n_points") + ")",
+            )
+        if params:
+            p.add_argument("--params", nargs="+", metavar="K=V")
+        if table:
+            p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--output", default=None)
-        p.add_argument("--format", default=None, choices=["csv", "json"])
         p.add_argument("--dt", type=float, default=1.0 / 252.0)
-        p.add_argument(
-            "--quad-upper",
-            type=float,
-            default=None,
-            help="upper end of the inversion rule's range [0, U] (default: "
-            + _rule_defaults("upper_limit") + ")",
-        )
-        p.add_argument(
-            "--quad-points",
-            type=int,
-            default=None,
-            help="evaluations of the rule, an even count bumped to odd; spi takes "
-            "the trapezoid rule, direct Simpson's (default: " + _rule_defaults("n_points") + ")",
-        )
+        return p
 
-    d = sub.add_parser("density", help="log-density over an x grid")
-    common(d)
+    d = command("density", cmd_density, "log-density over an x grid", table=True)
     d.add_argument("--grid", required=True, help="lo:hi:step")
     d.add_argument("--x0", type=float, default=0.0, help="mjd transition start (log price)")
-    d.set_defaults(func=cmd_density, format_default="csv")
 
-    f = sub.add_parser("fit", help="maximum-likelihood fit of a price CSV")
-    common(f)
+    f = command("fit", cmd_fit, "maximum-likelihood fit of a price CSV", params=False)
     f.add_argument("--input", required=True)
-    f.set_defaults(func=cmd_fit, format_default="json")
 
-    p = sub.add_parser("profile", help="profile NLL over one unconstrained parameter")
-    common(p)
+    p = command("profile", cmd_profile, "profile NLL over one unconstrained parameter", table=True)
     p.add_argument("--input", required=True)
     p.add_argument("--param", required=True, help="unconstrained name, e.g. log_lambda")
     p.add_argument("--grid", required=True, help="lo:hi:step")
-    p.set_defaults(func=cmd_profile, format_default="csv")
 
-    s = sub.add_parser("simulate", help="simulate a price path CSV")
-    common(s, method=False)
+    s = command("simulate", cmd_simulate, "simulate a price path CSV", method=False)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_simulate, format_default="csv")
 
-    g = sub.add_parser("loglik", help="log-likelihood of given params on a price CSV")
-    common(g)
+    g = command("loglik", cmd_loglik, "log-likelihood of given params on a price CSV")
     g.add_argument("--input", required=True)
-    g.set_defaults(func=cmd_loglik, format_default="json")
 
     return parser
 
@@ -377,8 +374,6 @@ def main(argv=None):
             argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
             break
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.format_default
     try:
         return args.func(args)
     except SpinvError as exc:

@@ -30,11 +30,12 @@ step. Direct IFT keeps its Simpson rule. The point count stays odd for
 both: the even-indexed points of an SPI rule are the trapezoid rule of
 twice the step, and the gap between the two is the step error indicator.
 
-The scalar evaluators are views of the batch ones: spi_log_density and
-spa_log_density solve one saddlepoint (keeping its iteration count) and
-take that row's terms from the batch code, so an SPA row, and an SPI row
-where the core takes each row by itself, equals its batch row bit for
-bit; direct_ift_log_density is one row of direct_ift_log_density_batch.
+SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
+takes the terms and their sum from one expression (_solved_terms). The
+scalar ones solve one saddlepoint (keeping its iteration count) and take
+that row's terms, so an SPA row, and an SPI row where the core takes each
+row by itself, equals its batch row bit for bit; direct_ift_log_density
+is one row of direct_ift_log_density_batch.
 """
 
 import math
@@ -49,7 +50,7 @@ from .models import MjdTransition
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
 
 _DENSITY_FLOOR = 1e-14
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_SPA_P_BAR = (2.0 * math.pi) ** -0.5
 # CF entries per block of the core: the CF matrix of a block stays in
 # cache, and peak memory does not grow with the number of rows
 _BLOCK_ENTRIES = 8192
@@ -224,10 +225,10 @@ def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c[0] + t * b1 - b2
 
 
-def _read_fit(model: CgfModel, x, tau, k2, c, to_v, a: float, b: float) -> np.ndarray:
+def _read_fit(model: CgfModel, tau, k2, residual, c, to_v, a: float, b: float) -> np.ndarray:
     """log p_bar at each row from the fit c of log p_bar(0) over v in [a, b].
 
-    k2 is K''(tau), row by row.
+    k2 is K''(tau) and residual K'(tau) - x, row by row, from the solver.
 
     The solver's tau leaves a residual x - K'(tau), so the per-row rule
     takes the standardized tilted density at z = (x - K'(tau))/sqrt(K''(tau))
@@ -238,7 +239,7 @@ def _read_fit(model: CgfModel, x, tau, k2, c, to_v, a: float, b: float) -> np.nd
     there keeps the residual, up to 1e-8 nats, out of each row and keeps
     the likelihood smooth in the parameters.
     """
-    tau_x = tau - (model.k1(tau) - x) / k2
+    tau_x = tau - residual / k2
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = _clenshaw(c, (2.0 * to_v(tau_x) - a - b) / (b - a))
         log_p += 0.5 * np.log(k2 / np.asarray(model.k2(tau_x), dtype=float))
@@ -246,7 +247,7 @@ def _read_fit(model: CgfModel, x, tau, k2, c, to_v, a: float, b: float) -> np.nd
 
 
 def _interpolated(
-    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
+    model: CgfModel, tau: np.ndarray, k2: np.ndarray, residual: np.ndarray, quad: QuadratureSpec
 ):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
 
@@ -290,15 +291,15 @@ def _interpolated(
         c = _cheb_coeffs(log_p)
         tail = float(np.abs(c[-(c.size // 4):]).max())
         if tail <= _FIT_TOL:
-            p_bar = np.exp(_read_fit(model, x, tau, k2, c, to_v, a, b))
+            p_bar = np.exp(_read_fit(model, tau, k2, residual, c, to_v, a, b))
             return (p_bar, step, trunc), nodes, tail, None
     return None, nodes, tail, f"{nodes} nodes not converged"
 
 
-def p_bar_zero_batch(
-    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
-) -> np.ndarray:
-    """p_bar(0) at each point x with solved saddlepoint tau and K''(tau) = k2: the batch core.
+def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec) -> np.ndarray:
+    """p_bar(0) at each point x with solved saddlepoint tau: the batch core.
+
+    k2 is K''(tau) and residual K'(tau) - x, as the solver leaves them.
 
     p_bar(0) depends on x only through tau, since x = K'(tau), so a batch
     samples one smooth function of the tilt. The core interpolates log
@@ -326,7 +327,7 @@ def p_bar_zero_batch(
     positive is returned as it is, and each caller decides what to do
     with it (see p_bar_error).
     """
-    fit, nodes, tail, reason = _interpolated(model, x, tau, k2, quad)
+    fit, nodes, tail, reason = _interpolated(model, tau, k2, residual, quad)
     p_bar, step, trunc = fit if fit is not None else _p_bar_zero_rows(model, x, tau, k2, quad)
     debug(
         __name__,
@@ -350,75 +351,89 @@ def p_bar_error(p_bar: float, where: str):
     return None
 
 
-def _solved_terms(model: CgfModel, x, tau, k2, method: str, quad: QuadratureSpec):
-    """(tilt_term, jacobian_term, p_bar) over rows whose saddlepoint tau was solved."""
+def _solved_terms(model: CgfModel, x, tau, k2, residual, method: str, quad: QuadratureSpec):
+    """(log_density, tilt_term, jacobian_term, log_p_bar, p_bar) over solved rows.
+
+    tau, k2 and residual are the solver's root, K''(tau) and K'(tau) - x.
+    SPA's p_bar(0) is the scalar (2 pi)^{-1/2}, which broadcasts over the
+    rows; SPI's comes from the core, bad rows included (see p_bar_error).
+    """
     tilt_term = np.asarray(model.k(tau), dtype=float) - tau * x
     jacobian_term = -0.5 * np.log(k2)
     if method == "spa":
-        return tilt_term, jacobian_term, np.full(x.shape, math.exp(-_LOG_SQRT_TWO_PI))
-    if quad is None:
-        quad = default_spi_quad(model)
-    return tilt_term, jacobian_term, p_bar_zero_batch(model, x, tau, k2, quad)
+        p_bar = _SPA_P_BAR
+    else:
+        if quad is None:
+            quad = default_spi_quad(model)
+        p_bar = p_bar_zero_batch(model, x, tau, k2, residual, quad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p_bar = np.log(p_bar)
+    return tilt_term + jacobian_term + log_p_bar, tilt_term, jacobian_term, log_p_bar, p_bar
 
 
 def log_density_terms(
     model: CgfModel, x: np.ndarray, method: str = "spi", quad: QuadratureSpec = None
 ):
-    """(tilt_term, jacobian_term, p_bar, sp) arrays over x, from one batch pass.
+    """(log_density, tilt_term, jacobian_term, log_p_bar, p_bar, sp) over x, from one batch pass.
 
     method "spa" takes p_bar(0) = (2 pi)^{-1/2}; "spi" takes it from the
     core, bad rows included. sp is the SaddlepointBatch: where a row's
-    solve failed, its three terms are NaN and sp.error(i) says why.
+    solve failed, its five values are NaN and sp.error(i) says why.
     Nothing is raised for a bad row.
     """
     x = np.asarray(x, dtype=float)
     sp = solve_saddlepoint_batch(model, x)
     solved = sp.reason == 0
-    terms = np.full((3, x.size), np.nan)
+    terms = np.full((5, x.size), np.nan)
     if solved.any():
-        terms[:, solved] = _solved_terms(model, x[solved], sp.tau[solved], sp.k2[solved], method, quad)
+        rows = (v[solved] for v in (x, sp.tau, sp.k2, sp.residual))
+        for row, v in zip(terms, _solved_terms(model, *rows, method, quad)):
+            row[solved] = v
     return (*terms, sp)
+
+
+def _log_densities(model: CgfModel, x: np.ndarray, method: str, quad: QuadratureSpec):
+    """The log-density at every point of x, from one batch pass, or the first row's error.
+
+    Raises the error of the first point whose saddlepoint solve failed,
+    before any quadrature, else InversionError for the first point whose
+    p_bar(0) is unusable.
+    """
+    x = np.asarray(x, dtype=float)
+    sp = solve_saddlepoint_batch(model, x)
+    sp.raise_first_failure()
+    log_density, *_, p_bar = _solved_terms(model, x, sp.tau, sp.k2, sp.residual, method, quad)
+    bad = np.flatnonzero(~(np.isfinite(p_bar) & (p_bar > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise InversionError(p_bar_error(p_bar[i], f"for observation {i} (x = {x[i]})"))
+    return log_density
 
 
 def spi_log_density_batch(
     model: CgfModel, x: np.ndarray, quad: QuadratureSpec = None
 ) -> np.ndarray:
-    """SPI log-density over many points of one model, in one batch pass.
+    """SPI log-density over many points of one model, in one batch pass (see _log_densities)."""
+    return _log_densities(model, x, "spi", quad)
 
-    Likelihood evaluation calls this once per optimizer step. Raises the
-    error of the first point whose saddlepoint solve failed, else
-    InversionError for the first point whose p_bar(0) is unusable.
-    """
-    x = np.asarray(x, dtype=float)
-    sp = solve_saddlepoint_batch(model, x)
-    sp.raise_first_failure()
-    tilt_term, jacobian_term, p_bar = _solved_terms(model, x, sp.tau, sp.k2, "spi", quad)
-    bad = np.flatnonzero(~(np.isfinite(p_bar) & (p_bar > 0.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise InversionError(p_bar_error(p_bar[i], f"for observation {i} (x = {x[i]})"))
-    return tilt_term + jacobian_term + np.log(p_bar)
+
+def spa_log_density_batch(model: CgfModel, x: np.ndarray) -> np.ndarray:
+    """SPA log-density over many points of one model, in one batch pass (see _log_densities)."""
+    return _log_densities(model, x, "spa", None)
 
 
 def _log_density_row(model: CgfModel, x0: float, method: str, quad: QuadratureSpec):
     """One row of _solved_terms, at the saddlepoint solve_saddlepoint finds."""
     x0 = float(x0)
     sp = solve_saddlepoint(model, x0)
-    x, tau, k2 = np.array([x0]), np.array([sp.tau_hat]), np.array([sp.k2_at])
-    tilt_term, jacobian_term, p_bar = (
-        float(v[0]) for v in _solved_terms(model, x, tau, k2, method, quad)
+    rows = (np.array([v]) for v in (x0, sp.tau_hat, sp.k2_at, sp.residual))
+    log_density, tilt_term, jacobian_term, log_p_bar, p_bar = (
+        float(np.ravel(v)[0]) for v in _solved_terms(model, *rows, method, quad)
     )
     error = p_bar_error(p_bar, f"at x0 = {x0}")
     if error:
         raise InversionError(error)
-    log_p_bar = math.log(p_bar)
-    return LogDensityResult(
-        log_density=tilt_term + jacobian_term + log_p_bar,
-        tilt_term=tilt_term,
-        jacobian_term=jacobian_term,
-        log_p_bar=log_p_bar,
-        saddlepoint=sp,
-    )
+    return LogDensityResult(log_density, tilt_term, jacobian_term, log_p_bar, sp)
 
 
 def spi_log_density(
@@ -431,18 +446,6 @@ def spi_log_density(
 def spa_log_density(model: CgfModel, x0: float) -> LogDensityResult:
     """Classical saddlepoint approximation; no quadrature involved."""
     return _log_density_row(model, x0, "spa", None)
-
-
-def spa_log_density_batch(model: CgfModel, x: np.ndarray) -> np.ndarray:
-    """SPA log-density over many points of one model.
-
-    Raises the error of the first point whose saddlepoint solve failed.
-    """
-    x = np.asarray(x, dtype=float)
-    sp = solve_saddlepoint_batch(model, x)
-    sp.raise_first_failure()
-    k_at = np.asarray(model.k(sp.tau), dtype=float)
-    return k_at - sp.tau * x - 0.5 * np.log(2.0 * math.pi * sp.k2)
 
 
 def direct_ift_log_density_batch(

@@ -41,7 +41,6 @@ NOT_CONVERGED, UNATTAINABLE, UNRESOLVABLE = 1, 2, 3
 @dataclass(frozen=True)
 class SaddlepointSolution:
     tau_hat: float
-    k_at: float
     k2_at: float
     residual: float
     iterations: int
@@ -106,9 +105,8 @@ def solve_saddlepoint(
     exc = sp.error(0)
     if exc is not None:
         raise exc
-    tau = float(sp.tau[0])
-    k2, residual = float(sp.k2[0]), float(sp.residual[0])
-    return SaddlepointSolution(tau, float(model.k(tau)), k2, residual, sp.iterations)
+    tau, k2, residual = float(sp.tau[0]), float(sp.k2[0]), float(sp.residual[0])
+    return SaddlepointSolution(tau, k2, residual, sp.iterations)
 
 
 class _Guard:

@@ -13,9 +13,14 @@ import pytest
 
 import spinv.cli
 from spinv.cli import main, read_price_csv
-from spinv.errors import InversionError, ParseError, ValidationError
+from spinv.errors import InversionError, ParseError, SpinvError, ValidationError
 from spinv.estimation import GbmParams, ReturnSeries, negative_log_likelihood, profile_nll
-from spinv.inversion import spa_log_density, spi_log_density
+from spinv.inversion import (
+    spa_log_density,
+    spa_log_density_batch,
+    spi_log_density,
+    spi_log_density_batch,
+)
 from spinv.models import GaussianParams, MjdParams, Nig, NigParams, gaussian_log_density
 from spinv.saddlepoint import solve_saddlepoint_batch
 
@@ -81,12 +86,14 @@ class TestDensity:
         assert rows[0][2] == "" and rows[0][4] == ""
         np.testing.assert_allclose(float(rows[0][1]), -0.5 * np.log(2 * np.pi), rtol=1e-12)
 
-    def test_custom_params_and_lambda_alias(self, capsys):
+    # lambda names lam after mjd's coordinate log_lambda
+    @pytest.mark.parametrize("name", ["lambda", "lam"])
+    def test_custom_params_and_lambda_alias(self, capsys, name):
         code, out, _ = _run(
             capsys,
             [
                 "density", "--family", "mjd", "--method", "oracle",
-                "--params", "r=0.05", "sigma=0.2", "lambda=3", "mu_j=-0.05", "nu=0.1",
+                "--params", "r=0.05", "sigma=0.2", f"{name}=3", "mu_j=-0.05", "nu=0.1",
                 "--grid", "0:0:1",
             ],
         )
@@ -232,6 +239,33 @@ class TestDensity:
                 assert abs(float(row[1]) - expected[float(row[0])]) < 1e-5
 
     @pytest.mark.parametrize("method", ["spa", "spi"])
+    def test_density_rows_equal_the_batch(self, capsys, method):
+        # the batch evaluators and the density rows take every term and the
+        # sum from one expression, so the rows equal the batch to the bit.
+        # Here the 11 rows from -900 to -600 cannot be solved and spi fails
+        # two more by p_bar(0); both the grid and its good rows are too few
+        # for the fit, so spi takes each row by its own rule on both sides
+        p = NigParams(chi=0.125, psi=0.125)
+        code, out, _ = _run(
+            capsys,
+            [
+                "density", "--family", "nig", "--method", method,
+                "--params", "chi=0.125", "psi=0.125", "--grid", "-900:30:30",
+            ],
+        )
+        assert code == 5
+        _, rows = _parse_csv(out)
+        good = [r for r in rows if not r[5]]
+        assert len(rows) == 32 and len(good) == (21 if method == "spa" else 19)
+        batch = spa_log_density_batch if method == "spa" else spi_log_density_batch
+        want = batch(Nig(p), np.array([float(r[0]) for r in good]))
+        assert [float(r[1]) for r in good] == want.tolist()
+        # over the whole grid the batch raises the first failed row's error
+        with pytest.raises(SpinvError) as exc:
+            batch(Nig(p), np.array([float(r[0]) for r in rows]))
+        assert str(exc.value) == f"observation 0: {rows[0][5]}"
+
+    @pytest.mark.parametrize("method", ["spa", "spi"])
     def test_scalar_rows_equal_the_density_rows(self, capsys, method):
         # the scalar evaluators take a row's terms from the batch code, so
         # each equals its CLI row to the bit: on this grid, taking the
@@ -278,6 +312,33 @@ class TestDensity:
         with pytest.raises(SystemExit) as exc:
             main(["density", "--family", "cauchy", "--grid", "0:1:1"])
         assert exc.value.code == 2
+
+
+class TestFlags:
+    """Each subcommand declares only the flags it reads; any other exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "--family", "gbm", "--input", "p.csv", "--params", "r=9", "sigma=9"], "--params"),
+            (["fit", "--family", "gbm", "--input", "p.csv", "--format", "csv"], "--format"),
+            (["loglik", "--family", "gbm", "--params", "r=0", "sigma=1", "--input", "p.csv",
+              "--format", "csv"], "--format"),
+            (["simulate", "--family", "gbm", "--params", "r=0", "sigma=1", "--n", "3",
+              "--format", "json"], "--format"),
+            (["simulate", "--family", "gbm", "--params", "r=0", "sigma=1", "--n", "3",
+              "--quad-upper", "5"], "--quad-upper"),
+            (["simulate", "--family", "gbm", "--params", "r=0", "sigma=1", "--n", "3",
+              "--quad-points", "65"], "--quad-points"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
 
 
 class TestSimulate:

@@ -136,7 +136,6 @@ class TestExactCases:
         m = Nig(NigParams(chi=1.0, psi=4.0, mu=0.0, gamma=0.5))
         x0 = m.mean() + 1.5 * np.sqrt(m.variance())
         sp = solve_saddlepoint(m, x0)
-        np.testing.assert_allclose(sp.k_at, float(m.k(sp.tau_hat)), rtol=1e-14)
         np.testing.assert_allclose(sp.k2_at, float(m.k2(sp.tau_hat)), rtol=1e-14)
         np.testing.assert_allclose(sp.residual, float(m.k1(sp.tau_hat)) - x0, atol=1e-12)
 
