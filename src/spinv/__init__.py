@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     InversionError,
     ParseError,
-    QuadratureError,
     SpinvError,
     UnattainableMeanError,
     ValidationError,
@@ -38,7 +37,6 @@ from .inversion import (
     direct_ift_log_density_batch,
     log_density_terms,
     p_bar_zero_batch,
-    simpson_integrate,
     spa_log_density,
     spa_log_density_batch,
     spi_log_density,

@@ -38,8 +38,9 @@ class DomainInterval:
                 f"CGF domain ({self.lo}, {self.hi}) must contain 0 in its interior"
             )
 
-    def contains(self, t) -> bool:
-        return self.lo < t < self.hi
+    def contains(self, t):
+        """Whether each t lies strictly inside the interval (never for NaN)."""
+        return (self.lo < t) & (t < self.hi)
 
 
 class CgfModel(ABC):

@@ -4,7 +4,7 @@ Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 --output or stdout; density and profile emit JSON records with --format
 json. Each subcommand declares only the flags it reads. Exit codes: 0
 success, 2 input parsing (an undeclared flag included), 3 validation,
-4 convergence, 5 inversion/quadrature failure. What a command knows of a
+4 convergence, 5 inversion failure. What a command knows of a
 family comes from its record in estimation.FAMILIES: the --family choices,
 the --params names and defaults, the model, oracle, simulator and more.
 
@@ -32,7 +32,6 @@ from .errors import (
     ConvergenceError,
     InversionError,
     ParseError,
-    QuadratureError,
     SpinvError,
     ValidationError,
 )
@@ -59,7 +58,7 @@ from .models import MjdTransition, Nig  # noqa: F401 (unused; perfbench/tracing.
 _MAX_GRID_ROWS = 10**7
 # exit code by error type, first match; validation and domain errors give 3
 _EXIT_CODES = (
-    (ParseError, 2), (ConvergenceError, 4), ((InversionError, QuadratureError), 5), (SpinvError, 3)
+    (ParseError, 2), (ConvergenceError, 4), (InversionError, 5), (SpinvError, 3)
 )
 
 

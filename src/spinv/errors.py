@@ -1,7 +1,10 @@
 """Exception taxonomy shared across the package.
 
 Every failure mode surfaced by the numerical layers maps to one of these,
-so the CLI can translate them into distinct exit codes.
+so the CLI can translate them into distinct exit codes: 2 for ParseError,
+4 for ConvergenceError (UnattainableMeanError included), 5 for
+InversionError (an unusable p_bar(0), the only error an inversion
+raises), and 3 for the rest.
 """
 
 
@@ -25,16 +28,6 @@ class ParseError(SpinvError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class QuadratureError(SpinvError):
-    """Non-finite integrand evaluation; carries the offending abscissa."""
-
-    def __init__(self, message, abscissa=None):
-        if abscissa is not None:
-            message = f"{message} (at abscissa {abscissa!r})"
-        super().__init__(message)
-        self.abscissa = abscissa
 
 
 class InversionError(SpinvError):

@@ -26,9 +26,13 @@ standardized tilted CF. That integrand is even and analytic in a strip,
 where the trapezoid rule converges geometrically as its step shrinks
 (Trefethen & Weideman 2014, SIAM Rev. 56:385); Simpson's rule is
 (4 T_h - T_2h)/3 and so carries the error of the rule with twice the
-step. Direct IFT keeps its Simpson rule. The point count stays odd for
-both: the even-indexed points of an SPI rule are the trapezoid rule of
-twice the step, and the gap between the two is the step error indicator.
+step. Direct IFT keeps its Simpson rule. Every rule's points are summed
+by one reduction (_even_odd) in one loop over blocks of rows (_row_sums):
+the sum over the even-indexed points less half the two ends, which is
+T_2h / 2h, and the sum over the odd-indexed points. The trapezoid rule,
+the SPI step error indicator (the gap between T_h and T_2h) and
+Simpson's rule are each read off that pair, so the point count stays odd
+for both methods.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
 takes the terms and their sum from one expression (_solved_terms). The
@@ -45,14 +49,14 @@ import numpy as np
 
 from ._log import debug
 from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
-from .errors import InversionError, QuadratureError, ValidationError
+from .errors import InversionError, ValidationError
 from .models import MjdTransition
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
 
 _DENSITY_FLOOR = 1e-14
 _SPA_P_BAR = (2.0 * math.pi) ** -0.5
-# CF entries per block of the core: the CF matrix of a block stays in
-# cache, and peak memory does not grow with the number of rows
+# integrand entries per block of every Fourier rule (_row_sums): a block
+# stays in cache, and peak memory does not grow with the number of rows
 _BLOCK_ENTRIES = 8192
 # Chebyshev degrees of the nested fit levels (17, 33, 65, 129, 257 nodes),
 # and the bound on its last-quarter coefficients, in nats of log p_bar
@@ -68,11 +72,12 @@ class QuadratureSpec:
     """A rule on [0, upper_limit] with n_points evaluations, n_points odd.
 
     SPI takes the trapezoid rule on these points and direct IFT the
-    composite Simpson rule, which needs an even subinterval count. The
-    count is odd for SPI too, so that its even-indexed points form the
-    trapezoid rule of twice the step: the core's step error indicator at
-    no extra CF cost. An even n_points is bumped up by one; asking for 512
-    runs 513 evaluations.
+    composite Simpson rule; both are read off the sums over the even- and
+    the odd-indexed points (_even_odd). The count is odd, so that the
+    even-indexed points form the trapezoid rule of twice the step: the
+    core's step error indicator at no extra CF cost, and the other half
+    of Simpson's rule. An even n_points is bumped up by one; asking for
+    512 runs 513 evaluations.
     """
 
     upper_limit: float
@@ -106,41 +111,35 @@ class LogDensityResult:
     saddlepoint: SaddlepointSolution
 
 
-def simpson_sum(vals: np.ndarray) -> np.ndarray:
-    """Simpson's weighted sum (1, 4, 2, ..., 4, 1) along the last axis of vals.
+def _even_odd(vals: np.ndarray):
+    """(even, odd) along the last axis of vals, an odd number of points.
 
-    Plain sums rather than a product with the weights: numpy hands a
-    matrix-vector product to BLAS, whose threads spin a second core for
-    nothing on products this small.
+    even is the sum over the even-indexed points less half the two ends,
+    odd the sum over the odd-indexed points. With step h, the trapezoid
+    rule is h (even + odd), the trapezoid rule of step 2h is 2h even, and
+    Simpson's rule is h (2 even + 4 odd) / 3. Plain sums rather than a
+    product with the weights: numpy hands a matrix-vector product to BLAS,
+    whose threads spin a second core for nothing on products this small.
     """
-    return (
-        vals[..., 0]
-        + vals[..., -1]
-        + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-        + 2.0 * vals[..., 2:-1:2].sum(axis=-1)
-    )
+    ends = 0.5 * (vals[..., 0] + vals[..., -1])
+    return vals[..., ::2].sum(axis=-1) - ends, vals[..., 1::2].sum(axis=-1)
 
 
-def _simpson_rows(vals: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """(1/pi) * Simpson over [0, upper_limit] of each row of vals: the direct IFT rule."""
-    h = quad.upper_limit / (quad.n_points - 1)
-    return h / 3.0 * simpson_sum(vals) / math.pi
+def _row_sums(n_rows: int, s: np.ndarray, integrand):
+    """(even, odd, last) of each row's rule on the points s, in blocks of about _BLOCK_ENTRIES entries.
 
-
-def simpson_integrate(f, a: float, b: float, n_points: int) -> float:
-    """Composite Simpson on [a, b]; f must be vectorized over an array of abscissae."""
-    if not b > a:
-        raise ValidationError(f"need a < b, got [{a}, {b}]")
-    if n_points < 3:
-        raise ValidationError(f"n_points must be at least 3, got {n_points}")
-    n = n_points + 1 if n_points % 2 == 0 else n_points
-    xs = np.linspace(a, b, n)
-    vals = np.asarray(f(xs), dtype=float)
-    if not np.isfinite(vals).all():
-        i = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise QuadratureError("integrand not finite", abscissa=float(xs[i]))
-    h = (b - a) / (n - 1)
-    return float(h / 3.0 * simpson_sum(vals))
+    integrand(b) is the real integrand at s of the rows in slice b, one
+    row each; (even, odd) are _even_odd of a row and last its value at
+    s[-1]. Every Fourier integral of the package is summed here.
+    """
+    rows = max(1, _BLOCK_ENTRIES // s.size)
+    even, odd, last = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+    for lo in range(0, n_rows, rows):
+        b = slice(lo, lo + rows)
+        vals = integrand(b)
+        even[b], odd[b] = _even_odd(vals)
+        last[b] = vals[:, -1]
+    return even, odd, last
 
 
 def _largest(vals: np.ndarray) -> float:
@@ -167,20 +166,14 @@ def _p_bar_zero_rows(
     """
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
     h = quad.upper_limit / (quad.n_points - 1)
-    rows = max(1, _BLOCK_ENTRIES // quad.n_points)
-    # fine and coarse hold T_h / h and T_2h / 2h of each row
-    fine, coarse, last = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, x.size, rows):
-            b = slice(lo, lo + rows)
-            re = standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s).real
-            ends = 0.5 * (re[:, 0] + re[:, -1])
-            even = re[:, ::2].sum(axis=1) - ends
-            fine[b] = even + re[:, 1::2].sum(axis=1)
-            coarse[b] = even
-            last[b] = re[:, -1]
+        even, odd, last = _row_sums(
+            x.size, s,
+            lambda b: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s).real,
+        )
+        fine = even + odd
         p_bar = h / math.pi * fine
-        step = np.abs(1.0 - 2.0 * coarse / fine)
+        step = np.abs(1.0 - 2.0 * even / fine)
     return p_bar, _largest(step), _largest(np.abs(last))
 
 
@@ -379,8 +372,11 @@ def log_density_terms(
     method "spa" takes p_bar(0) = (2 pi)^{-1/2}; "spi" takes it from the
     core, bad rows included. sp is the SaddlepointBatch: where a row's
     solve failed, its five values are NaN and sp.error(i) says why.
-    Nothing is raised for a bad row.
+    Nothing is raised for a bad row; any other method raises
+    ValidationError.
     """
+    if method not in ("spi", "spa"):
+        raise ValidationError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=float)
     sp = solve_saddlepoint_batch(model, x)
     solved = sp.reason == 0
@@ -454,11 +450,12 @@ def direct_ift_log_density_batch(
     """Plain Fourier inversion, no tilting, over many points; floored at 1e-14."""
     if quad is None:
         quad = DEFAULT_DIRECT_QUAD
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
+    h = quad.upper_limit / (quad.n_points - 1)
     phi = char_fn(model, s)
-    vals = (phi[None, :] * np.exp(-1j * np.outer(x, s))).real
-    return np.log(np.maximum(_DENSITY_FLOOR, _simpson_rows(vals, quad)))
+    even, odd, _ = _row_sums(x.size, s, lambda b: (phi * np.exp(-1j * np.outer(x[b], s))).real)
+    return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
 
 
 def direct_ift_log_density(

@@ -119,10 +119,6 @@ class Gaussian(CgfModel):
     def k1_k2(self, t):
         return self.params.mu + self._var * t, self._var + 0.0 * t
 
-    def saddlepoint_start(self, x, mean, variance):
-        """The exact root of K'(t) = x."""
-        return (np.asarray(x, dtype=float) - self.params.mu) / self._var
-
     def domain(self) -> DomainInterval:
         return DomainInterval(-np.inf, np.inf)
 

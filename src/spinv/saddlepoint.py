@@ -172,7 +172,7 @@ class _Guard:
         s = step[g]
         q = tg + s
         for _ in range(80):
-            out = np.isfinite(s) & ~_inside(self.dom, q)
+            out = np.isfinite(s) & ~self.dom.contains(q)
             if not out.any():
                 break
             s[out] *= 0.5
@@ -203,16 +203,6 @@ class _Guard:
         t_new[g] = np.where(fail, tg, p)
         self.reason[g] = reason
         self.rows = g[~fail]
-
-
-def _inside(dom, t):
-    """Whether each t lies strictly inside the domain."""
-    ok = np.isfinite(t)
-    if math.isfinite(dom.lo):
-        ok &= t > dom.lo
-    if math.isfinite(dom.hi):
-        ok &= t < dom.hi
-    return ok
 
 
 def solve_saddlepoint_batch(
@@ -271,7 +261,7 @@ def solve_saddlepoint_batch(
             halved = a <= a_half
             good &= halved
             if bounded:
-                good &= _inside(dom, t_new)
+                good &= dom.contains(t_new)
             good |= done
             if guard is not None or not good.all():
                 if guard is None:

@@ -46,6 +46,11 @@ class TestDomainInterval:
         d = DomainInterval(-np.inf, np.inf)
         assert d.contains(-1e300) and d.contains(1e300)
 
+    def test_elementwise_and_never_inf_or_nan(self):
+        t = np.array([-np.inf, -1.0, 0.0, 2.0, np.inf, np.nan])
+        assert DomainInterval(-1.0, 2.0).contains(t).tolist() == [0, 0, 1, 0, 0, 0]
+        assert DomainInterval(-np.inf, np.inf).contains(t).tolist() == [0, 1, 1, 1, 0, 0]
+
 
 class TestCgfDerivatives:
     """k1 and k2 must be the actual derivatives of k on every family."""

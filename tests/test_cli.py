@@ -16,6 +16,8 @@ from spinv.cli import main, read_price_csv
 from spinv.errors import InversionError, ParseError, SpinvError, ValidationError
 from spinv.estimation import GbmParams, ReturnSeries, negative_log_likelihood, profile_nll
 from spinv.inversion import (
+    QuadratureSpec,
+    direct_ift_log_density_batch,
     spa_log_density,
     spa_log_density_batch,
     spi_log_density,
@@ -294,6 +296,33 @@ class TestDensity:
                 want = [r.log_density, r.tilt_term, r.jacobian_term, r.log_p_bar]
                 assert [float(v) for v in row[1:5]] == want and row[5] == ""
 
+    @pytest.mark.parametrize(
+        "quad_args, quad",
+        [([], None), (["--quad-upper", "100", "--quad-points", "257"], QuadratureSpec(100.0, 257))],
+        ids=["default", "quad-flags"],
+    )
+    def test_direct_rows_equal_the_batch(self, capsys, quad_args, quad):
+        # the direct rows are direct_ift_log_density_batch over the grid,
+        # by the rule the --quad flags give when they are set
+        code, out, _ = _run(
+            capsys,
+            [
+                "density", "--family", "nig", "--method", "direct",
+                "--params", "chi=0.0003", "psi=1000", "mu=-0.0003", "gamma=2",
+                "--grid", "-0.05:0.05:0.005", *quad_args,
+            ],
+        )
+        assert code == 0
+        _, rows = _parse_csv(out)
+        assert len(rows) == 21
+        assert all(r[2:] == ["", "", "", ""] for r in rows)
+        p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+        xs = np.array([float(r[0]) for r in rows])
+        want = direct_ift_log_density_batch(Nig(p), xs, quad)
+        assert [float(r[1]) for r in rows] == want.tolist()
+        if quad is not None:
+            assert not np.array_equal(want, direct_ift_log_density_batch(Nig(p), xs))
+
     def test_quad_override_fixes_it(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -407,6 +436,28 @@ class TestFitRoundTrip:
 
 
 class TestLoglik:
+    def test_direct_is_minus_the_batch_sum(self, capsys, tmp_path):
+        prices = tmp_path / "p.csv"
+        main(
+            [
+                "simulate", "--family", "nig", "--params", "chi=0.0003", "psi=1000",
+                "--n", "200", "--seed", "5", "--output", str(prices),
+            ]
+        )
+        code, out, _ = _run(
+            capsys,
+            [
+                "loglik", "--family", "nig", "--method", "direct",
+                "--params", "chi=0.0003", "psi=1000", "--input", str(prices),
+            ],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        returns = np.diff(np.log(read_price_csv(str(prices))))
+        logp = direct_ift_log_density_batch(Nig(NigParams(chi=0.0003, psi=1000.0)), returns)
+        assert payload["method"] == "direct" and payload["n_obs"] == 200
+        assert payload["nll"] == -float(np.sum(logp))
+
     def test_matches_library_value(self, capsys, tmp_path):
         prices = tmp_path / "p.csv"
         main(

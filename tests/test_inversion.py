@@ -13,7 +13,7 @@ from numpy.polynomial import chebyshev
 
 import spinv
 from spinv.cgf import CgfModel, DomainInterval
-from spinv.errors import InversionError, QuadratureError, ValidationError
+from spinv.errors import InversionError, ValidationError
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
     DEFAULT_SPI_QUAD,
@@ -28,7 +28,6 @@ from spinv.inversion import (
     direct_ift_log_density_batch,
     log_density_terms,
     p_bar_zero_batch,
-    simpson_integrate,
     spa_log_density,
     spa_log_density_batch,
     spi_log_density,
@@ -79,34 +78,6 @@ class TestQuadratureSpec:
         assert (q.upper_limit, q.n_points) == (32.0, 65)
         g = default_spi_quad(Gaussian(GaussianParams(mu=0.0, sigma=1.0)))
         assert (g.upper_limit, g.n_points) == (100.0, 513)
-
-
-class TestSimpson:
-    def test_exact_for_cubics(self):
-        val = simpson_integrate(lambda x: x**3 - 2 * x**2 + 4, 0.0, 3.0, 5)
-        exact = 3**4 / 4 - 2 * 3**3 / 3 + 4 * 3
-        np.testing.assert_allclose(val, exact, rtol=1e-14)
-
-    def test_full_period_trig_superconvergence(self):
-        # composite Simpson on full periods of cos inherits DFT
-        # orthogonality: the error collapses to roundoff rather than h^4
-        val = simpson_integrate(np.cos, 0.0, 2 * np.pi * 10, 513)
-        np.testing.assert_allclose(val, 0.0, atol=1e-10)
-
-    def test_h4_convergence_rate(self):
-        f = np.exp
-        exact = np.e - 1.0
-        e1 = abs(simpson_integrate(f, 0.0, 1.0, 9) - exact)
-        e2 = abs(simpson_integrate(f, 0.0, 1.0, 17) - exact)
-        rate = np.log2(e1 / e2)
-        assert 3.7 < rate < 4.3
-
-    def test_non_finite_integrand_raises_with_abscissa(self):
-        def f(x):
-            return np.where(np.asarray(x) > 0.5, np.inf, 1.0)
-
-        with pytest.raises(QuadratureError, match="abscissa"):
-            simpson_integrate(f, 0.0, 1.0, 11)
 
 
 class TestGaussianCollapse:
@@ -263,11 +234,20 @@ class TestBatchRoutes:
         assert batch.tolist() == scalar.tolist()
 
     def test_direct_batch_matches_scalar(self):
-        m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
-        xs = np.linspace(-3.0, 3.0, 13)
-        batch = direct_ift_log_density_batch(m, xs)
-        scalar = np.array([direct_ift_log_density(m, float(x)) for x in xs])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+        # 41 rows take three blocks of the rule; a row's sums do not depend
+        # on the block it falls in
+        for m in (
+            Gaussian(GaussianParams(mu=0.0, sigma=1.0)),
+            Nig(_NIG_P),
+            MjdTransition(_MJD_P, 0.0, 1.0 / 252.0),
+        ):
+            xs = _sd_grid(m, 6.0, 41)
+            batch = direct_ift_log_density_batch(m, xs)
+            assert batch.tolist() == [direct_ift_log_density(m, float(x)) for x in xs]
+
+    def test_log_density_terms_rejects_unknown_method(self):
+        with pytest.raises(ValidationError, match="unknown method 'bogus'"):
+            log_density_terms(Nig(NigParams(1.0, 1.0)), [0.1, 0.2], "bogus")
 
 
 class TestInversionErrors:
