@@ -1,6 +1,6 @@
 """Log-densities of CGF-specified distributions via saddlepoint-adjusted inversion."""
 
-from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
+from .cgf import CgfModel, DomainInterval, QuadratureSpec, char_fn, standardized_tilted_cf
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -28,11 +28,7 @@ from .estimation import (
 )
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
-    DEFAULT_SPI_QUAD,
-    MJD_SPI_QUAD,
     LogDensityResult,
-    QuadratureSpec,
-    default_spi_quad,
     direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,

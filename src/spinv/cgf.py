@@ -13,7 +13,9 @@ argument stays fixed at tau. standardized_tilted_cf builds that contour
 from its real and imaginary parts and finishes the exponent in the array
 k_complex returns, so k_complex must hand back a new array (see
 CgfModel.k_complex). K''(tau) comes from the caller, which took it with
-K'(tau) in one k1_k2 call or from the saddlepoint solver.
+K'(tau) in one k1_k2 call or from the saddlepoint solver. How fast the CF
+decays sets the error of the rule that inverts it, so each model states
+its SPI rule (CgfModel.spi_quad, a QuadratureSpec).
 """
 
 import math
@@ -22,7 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError
+from .errors import DomainError, InversionError, ValidationError
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """A rule on [0, upper_limit] with n_points evaluations, n_points odd.
+
+    SPI takes the trapezoid rule on these points, direct IFT Simpson's.
+    The count is odd so that the even-indexed points form the trapezoid
+    rule of twice the step: the core's step error indicator at no extra
+    CF cost, and the other half of Simpson's rule (inversion._even_odd).
+    An even n_points is bumped up by one; asking for 512 runs 513.
+    """
+
+    upper_limit: float
+    n_points: int
+
+    def __post_init__(self):
+        if not (self.upper_limit > 0.0 and math.isfinite(self.upper_limit)):
+            raise ValidationError(f"upper_limit must be positive and finite, got {self.upper_limit}")
+        if self.n_points < 3:
+            raise ValidationError(f"n_points must be at least 3, got {self.n_points}")
+        if self.n_points % 2 == 0:
+            object.__setattr__(self, "n_points", self.n_points + 1)
 
 
 @dataclass(frozen=True)
@@ -56,8 +81,11 @@ class CgfModel(ABC):
     saddlepoint_start is where the saddlepoint solver starts. A subclass
     whose K' inverts in closed form may override it with the exact root;
     the solver still checks the residual there, and iterates from it only
-    when the tolerance is not met.
+    when the tolerance is not met. spi_quad is the SPI rule taken wherever
+    none is given; a subclass whose CF decays sooner states a shorter one.
     """
+
+    spi_quad = QuadratureSpec(100.0, 513)
 
     @abstractmethod
     def k(self, t):

@@ -4,9 +4,9 @@ Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 --output or stdout; density and profile emit JSON records with --format
 json. Each subcommand declares only the flags it reads. Exit codes: 0
 success, 2 input parsing (an undeclared flag included), 3 validation,
-4 convergence, 5 inversion failure. What a command knows of a
-family comes from its record in estimation.FAMILIES: the --family choices,
-the --params names and defaults, the model, oracle, simulator and more.
+4 convergence, 5 inversion failure. What a command knows of a family
+comes from its record in estimation.FAMILIES: the --family choices, the
+--params names and defaults, the model (and so its SPI rule), and more.
 
 density evaluates its grid in one batch pass: the batch saddlepoint solve
 marks the rows it cannot solve, and the inversion core the spi rows whose
@@ -28,6 +28,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
+from .cgf import CgfModel
 from .errors import (
     ConvergenceError,
     InversionError,
@@ -54,8 +55,9 @@ from .inversion import (
 )
 from .models import MjdTransition, Nig  # noqa: F401 (unused; perfbench/tracing.py patches them)
 
-# the most rows a --grid may ask for, checked before anything is allocated
+# the most rows a --grid, or points a --quad-points, may ask for; checked before allocating
 _MAX_GRID_ROWS = 10**7
+_MAX_QUAD_POINTS = 10**6
 # exit code by error type, first match; validation and domain errors give 3
 _EXIT_CODES = (
     (ParseError, 2), (ConvergenceError, 4), (InversionError, 5), (SpinvError, 3)
@@ -124,9 +126,11 @@ def _parse_grid(spec):
     return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
-def _quad_from_args(args, fam):
-    """The method's default rule from the record, with either flag given overriding it."""
-    base = DEFAULT_DIRECT_QUAD if args.method == "direct" else fam.spi_quad
+def _quad_from_args(args, model):
+    """The method's default rule, for spi the model's own, with either flag given overriding it."""
+    if args.quad_points is not None and args.quad_points > _MAX_QUAD_POINTS:
+        raise ValidationError(f"--quad-points is more than {_MAX_QUAD_POINTS}, got {args.quad_points}")
+    base = DEFAULT_DIRECT_QUAD if args.method == "direct" else model.spi_quad
     return QuadratureSpec(
         args.quad_upper if args.quad_upper is not None else base.upper_limit,
         args.quad_points if args.quad_points is not None else base.n_points,
@@ -134,8 +138,8 @@ def _quad_from_args(args, fam):
 
 
 def _rule_defaults(field):
-    """One field of each family's SPI rule and of the direct rule, for --help."""
-    spi = ", ".join(f"{name} {getattr(fam.spi_quad, field):g}" for name, fam in FAMILIES.items())
+    """One field of the base SPI rule and of the direct rule, for --help."""
+    spi = f"{getattr(CgfModel.spi_quad, field):g}, or the model's own rule where it states one"
     return f"spi: {spi}; direct: {getattr(DEFAULT_DIRECT_QUAD, field):g}"
 
 
@@ -224,7 +228,7 @@ def _density_rows(model, xs, method, quad):
 def cmd_density(args):
     fam = FAMILIES[args.family]
     model = fam.model(_family_params(args.family, args.params), args.dt, args.x0)
-    quad = _quad_from_args(args, fam)
+    quad = _quad_from_args(args, model)
     xs = _parse_grid(args.grid)
     header = ["x", "log_density", "tilt_term", "jacobian_term", "log_p_bar", "error"]
     if args.method in ("oracle", "direct"):
@@ -257,8 +261,9 @@ def _fit_payload(result, data):
 def cmd_fit(args):
     fam = _fitted_family(args)
     data = _load_returns(args)
-    quad = _quad_from_args(args, fam)
-    result = fit_mle(args.family, data, method=args.method, quad=quad)
+    init = fam.moment_init(data)
+    quad = _quad_from_args(args, fam.model(init, data.dt, 0.0))
+    result = fit_mle(args.family, data, method=args.method, quad=quad, init=init)
     _emit(json.dumps(_fit_payload(result, data), indent=2) + "\n", args.output)
     return 0 if result.converged else 4
 
@@ -266,9 +271,9 @@ def cmd_fit(args):
 def cmd_profile(args):
     fam = _fitted_family(args)
     data = _load_returns(args)
-    quad = _quad_from_args(args, fam)
+    init = _family_params(args.family, args.params) if args.params else fam.moment_init(data)
+    quad = _quad_from_args(args, fam.model(init, data.dt, 0.0))
     grid = _parse_grid(args.grid)
-    init = _family_params(args.family, args.params) if args.params else None
     points = profile_nll(args.family, data, args.method, quad, args.param, grid, init=init)
     rows = [[p.value, p.nll, p.converged, p.failed_evals] for p in points]
     if fam.reference:
@@ -292,7 +297,7 @@ def cmd_loglik(args):
     fam = _fitted_family(args)
     data = _load_returns(args)
     params = _family_params(args.family, args.params)
-    quad = _quad_from_args(args, fam)
+    quad = _quad_from_args(args, fam.model(params, data.dt, 0.0))
     nll = negative_log_likelihood(args.family, params, data, args.method, quad)
     payload = {
         "family": args.family,

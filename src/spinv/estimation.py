@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import ConvergenceError, SpinvError, ValidationError
 from .inversion import (
-    DEFAULT_SPI_QUAD,
-    MJD_SPI_QUAD,
     QuadratureSpec,
     _even_odd,
     direct_ift_log_density_batch,
@@ -142,10 +140,9 @@ class Family:
     model(params, dt, x0) is the CGF model of a step of length dt from x0;
     oracle(model, x) is its closed-form log-density; simulate(params, n,
     dt, seed) is a log-price path of n steps from 0. moment_init(data)
-    starts a fit (None: the family cannot be fitted). spi_quad is its SPI
-    rule, in the likelihood and the CLI, which --quad-upper/--quad-points
-    override one field at a time; a profile appends a fit of the reference
-    family; exact_likelihood uses the oracle for every method.
+    starts a fit (None: the family cannot be fitted). A profile appends a
+    fit of the reference family; exact_likelihood uses the oracle for every
+    method. The SPI rule is the model's (CgfModel.spi_quad), not the record's.
     """
 
     transform: ParamTransform
@@ -153,7 +150,6 @@ class Family:
     oracle: Callable
     simulate: Callable
     moment_init: Callable = None
-    spi_quad: QuadratureSpec = DEFAULT_SPI_QUAD
     reference: str = None
     exact_likelihood: bool = False
 
@@ -228,7 +224,6 @@ FAMILIES = {
         oracle=lambda m, x: mjd_truncated_log_density(m, x),
         simulate=lambda p, n, dt, seed: simulate_mjd_path(p, 0.0, dt, n, seed),
         moment_init=_mjd_init,
-        spi_quad=MJD_SPI_QUAD,
         reference="gbm",
     ),
 }
@@ -252,14 +247,14 @@ def negative_log_likelihood(
     Each term is the family's model of a step of length dt started at
     zero, so for mjd the returns are transition increments. A family with
     exact_likelihood (gbm) uses its oracle whatever the method. SPI with
-    no quad uses the family's spi_quad.
+    no quad takes the model's own rule (model.spi_quad).
     """
     fam = family_for(family)
     model = fam.model(params, data.dt, 0.0)
     if method == "oracle" or fam.exact_likelihood:
         logp = fam.oracle(model, data.returns)
     elif method == "spi":
-        logp = spi_log_density_batch(model, data.returns, quad or fam.spi_quad)
+        logp = spi_log_density_batch(model, data.returns, quad)
     elif method == "spa":
         logp = spa_log_density_batch(model, data.returns)
     elif method == "direct":

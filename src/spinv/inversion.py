@@ -19,7 +19,7 @@ nodes in the tilt and reads every row off the fit (Battles & Trefethen
 2004 for the stopping rule). A batch the fit does not serve (33 rows or
 fewer, an unusable node, a next level with more nodes than rows, no
 convergence at 257 nodes) takes each row by itself, in blocks. Each batch
-logs one DEBUG record saying which, with the rule's error indicators.
+logs one DEBUG record saying which, with the rule and its error indicators.
 
 A node or row is taken by the trapezoid rule on the real part of the
 standardized tilted CF. That integrand is even and analytic in a strip,
@@ -32,7 +32,8 @@ the sum over the even-indexed points less half the two ends, which is
 T_2h / 2h, and the sum over the odd-indexed points. The trapezoid rule,
 the SPI step error indicator (the gap between T_h and T_2h) and
 Simpson's rule are each read off that pair, so the point count stays odd
-for both methods.
+for both methods. SPI's rule is the caller's, else the model's own
+(CgfModel.spi_quad); direct IFT's is the method's, DEFAULT_DIRECT_QUAD.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
 takes the terms and their sum from one expression (_solved_terms). The
@@ -48,9 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._log import debug
-from .cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
+from .cgf import CgfModel, DomainInterval, QuadratureSpec, char_fn, standardized_tilted_cf
 from .errors import InversionError, ValidationError
-from .models import MjdTransition
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
 
 _DENSITY_FLOOR = 1e-14
@@ -67,39 +67,7 @@ _FIT_TOL = 1e-10
 _FIT_MIN_ROWS = 34
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """A rule on [0, upper_limit] with n_points evaluations, n_points odd.
-
-    SPI takes the trapezoid rule on these points and direct IFT the
-    composite Simpson rule; both are read off the sums over the even- and
-    the odd-indexed points (_even_odd). The count is odd, so that the
-    even-indexed points form the trapezoid rule of twice the step: the
-    core's step error indicator at no extra CF cost, and the other half
-    of Simpson's rule. An even n_points is bumped up by one; asking for
-    512 runs 513 evaluations.
-    """
-
-    upper_limit: float
-    n_points: int
-
-    def __post_init__(self):
-        if not self.upper_limit > 0.0:
-            raise ValidationError(f"upper_limit must be positive, got {self.upper_limit}")
-        if self.n_points < 3:
-            raise ValidationError(f"n_points must be at least 3, got {self.n_points}")
-        if self.n_points % 2 == 0:
-            object.__setattr__(self, "n_points", self.n_points + 1)
-
-
-DEFAULT_DIRECT_QUAD = QuadratureSpec(150.0, 512)
-DEFAULT_SPI_QUAD = QuadratureSpec(100.0, 512)
-MJD_SPI_QUAD = QuadratureSpec(32.0, 64)
-
-
-def default_spi_quad(model: CgfModel) -> QuadratureSpec:
-    """Per-model SPI quadrature: MJD_SPI_QUAD for MJD transitions, else DEFAULT_SPI_QUAD."""
-    return MJD_SPI_QUAD if isinstance(model, MjdTransition) else DEFAULT_SPI_QUAD
+DEFAULT_DIRECT_QUAD = QuadratureSpec(150.0, 513)
 
 
 @dataclass(frozen=True)
@@ -309,12 +277,12 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     not converge, the next level would need more nodes than there are
     rows, the batch has 33 rows or fewer, or all rows share one tilt.
 
-    One DEBUG record per batch gives the path, the node count, the
-    last-quarter coefficient size and the rule's two error indicators
-    (see _p_bar_zero_rows), over the nodes or, on the per-row path, over
-    the rows: the step error, the largest relative gap to the rule of
-    twice the step, and the truncation, the largest |Re cf| at the upper
-    limit.
+    One DEBUG record per batch gives the rule (upper limit and points),
+    the path, the node count, the last-quarter coefficient size and the
+    rule's two error indicators (see _p_bar_zero_rows), over the nodes or,
+    on the per-row path, over the rows: the step error, the largest
+    relative gap to the rule of twice the step, and the truncation, the
+    largest |Re cf| at the upper limit.
 
     Nothing is raised for a bad row: a p_bar(0) that is not finite or not
     positive is returned as it is, and each caller decides what to do
@@ -324,10 +292,10 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     p_bar, step, trunc = fit if fit is not None else _p_bar_zero_rows(model, x, tau, k2, quad)
     debug(
         __name__,
-        "p_bar(0) of %d rows: %s after %d nodes, last-quarter coefficients %.1e, "
-        "step error %.1e, truncation %.1e",
-        x.size, "interpolated" if reason is None else f"per row ({reason})", nodes, tail,
-        step, trunc,
+        "p_bar(0) of %d rows by the rule on [0, %g] of %d points: %s after %d nodes, "
+        "last-quarter coefficients %.1e, step error %.1e, truncation %.1e",
+        x.size, quad.upper_limit, quad.n_points,
+        "interpolated" if reason is None else f"per row ({reason})", nodes, tail, step, trunc,
     )
     return p_bar
 
@@ -349,16 +317,15 @@ def _solved_terms(model: CgfModel, x, tau, k2, residual, method: str, quad: Quad
 
     tau, k2 and residual are the solver's root, K''(tau) and K'(tau) - x.
     SPA's p_bar(0) is the scalar (2 pi)^{-1/2}, which broadcasts over the
-    rows; SPI's comes from the core, bad rows included (see p_bar_error).
+    rows; SPI's comes from the core by quad, else by model.spi_quad, bad
+    rows included (see p_bar_error).
     """
     tilt_term = np.asarray(model.k(tau), dtype=float) - tau * x
     jacobian_term = -0.5 * np.log(k2)
     if method == "spa":
         p_bar = _SPA_P_BAR
     else:
-        if quad is None:
-            quad = default_spi_quad(model)
-        p_bar = p_bar_zero_batch(model, x, tau, k2, residual, quad)
+        p_bar = p_bar_zero_batch(model, x, tau, k2, residual, model.spi_quad if quad is None else quad)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p_bar = np.log(p_bar)
     return tilt_term + jacobian_term + log_p_bar, tilt_term, jacobian_term, log_p_bar, p_bar

@@ -27,7 +27,8 @@ array, as CgfModel.k_complex requires.
 
 The MJD transition is the conditional law of the log price X_t given
 X_0 = x0 over a step dt, a Gaussian increment plus a compound Poisson sum
-of Gaussian jumps; its CGF is entire.
+of Gaussian jumps; its CGF is entire. It is the one built-in model to
+state its own SPI rule (spi_quad).
 """
 
 import math
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CgfModel, DomainInterval
+from .cgf import CgfModel, DomainInterval, QuadratureSpec
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
@@ -214,6 +215,10 @@ class Nig(CgfModel):
 
 class MjdTransition(CgfModel):
     """Conditional CGF of the MJD log price after one step of length dt."""
+
+    # the diffusion makes the standardized tilted CF decay like a Gaussian's,
+    # so a shorter rule serves: about 4e-6 nats on the criterion-6 data
+    spi_quad = QuadratureSpec(32.0, 65)
 
     def __init__(self, params: MjdParams, x0: float = 0.0, dt: float = 1.0 / 252.0):
         if not dt > 0.0:

@@ -1,12 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import inspect
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ import pytest
 import spinv.cli
 from spinv.cli import main, read_price_csv
 from spinv.errors import InversionError, ParseError, SpinvError, ValidationError
-from spinv.estimation import GbmParams, ReturnSeries, negative_log_likelihood, profile_nll
+from spinv.estimation import (
+    GbmParams,
+    ReturnSeries,
+    moment_init,
+    negative_log_likelihood,
+    profile_nll,
+)
 from spinv.inversion import (
     QuadratureSpec,
     direct_ift_log_density_batch,
@@ -368,6 +376,85 @@ class TestFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
+
+
+class TestQuadFlags:
+    """The rule the --quad-* flags give: checked before any row is evaluated,
+    and a one-flag override keeps the other field of the model's own rule."""
+
+    _NIG = ["--family", "nig", "--params", "chi=0.0003", "psi=1000"]
+    _MJD_PARAMS = ["--params", "r=0.05", "sigma=0.2", "lambda=3", "mu_j=-0.05", "nu=0.1"]
+
+    @pytest.fixture
+    def prices(self, tmp_path):
+        path = tmp_path / "p.csv"
+        _write_prices(path, np.exp(np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, 60))))
+        return str(path)
+
+    @pytest.mark.parametrize("method", ["spi", "direct"])
+    def test_non_finite_upper_limit_exits_3(self, capsys, method):
+        # the rule is at fault, not the model: no row is evaluated and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(
+                capsys,
+                ["density", *self._NIG, "--method", method, "--grid", "0:0.002:0.001",
+                 "--quad-upper", "inf"],
+            )
+        assert code == 3
+        assert out == "" and "upper_limit must be positive and finite, got inf" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", *_NIG, "--method", "spi", "--grid", "0:0.002:0.001"],
+            ["density", *_NIG, "--method", "direct", "--grid", "0:0.002:0.001"],
+            ["loglik", *_NIG, "--input", "PRICES"],
+            ["fit", "--family", "nig", "--input", "PRICES"],
+            ["profile", *_NIG, "--param", "mu", "--grid", "0:0:1", "--input", "PRICES"],
+        ],
+        ids=["density-spi", "density-direct", "loglik", "fit", "profile"],
+    )
+    def test_point_count_bounded_before_any_rule_runs(self, capsys, monkeypatch, prices, argv):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a rule was run")
+
+        for name in ("log_density_terms", "direct_ift_log_density_batch", "negative_log_likelihood",
+                     "fit_mle", "profile_nll"):
+            monkeypatch.setattr(spinv.cli, name, evaluated)
+        argv = [prices if a == "PRICES" else a for a in argv]
+        code, out, err = _run(capsys, [*argv, "--quad-points", "3000000000"])
+        assert code == 3
+        assert out == "" and f"--quad-points is more than {spinv.cli._MAX_QUAD_POINTS}" in err
+        # the bound itself passes the check and reaches the evaluation
+        with pytest.raises(AssertionError, match="a rule was run"):
+            main([*argv, "--quad-points", str(spinv.cli._MAX_QUAD_POINTS)])
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("loglik", _MJD_PARAMS),
+            ("fit", []),
+            ("profile", ["--param", "mu_j", "--grid", "0:0:1"]),
+        ],
+    )
+    def test_one_flag_keeps_the_other_field_of_the_models_rule(self, monkeypatch, prices, command, flags):
+        # mjd's own rule is 65 points on [0, 32]; --quad-points 129 runs 129 on [0, 32]
+        name = {"loglik": "negative_log_likelihood", "fit": "fit_mle", "profile": "profile_nll"}[command]
+        signature = inspect.signature(getattr(spinv.cli, name))
+        seen = {}
+
+        def record(*args, **kwargs):
+            seen.update(signature.bind(*args, **kwargs).arguments)
+            raise ValidationError("recorded")
+
+        monkeypatch.setattr(spinv.cli, name, record)
+        assert main([command, "--family", "mjd", *flags, "--input", prices, "--quad-points", "129"]) == 3
+        assert seen["quad"] == QuadratureSpec(32.0, 129)
+        if command != "loglik":
+            # the start the rule was read from is the start the search takes
+            data = ReturnSeries(dt=1.0 / 252.0, returns=np.diff(np.log(read_price_csv(prices))))
+            assert seen["init"] == moment_init("mjd", data)
 
 
 class TestSimulate:

@@ -16,14 +16,11 @@ from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, ValidationError
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
-    DEFAULT_SPI_QUAD,
-    MJD_SPI_QUAD,
     LogDensityResult,
     QuadratureSpec,
     _cheb_coeffs,
     _clenshaw,
     _p_bar_zero_rows,
-    default_spi_quad,
     direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,
@@ -70,14 +67,10 @@ class TestQuadratureSpec:
         with pytest.raises(ValidationError):
             QuadratureSpec(100.0, 2)
 
-    def test_default_spi_quad_by_family(self):
-        m = MjdTransition(
-            MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1), 0.0, 1.0 / 252.0
-        )
-        q = default_spi_quad(m)
-        assert (q.upper_limit, q.n_points) == (32.0, 65)
-        g = default_spi_quad(Gaussian(GaussianParams(mu=0.0, sigma=1.0)))
-        assert (g.upper_limit, g.n_points) == (100.0, 513)
+    @pytest.mark.parametrize("upper", [math.inf, math.nan])
+    def test_non_finite_upper_limit_rejected(self, upper):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            QuadratureSpec(upper, 513)
 
 
 class TestGaussianCollapse:
@@ -328,10 +321,10 @@ class TestInterpolatedCore:
         mjd = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
         incr = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
         m, x, quad = {
-            "nig-criterion-9": (Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11), DEFAULT_SPI_QUAD),
-            "mjd-criterion-6": (mjd, incr, MJD_SPI_QUAD),
+            "nig-criterion-9": (Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11), Nig.spi_quad),
+            "mjd-criterion-6": (mjd, incr, mjd.spi_quad),
             "mjd-criterion-6-fine": (mjd, incr, QuadratureSpec(64.0, 512)),
-            "mjd-10-sd-grid": (mjd, _sd_grid(mjd, 10.0, 801), MJD_SPI_QUAD),
+            "mjd-10-sd-grid": (mjd, _sd_grid(mjd, 10.0, 801), mjd.spi_quad),
         }[case]
         sp = solve_saddlepoint_batch(m, x)
         # the solver's residual is K'(tau) - x to the bit, so the core may read it
@@ -347,7 +340,7 @@ class TestInterpolatedCore:
         alpha, beta = 5.0, 2.0
         m = _Gamma(alpha, beta)
         x = np.linspace(0.05, 4.0, 1000) * alpha / beta
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), DEFAULT_SPI_QUAD, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), m.spi_quad, caplog)
         assert "interpolated" in message
         assert _max_log_gap(core, rows) <= 1e-9
         exact = [
@@ -373,7 +366,7 @@ class TestInterpolatedCore:
             "25-row grid": _sd_grid(m, 6.0, 25),
             "nig-50-sd-grid": _sd_grid(m, 50.0, 801),
         }[case]
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), DEFAULT_SPI_QUAD, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), m.spi_quad, caplog)
         assert f"per row ({reason}" in message
         assert np.array_equal(core, rows, equal_nan=True)
         assert np.sum(~(np.isfinite(core) & (core > 0.0))) == failing
@@ -385,30 +378,35 @@ class TestInterpolatedCore:
             log_density_terms(m, _sd_grid(m, 50.0, 801))
         fit, rows = (r.getMessage() for r in caplog.records)
         assert all(r.levelname == "DEBUG" for r in caplog.records)
-        assert fit.startswith("p_bar(0) of 401 rows: interpolated after ")
+        rule = "by the rule on [0, 100] of 513 points"
+        assert fit.startswith(f"p_bar(0) of 401 rows {rule}: interpolated after ")
         assert "last-quarter coefficients" in fit
-        assert rows.startswith("p_bar(0) of 801 rows: per row (unusable node at tau = ")
+        assert rows.startswith(f"p_bar(0) of 801 rows {rule}: per row (unusable node at tau = ")
         assert "after 17 nodes" in rows
 
     @pytest.mark.parametrize(
-        "case, path, step, truncation",
+        "case, rule, path, step, truncation",
         [
             # both indicators small where the rule is good to 4.2e-6 nats
-            ("mjd-criterion-6", "interpolated", (5e-4, 6e-4), (1.1e-5, 1.3e-5)),
+            ("mjd-criterion-6", "[0, 32] of 65", "interpolated", (5e-4, 6e-4), (1.1e-5, 1.3e-5)),
             # the default rule is off by up to 2.25 nats on these rows and
             # raises nothing; the integrand is still at 0.8 where it is cut
-            ("nig-heavy-tail", "per row", (2e-3, 4e-3), (0.79, 0.81)),
+            ("nig-heavy-tail", "[0, 100] of 513", "per row", (2e-3, 4e-3), (0.79, 0.81)),
         ],
     )
-    def test_debug_record_error_indicators(self, case, path, step, truncation, caplog):
+    def test_debug_record_error_indicators(self, case, rule, path, step, truncation, caplog):
         if case == "mjd-criterion-6":
             m = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
             x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
         else:
             m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
             x = np.arange(-11.0, -1.0)
-        _, _, message = _core(m, x, solve_saddlepoint_batch(m, x), default_spi_quad(m), caplog)
-        assert message.startswith(f"p_bar(0) of {x.size} rows: {path}")
+        # no rule is given, so the record names the one the model states
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            log_density_terms(m, x)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert message.startswith(f"p_bar(0) of {x.size} rows by the rule on {rule} points: {path}")
         found = re.search(r"step error (\S+), truncation (\S+)$", message)
         assert step[0] < float(found.group(1)) < step[1]
         assert truncation[0] < float(found.group(2)) < truncation[1]

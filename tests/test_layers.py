@@ -1,0 +1,50 @@
+"""The package's layering, read from each module's package-relative imports.
+
+cgf is the bottom layer: the CGF interface, the standardized tilted CF and
+the quadrature rule a model states. The models and the saddlepoint solver
+sit on it, and the inversion layer on the solver; it takes whatever
+model it is given, so it names none of them. Only the registry (estimation) and
+the CLI name models and evaluators together.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import spinv
+
+_PACKAGE = Path(spinv.__file__).resolve().parent
+
+
+def _relative_imports(module):
+    """The sibling modules that spinv/<module>.py imports by a relative import."""
+    tree = ast.parse((_PACKAGE / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_reader_sees_the_imports_the_registry_makes():
+    assert _relative_imports("estimation") >= {"errors", "inversion", "models"}
+
+
+def test_cgf_imports_only_errors():
+    assert _relative_imports("cgf") == {"errors"}
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("inversion", {"models", "estimation", "cli"}),
+        ("models", {"inversion", "estimation", "cli"}),
+        ("saddlepoint", {"models", "inversion", "estimation", "cli"}),
+    ],
+)
+def test_lower_layers_import_no_higher_one(module, forbidden):
+    assert not _relative_imports(module) & forbidden

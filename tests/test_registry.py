@@ -23,8 +23,8 @@ from spinv.cgf import CgfModel, DomainInterval
 from spinv.cli import main
 from spinv.errors import ValidationError
 from spinv.estimation import FAMILIES, Family, ParamTransform, ReturnSeries
-from spinv.inversion import QuadratureSpec
-from spinv.models import NigParams, simulate_nig
+from spinv.inversion import QuadratureSpec, spi_log_density_batch
+from spinv.models import Nig, NigParams, simulate_nig
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -165,23 +165,29 @@ class TestVarianceGammaThroughOneRecord:
         assert abs(payload["params"]["sigma"] / _VG_P.sigma - 1.0) < 0.1
 
 
-def test_likelihood_takes_the_spi_rule_from_the_record(monkeypatch, capsys, tmp_path):
-    """With no --quad-* flag the likelihood uses the record's spi_quad, as
-    if both flags had given it."""
-    fine = QuadratureSpec(150.0, 1024)
-    monkeypatch.setitem(FAMILIES, "nig_fine", replace(FAMILIES["nig"], spi_quad=fine))
+class _FineNig(Nig):
+    """A model that states its own SPI rule, as a new family's model may."""
+
+    spi_quad = QuadratureSpec(150.0, 1025)
+
+
+def test_likelihood_takes_the_spi_rule_from_the_model(monkeypatch, capsys, tmp_path):
+    """With no rule given, the CLI, the likelihood and the batch evaluator
+    all take the one the model states, as if both flags had given it."""
+    monkeypatch.setitem(FAMILIES, "nig_fine", replace(FAMILIES["nig"], model=lambda p, dt, x0: _FineNig(p)))
     p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
     prices = tmp_path / "nig.csv"
     prices.write_text("".join(f"{v:.17g}\n" for v in np.exp(np.cumsum(simulate_nig(p, 40, seed=5)))))
     argv = ["loglik", "--family", "nig_fine", "--params", "chi=3e-4", "psi=1000", "mu=-3e-4", "gamma=2"]
     nlls = []
-    for flags in ([], ["--quad-upper", "150", "--quad-points", "1024"]):
+    for flags in ([], ["--quad-upper", "150", "--quad-points", "1025"]):
         code, out = _run(capsys, [*argv, *flags, "--input", str(prices)])
         assert code == 0
         nlls.append(json.loads(out)["nll"])
     data = ReturnSeries(dt=1.0 / 252.0, returns=np.diff(np.log(np.loadtxt(prices))))
     assert nlls[0] == nlls[1] == estimation.negative_log_likelihood("nig_fine", p, data, "spi")
-    assert nlls[0] == estimation.negative_log_likelihood("nig", p, data, "spi", fine)
+    assert nlls[0] == -float(np.sum(spi_log_density_batch(_FineNig(p), data.returns)))
+    assert nlls[0] == estimation.negative_log_likelihood("nig", p, data, "spi", _FineNig.spi_quad)
     assert nlls[0] != estimation.negative_log_likelihood("nig", p, data, "spi")
 
 
