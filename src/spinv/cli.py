@@ -55,8 +55,8 @@ from .inversion import (
 )
 from .models import MjdTransition, Nig  # noqa: F401 (unused; perfbench/tracing.py patches them)
 
-# the most rows a --grid, or points a --quad-points, may ask for; checked before allocating
-_MAX_GRID_ROWS = 10**7
+# the most rows a --grid or --n, or points a --quad-points, may ask for; checked before allocating
+_MAX_ROWS = 10**7
 _MAX_QUAD_POINTS = 10**6
 # exit code by error type, first match; validation and domain errors give 3
 _EXIT_CODES = (
@@ -77,6 +77,8 @@ def _parse_params(pairs, aliases):
             out[key] = float(value)
         except ValueError:
             raise ValidationError(f"--params value for {key!r} is not a number: {value!r}")
+        if not math.isfinite(out[key]):
+            raise ValidationError(f"--params value for {key!r} must be finite, got {value!r}")
     return out
 
 
@@ -121,8 +123,8 @@ def _parse_grid(spec):
     if not step > 0.0 or hi < lo:
         raise ValidationError(f"--grid needs lo <= hi and step > 0, got {spec!r}")
     span = (hi - lo) / step + 1e-9
-    if not span < _MAX_GRID_ROWS:  # also when hi - lo overflows to inf
-        raise ValidationError(f"--grid has more than {_MAX_GRID_ROWS} rows, got {spec!r}")
+    if not span < _MAX_ROWS:  # also when hi - lo overflows to inf
+        raise ValidationError(f"--grid has more than {_MAX_ROWS} rows, got {spec!r}")
     return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
@@ -284,10 +286,15 @@ def cmd_profile(args):
 
 
 def cmd_simulate(args):
-    if args.n < 1:
-        raise ValidationError(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.n <= _MAX_ROWS:
+        raise ValidationError(f"--n must be from 1 to {_MAX_ROWS}, got {args.n}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     params = _family_params(args.family, args.params)
-    path = FAMILIES[args.family].simulate(params, args.n, args.dt, args.seed)
+    try:
+        path = FAMILIES[args.family].simulate(params, args.n, args.dt, args.seed)
+    except ValueError as exc:  # numpy refuses a draw parameter, as Poisson does a mean of 1e20
+        raise ValidationError(f"cannot draw from these parameters: {exc}") from None
     lines = "".join(f"{p:.17g}\n" for p in np.exp(path))
     _emit(lines, args.output)
     return 0
@@ -379,6 +386,10 @@ def main(argv=None):
             break
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("dt", "x0"):
+            value = getattr(args, flag, 0.0)
+            if not math.isfinite(value):
+                raise ValidationError(f"--{flag} must be finite, got {value}")
         return args.func(args)
     except SpinvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -196,7 +196,7 @@ class Nig(CgfModel):
         end of the domain, and D(t) = psi - t^2 - 2 t gamma is a difference
         of terms of size m = psi + t^2 + 2|t gamma|. Once D is below 1e-6 m
         (or not positive, outside the domain) its rounding alone moves K'
-        by the solver's default tolerance, 1e-10 relative, and the row
+        by the solver's tolerance, 1e-10 relative, and the row
         takes the default start instead.
         """
         p = self.params

@@ -14,14 +14,14 @@ Gaussian) and checks the residual at every iterate, the start included.
 2. Guard. A row whose step is not finite, would leave the domain, or did
    not halve |residual| is guarded from then on: it holds a bracket from
    the signs of its residuals (0 on the mean's side, the end of the
-   domain on the other), steps toward an open end, and bisects wherever
-   the Newton step does not serve it (_Guard).
+   domain on the other), steps toward an open end, and in a closed
+   bracket bisects wherever the Newton step does not land inside (_Guard).
 3. Failure. A row that cannot finish gets NaN tau and K'' and a reason:
-   not converged (max_iter ran out), unattainable (K' saturates short of
-   x0), or unresolvable (K' crosses x0 within float resolution: the
-   row's bracket no longer splits, or K' at the last float before a
-   finite end of the domain is already past x0). The batch
-   never raises for a row; SaddlepointBatch.error(i) builds its
+   not converged (_MAX_ITER iterations ran out), unattainable (K'
+   saturates short of x0), or unresolvable (K' crosses x0 within float
+   resolution: the row's bracket no longer splits, or K' at the last
+   float before a finite end of the domain is already past x0). The
+   batch never raises for a row; SaddlepointBatch.error(i) builds its
    exception, and solve_saddlepoint, a one-row view, raises it.
 """
 
@@ -32,10 +32,13 @@ import numpy as np
 
 from ._log import debug
 from .cgf import CgfModel
-from .errors import ConvergenceError, UnattainableMeanError
+from .errors import ConvergenceError, DomainError, UnattainableMeanError
 
 # SaddlepointBatch.reason codes; 0 is a solved row
 NOT_CONVERGED, UNATTAINABLE, UNRESOLVABLE = 1, 2, 3
+# the residual tolerance, relative to max(1, |x|), and the iteration budget
+_TOL = 1e-10
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,6 @@ class SaddlepointBatch:
     k2: np.ndarray
     residual: np.ndarray
     reason: np.ndarray
-    max_iter: int
     iterations: int
     log_steps: int
     guarded: int
@@ -75,7 +77,7 @@ class SaddlepointBatch:
         if reason == NOT_CONVERGED:
             return ConvergenceError(
                 f"saddlepoint iteration did not converge for x0={x0} "
-                f"(residual {float(self.residual[i]):.3e} after {self.max_iter} iterations)"
+                f"(residual {float(self.residual[i]):.3e} after {_MAX_ITER} iterations)"
             )
         if reason == UNATTAINABLE:
             return UnattainableMeanError(f"K' saturates before reaching x0={x0}; mean unattainable")
@@ -93,15 +95,13 @@ class SaddlepointBatch:
             raise type(self.error(i))(f"observation {i}: {self.error(i)}")
 
 
-def solve_saddlepoint(
-    model: CgfModel, x0: float, tol: float = 1e-10, max_iter: int = 100
-) -> SaddlepointSolution:
-    """Solve K'(tau_hat) = x0 to |residual| <= tol * max(1, |x0|).
+def solve_saddlepoint(model: CgfModel, x0: float) -> SaddlepointSolution:
+    """Solve K'(tau_hat) = x0 to |residual| <= _TOL * max(1, |x0|).
 
     One row of solve_saddlepoint_batch; raises the row's exception where
     it failed.
     """
-    sp = solve_saddlepoint_batch(model, np.array([float(x0)]), tol, max_iter)
+    sp = solve_saddlepoint_batch(model, np.array([float(x0)]))
     exc = sp.error(0)
     if exc is not None:
         raise exc
@@ -123,32 +123,28 @@ class _Guard:
     once |t| passes 1e15 or the step falls below float resolution. A row
     that took a step before it was guarded takes the Newton step instead
     where that goes further. A bracket that closes sends the row to its
-    midpoint. In a closed bracket the row takes the Newton step, halved
-    back into the domain, where that lands strictly inside the bracket
-    after a step that halved |residual| or was not a Newton step, and
-    bisects otherwise.
+    midpoint. In a closed bracket the row takes the Newton step where that
+    lands strictly inside the bracket, and bisects otherwise.
     """
 
     def __init__(self, model, x, y):
         dom = model.domain()
-        self.model, self.x, self.dom = model, x, dom
+        self.model, self.x = model, x
         self.up = y > 0.0
         self.lo = np.where(self.up, 0.0, dom.lo)
         self.hi = np.where(self.up, dom.hi, 0.0)
         self.closed = np.zeros(x.shape, dtype=bool)
         self.stepped = np.zeros(x.shape, dtype=bool)  # guarded past the first iteration
-        self.bisected = np.zeros(x.shape, dtype=bool)  # the last step was not a Newton step
         self.reason = np.zeros(x.shape, dtype=np.uint8)
         self.rows = np.empty(0, dtype=np.intp)
         self.guarded = 0
         self.bisections = 0
 
-    def step(self, t, r, step, halved, t_new, done, new, first):
+    def step(self, t, r, step, t_new, done, new, first):
         """Write the next iterates of the guarded rows into t_new.
 
-        step holds the Newton (or log) steps from t, and halved whether
-        the last step halved |r|. new are the rows that leave plain Newton
-        at this iteration, the first if first is true.
+        step holds the Newton (or log) steps from t. new are the rows that
+        leave plain Newton at this iteration, the first if first is true.
         """
         new = np.setdiff1d(new, self.rows, assume_unique=True)
         self.guarded += new.size
@@ -169,17 +165,10 @@ class _Guard:
         infinite = np.isinf(far)
         away = np.copysign(np.maximum(1.0, np.abs(near)), far)
         probe = np.where(infinite, near + away, near + half)
-        s = step[g]
-        q = tg + s
-        for _ in range(80):
-            out = np.isfinite(s) & ~self.dom.contains(q)
-            if not out.any():
-                break
-            s[out] *= 0.5
-            q = tg + s
+        q = tg + step[g]
         newton = np.where(
             closed,
-            was_closed & np.isfinite(rg) & (self.bisected[g] | halved[g]) & (lo < q) & (q < hi),
+            was_closed & (lo < q) & (q < hi),
             self.stepped[g] & np.where(up, (probe < q) & (q < far), (far < q) & (q < probe)),
         )
         p = np.where(newton, q, np.where(closed, 0.5 * (lo + hi), probe))
@@ -191,26 +180,43 @@ class _Guard:
             probing & ~infinite & (np.abs(half) < 1e-13 * np.maximum(1.0, np.abs(far)))
         )
         if tiny.size:
-            r_last = self.model.k1(np.nextafter(far[tiny], near[tiny])) - self.x[g[tiny]]
+            r_last = self._k1_at_end(far[tiny], near[tiny]) - self.x[g[tiny]]
             crossed = np.where(up[tiny], r_last > 0.0, r_last < 0.0)
             reason[tiny] = np.where(crossed, UNRESOLVABLE, UNATTAINABLE)
         # a step that no longer moves the row leaves it where it is: the
         # root lies between two adjacent floats
         reason[(reason == 0) & (p == tg)] = UNRESOLVABLE
         fail = reason > 0
-        self.bisected[g] = ~newton
         self.bisections += int(np.count_nonzero(~newton & ~fail))
         t_new[g] = np.where(fail, tg, p)
         self.reason[g] = reason
         self.rows = g[~fail]
 
+    def _k1_at_end(self, far, near):
+        """K' at the last float before each end far, toward near, at which
+        the model takes it.
 
-def solve_saddlepoint_batch(
-    model: CgfModel, x: np.ndarray, tol: float = 1e-10, max_iter: int = 100
-) -> SaddlepointBatch:
+        Rounding can fail a model's own domain test a float or two inside
+        the end (NIG's D(t) rounds to 0 there), and k1 raises for its whole
+        argument, so each row steps back alone. K' was taken at near.
+        """
+        k1 = np.empty(far.shape)
+        for i, t in enumerate(np.nextafter(far, near)):
+            while True:
+                try:
+                    k1[i] = self.model.k1(t)
+                    break
+                except DomainError:
+                    t = np.nextafter(t, near[i])
+        return k1
+
+
+def solve_saddlepoint_batch(model: CgfModel, x: np.ndarray) -> SaddlepointBatch:
     """Solve K'(tau) = x row by row, from one model.k1_k2 call per iteration.
 
-    A row's log step (module docstring) is taken where K'(t) - x0 >
+    A row is solved once |K'(tau) - x| <= _TOL * max(1, |x|), and fails
+    as not converged where _MAX_ITER iterations leave it short of that. A
+    row's log step (module docstring) is taken where K'(t) - x0 >
     x0 - K'(0) in the direction of x0, the step on
     log((K'(t) - K'(0)) / (x0 - K'(0))) = 0 is finite and it keeps t on
     the root's side of 0; there it is always the longer step. Guarded
@@ -223,7 +229,7 @@ def solve_saddlepoint_batch(
     x = np.asarray(x, dtype=float)
     dom = model.domain()
     bounded = math.isfinite(dom.lo) or math.isfinite(dom.hi)
-    bound = tol * np.maximum(1.0, np.abs(x))
+    bound = _TOL * np.maximum(1.0, np.abs(x))
     mean, variance = model.k1_k2(0.0)
     y = x - mean  # the root lies on the side of 0 that y's sign gives
     t = model.saddlepoint_start(x, mean, variance)
@@ -240,7 +246,7 @@ def solve_saddlepoint_batch(
             if guard is not None:
                 done |= guard.reason > 0
             finished = done.all()
-            if finished or iterations == max_iter:
+            if finished or iterations == _MAX_ITER:
                 break
             iterations += 1
             step = nr / k2
@@ -258,15 +264,14 @@ def solve_saddlepoint_batch(
                 log_steps += int(np.count_nonzero(take))
             np.putmask(step, done, 0.0)
             t_new = t + step
-            halved = a <= a_half
-            good &= halved
+            good &= a <= a_half
             if bounded:
                 good &= dom.contains(t_new)
             good |= done
             if guard is not None or not good.all():
                 if guard is None:
                     guard = _Guard(model, x, y)
-                guard.step(t, -nr, step, halved, t_new, done, np.flatnonzero(~good), iterations == 1)
+                guard.step(t, -nr, step, t_new, done, np.flatnonzero(~good), iterations == 1)
             t = t_new
             a *= 0.5
             a_half = a
@@ -285,6 +290,4 @@ def solve_saddlepoint_batch(
         "%d bisections, failed: %d not converged, %d unattainable, %d unresolvable",
         x.size, iterations, log_steps, guarded, bisections, *counts,
     )
-    return SaddlepointBatch(
-        x, t, k2, -nr, reason, max_iter, iterations, log_steps, guarded, bisections
-    )
+    return SaddlepointBatch(x, t, k2, -nr, reason, iterations, log_steps, guarded, bisections)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spinv.cli
+import spinv.estimation
 from spinv.cli import main, read_price_csv
 from spinv.errors import InversionError, ParseError, SpinvError, ValidationError
 from spinv.estimation import (
@@ -134,6 +135,18 @@ class TestDensity:
              "'sigma' more than once"),
             (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "lam=2",
               "mu_j=0", "nu=0.1", "--grid", "0:0:1"], "'lam' more than once"),
+            # a value that is not finite is rejected by its flag or key, not
+            # met later as nan prices, -inf rows or a solver failure
+            (["simulate", "--family", "gbm", "--params", "r=0", "sigma=0.2", "--n", "3", "--dt", "inf"],
+             "--dt must be finite, got inf"),
+            (["simulate", "--family", "nig", "--params", "chi=1", "psi=1", "mu=inf", "--n", "2"],
+             "--params value for 'mu' must be finite"),
+            (["density", "--family", "gaussian", "--params", "sigma=inf", "--method", "oracle",
+              "--grid", "0:1:1"], "--params value for 'sigma' must be finite"),
+            (["density", "--family", "nig", "--params", "chi=1", "psi=inf", "--grid", "0:0:1"],
+             "--params value for 'psi' must be finite"),
+            (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "mu_j=0",
+              "nu=0.1", "--x0", "nan", "--grid", "0:0:1"], "--x0 must be finite, got nan"),
         ],
     )
     def test_rejected_input_exits_3(self, capsys, argv, message):
@@ -173,6 +186,19 @@ class TestDensity:
         for row in rows[1:]:
             assert row[1:5] == ["", "", "", ""]
             assert row[5] == f"K' saturates before reaching x0={row[0]}; mean unattainable"
+
+    def test_row_at_a_domain_end_nig_rounds_away_fails_alone(self, capsys):
+        # the row at 26148 closes its bracket on the upper end of the
+        # domain, where K' cannot be taken at the last float (D(t) rounds
+        # to <= 0): it is marked, and the grid's other rows are kept
+        nig = ["density", "--family", "nig", "--method", "spa", "--params", "chi=0.00017236368895826086",
+               "psi=0.1441347084959013", "mu=-0.0035192232720199492", "gamma=-6.402068854529105"]
+        code, out, err = _run(capsys, [*nig, "--grid", "0:26148.235981523052:13074.117990761526"])
+        assert code == 5 and err == ""
+        _, rows = _parse_csv(out)
+        assert [r[5].startswith("K' crosses x0=") for r in rows] == [False, True, True]
+        code, out, _ = _run(capsys, [*nig, "--grid", "0:13074.1:13074.117990761526"])
+        assert code == 0 and _parse_csv(out)[1] == rows[:1]
 
     def test_unconverged_rows_fail_alone(self, capsys, monkeypatch):
         # out to 2000 sd of a heavy-tailed NIG the root crowds the end of
@@ -458,6 +484,38 @@ class TestQuadFlags:
 
 
 class TestSimulate:
+    _GBM = ["simulate", "--family", "gbm", "--params", "r=0", "sigma=0.2"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "10000000000"], "--n must be from 1 to 10000000, got 10000000000"),
+            (["--n", "3", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        ],
+        ids=["n", "seed"],
+    )
+    def test_path_checked_before_any_draw(self, capsys, monkeypatch, flags, message):
+        def drawn(*args):
+            raise AssertionError("a path was drawn")
+
+        for name in ("_gaussian_path", "simulate_nig", "simulate_mjd_path"):
+            monkeypatch.setattr(spinv.estimation, name, drawn)
+        code, out, err = _run(capsys, [*self._GBM, *flags])
+        assert code == 3
+        assert out == "" and err == f"error: {message}\n"
+        # the bound itself passes the check and reaches the draw
+        with pytest.raises(AssertionError, match="a path was drawn"):
+            main([*self._GBM, "--n", str(spinv.cli._MAX_ROWS), "--seed", "0"])
+
+    def test_draw_numpy_refuses_exits_3(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--family", "mjd", "--params", "r=0", "sigma=0.2", "lambda=1e22", "mu_j=0",
+             "nu=0.1", "--n", "2"],
+        )
+        assert code == 3
+        assert out == "" and err == "error: cannot draw from these parameters: lam value too large\n"
+
     def test_gbm_price_path(self, capsys, tmp_path):
         out_file = tmp_path / "prices.csv"
         code = main(

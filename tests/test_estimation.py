@@ -183,6 +183,14 @@ class TestFitMle:
         # a search that ended on +inf runs no Hessian: only its own evaluations fail
         assert fit.failed_evals == {"OverflowError": fit.n_evals}
 
+    def test_unusable_p_bar_is_an_infinite_counted_evaluation(self):
+        # p_bar(0) at x = -20 of this heavy-tailed NIG is unusable under
+        # the default rule (tests/test_inversion.py, TestInversionErrors)
+        data = ReturnSeries(dt=_DT, returns=np.array([0.0, -20.0]))
+        f, failed = _objective("nig", data, "spi", None)
+        assert f(transform_for("nig").to_vector(NigParams(chi=0.125, psi=0.125))) == math.inf
+        assert failed == {"InversionError": 1}
+
 
 def _rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))

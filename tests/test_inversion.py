@@ -252,6 +252,13 @@ class TestInversionErrors:
         with pytest.raises(InversionError):
             spi_log_density(m, -20.0)
 
+    def test_batch_names_the_observation_it_cannot_invert(self):
+        # the batch pass raises for the first row whose p_bar(0) is
+        # unusable, after the solve has succeeded for every row
+        m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
+        with pytest.raises(InversionError, match=r"for observation 1 \(x = -20\.0\)"):
+            spi_log_density_batch(m, np.array([0.0, -20.0]))
+
     def test_fine_quadrature_fixes_it(self):
         # the tilted CF decays like exp(-sqrt(chi) s / sqrt(K'')), so an
         # extreme tilt needs a long contour, not just more points
@@ -278,6 +285,27 @@ class _Gamma(CgfModel):
 
     def domain(self):
         return DomainInterval(-math.inf, self.beta)
+
+
+class _Reflected(CgfModel):
+    """The law of -X for a law X: K(t) = K_X(-t), on the reflected domain."""
+
+    def __init__(self, law):
+        self.law = law
+
+    def k(self, t):
+        return self.law.k(-np.asarray(t))
+
+    def k_complex(self, z):
+        return self.law.k_complex(-np.asarray(z, dtype=complex))
+
+    def k1_k2(self, t):
+        k1, k2 = self.law.k1_k2(-np.asarray(t))
+        return -k1, k2
+
+    def domain(self):
+        dom = self.law.domain()
+        return DomainInterval(-dom.hi, -dom.lo)
 
 
 def _sd_grid(m, width, rows):
@@ -345,6 +373,24 @@ class TestInterpolatedCore:
         assert _max_log_gap(core, rows) <= 1e-9
         exact = [
             alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1.0) * math.log(v) - beta * v
+            for v in x.tolist()
+        ]
+        np.testing.assert_allclose(spi_log_density_batch(m, x), exact, rtol=0, atol=1e-6)
+
+    def test_domain_bounded_below(self, caplog):
+        # the reflected gamma lives on (-beta, inf), so the map is
+        # v = -log(tau + beta), and the default start is kept at -beta / 2
+        # or above
+        alpha, beta = 5.0, 2.0
+        m = _Reflected(_Gamma(alpha, beta))
+        x = -np.linspace(0.05, 4.0, 40) * alpha / beta
+        start = m.saddlepoint_start(x, *m.k1_k2(0.0))
+        assert np.count_nonzero(start == -0.5 * beta) > 0
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), m.spi_quad, caplog)
+        assert "interpolated" in message
+        assert _max_log_gap(core, rows) <= 1e-9
+        exact = [
+            alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1.0) * math.log(-v) + beta * v
             for v in x.tolist()
         ]
         np.testing.assert_allclose(spi_log_density_batch(m, x), exact, rtol=0, atol=1e-6)

@@ -17,6 +17,7 @@ from spinv.models import (
     Nig,
     NigParams,
 )
+from spinv import saddlepoint
 from spinv.inversion import spa_log_density_batch
 from spinv.saddlepoint import (
     NOT_CONVERGED,
@@ -292,13 +293,36 @@ class TestStart:
                         solve()
                     assert type(excinfo.value) is outcome
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            NigParams(0.22753870571391377, 0.05985072883449781, 0.010535350315951549, -6.618744946765491),
+            NigParams(0.00017236368895826086, 0.1441347084959013, -0.0035192232720199492, -6.402068854529105),
+            NigParams(0.011984465646894243, 0.24947942973383083, 0.010247201882302291, -5.146626895851042),
+        ],
+    )
+    def test_rows_at_a_domain_end_nig_rounds_away_are_marked(self, params):
+        # K' cannot be taken at the last float before the upper end of
+        # these domains: D(t) rounds to <= 0 there, and k1 raises. The row
+        # 5e4 sd out probes toward that end; one float further in K' is
+        # past x, so it is unresolvable, and the batch keeps every row as
+        # that row alone has it
+        m = Nig(params)
+        with pytest.raises(DomainError):
+            m.k1(np.nextafter(m.domain().hi, 0.0))
+        xs = m.mean() + math.sqrt(m.variance()) * np.array([-3000.0, 0.0, 3000.0, 2e4, 5e4])
+        sol = solve_saddlepoint_batch(m, xs)
+        assert sol.reason.tolist() == [UNRESOLVABLE, 0, UNRESOLVABLE, UNRESOLVABLE, UNRESOLVABLE]
+        alone = [solve_saddlepoint_batch(m, xs[i : i + 1]).tau for i in range(xs.size)]
+        assert np.array_equal(sol.tau, np.concatenate(alone), equal_nan=True)
+
     def test_unresolvable_row_stops_early_and_names_its_residual(self):
         # at 1e3 sd of _NIG_SMALL the bracket stops splitting between two
-        # neighbouring floats long before max_iter runs out
+        # neighbouring floats long before the iteration budget runs out
         m = Nig(_NIG_SMALL)
         x = m.mean() + 1e3 * math.sqrt(m.variance())
         sol = solve_saddlepoint_batch(m, np.array([x]))
-        assert sol.reason.tolist() == [UNRESOLVABLE] and sol.iterations < sol.max_iter
+        assert sol.reason.tolist() == [UNRESOLVABLE] and sol.iterations < saddlepoint._MAX_ITER
         assert abs(sol.residual[0]) > 1e-10 * x
         assert str(sol.error(0)) == (
             f"K' crosses x0={x} within float resolution; the root cannot be resolved "
@@ -339,14 +363,14 @@ def _batch_row(sol):
     return float(sol.tau[0])
 
 
-def _batch_record(caplog, m, xs, **kw):
+def _batch_record(caplog, m, xs):
     """(rows, iterations, row steps in log space, rows guarded,
     bisections, failed rows not converged, unattainable, unresolvable)
     from the batch solver's DEBUG record, which must give the counts of
     the record the solver returns."""
     with caplog.at_level(logging.DEBUG, logger="spinv.saddlepoint"):
         caplog.clear()
-        sol = solve_saddlepoint_batch(m, xs, **kw)
+        sol = solve_saddlepoint_batch(m, xs)
     (record,) = caplog.records
     counts = re.fullmatch(
         r"saddlepoint of (\d+) rows: (\d+) iterations, (\d+) row steps in log space, "
@@ -399,14 +423,15 @@ class TestBatchLog:
         taus = solve_saddlepoint_batch(m, xs).tau
         assert np.all(np.abs(m.k1(taus) - xs) <= 1e-10 * np.maximum(1.0, np.abs(xs)))
 
-    def test_unconverged_rows_are_marked(self, caplog):
+    def test_unconverged_rows_are_marked(self, caplog, monkeypatch):
         # two iterations leave rows short of the tolerance: they fail
         # alone, with NaN tau and K'', and the rest keep their roots
+        monkeypatch.setattr(saddlepoint, "_MAX_ITER", 2)
         m = MjdTransition(_C6)
         xs = _grid(m, 6.0, 101)
-        rows, iterations, *_, nc, un, ur = _batch_record(caplog, m, xs, max_iter=2)
+        rows, iterations, *_, nc, un, ur = _batch_record(caplog, m, xs)
         assert (rows, iterations, un, ur) == (101, 2, 0, 0) and 0 < nc < rows
-        sol = solve_saddlepoint_batch(m, xs, max_iter=2)
+        sol = solve_saddlepoint_batch(m, xs)
         failed = sol.reason == NOT_CONVERGED
         assert np.count_nonzero(failed) == nc
         assert np.all(np.isnan(sol.tau[failed])) and np.all(np.isnan(sol.k2[failed]))
@@ -419,12 +444,13 @@ class TestBatchLog:
             str(sol.error(i)),
         )
 
-    def test_last_step_is_checked(self, caplog):
-        # the grid converges on the 7th step, so with max_iter=7 only a
+    def test_last_step_is_checked(self, caplog, monkeypatch):
+        # the grid converges on the 7th step, so with a budget of 7 only a
         # check of the residual after the last step keeps its rows from
         # failing
+        monkeypatch.setattr(saddlepoint, "_MAX_ITER", 7)
         m = MjdTransition(_C6)
-        _, iterations, *_, nc, un, ur = _batch_record(caplog, m, _grid(m, 6.0, 101), max_iter=7)
+        _, iterations, *_, nc, un, ur = _batch_record(caplog, m, _grid(m, 6.0, 101))
         assert (iterations, nc, un, ur) == (7, 0, 0, 0)
 
 
@@ -450,20 +476,22 @@ class TestK1K2:
                 with pytest.raises(DomainError):
                     f(t)
 
-    def test_returned_k2_is_k2_at_tau(self):
-        # from the solver's last evaluation; max_iter=2 leaves rows
-        # unconverged, which are marked failed with NaN tau and K''
-        for m, kw in (
-            (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), {}),
-            (Nig(_NIG_P), {}),
-            (Knee(a=1000.0, eps=0.01), {}),
-            (Knee(a=1e4, eps=0.01), {}),
-            (MjdTransition(_C6), {}),
-            (MjdTransition(_C6), {"max_iter": 2}),
+    def test_returned_k2_is_k2_at_tau(self, monkeypatch):
+        # from the solver's last evaluation; a budget of 2 iterations
+        # leaves rows unconverged, which are marked failed with NaN tau and K''
+        for m, short in (
+            (Gaussian(GaussianParams(mu=0.3, sigma=2.0)), False),
+            (Nig(_NIG_P), False),
+            (Knee(a=1000.0, eps=0.01), False),
+            (Knee(a=1e4, eps=0.01), False),
+            (MjdTransition(_C6), False),
+            (MjdTransition(_C6), True),
         ):
-            sol = solve_saddlepoint_batch(m, _grid(m, 6.0, 101), **kw)
+            if short:
+                monkeypatch.setattr(saddlepoint, "_MAX_ITER", 2)
+            sol = solve_saddlepoint_batch(m, _grid(m, 6.0, 101))
             ok = sol.reason == 0
-            assert ok.all() != bool(kw)
+            assert ok.all() != short
             assert np.array_equal(sol.k2[ok], m.k2(sol.tau[ok]))
             assert np.all(np.isnan(sol.tau[~ok])) and np.all(np.isnan(sol.k2[~ok]))
 
@@ -489,8 +517,8 @@ def _random_mjd_batches(seed, n):
 class TestRandomMjd:
     def test_overflowing_rows_are_guarded(self):
         # rows whose iterate lands where K' overflows must find their way
-        # back inside their bracket rather than sit there until max_iter;
-        # the slowest batch takes 16 iterations
+        # back inside their bracket rather than sit there until the
+        # iteration budget runs out; the slowest batch takes 16 iterations
         guarded = slowest = 0
         for m, xs in _random_mjd_batches(7, 200):
             sol = solve_saddlepoint_batch(m, xs)
