@@ -1,6 +1,13 @@
 """Log-densities of CGF-specified distributions via saddlepoint-adjusted inversion."""
 
-from .cgf import CgfModel, DomainInterval, QuadratureSpec, char_fn, standardized_tilted_cf
+from .cgf import (
+    CgfModel,
+    DomainInterval,
+    Line,
+    QuadratureSpec,
+    char_fn,
+    standardized_tilted_cf,
+)
 from .errors import (
     ConvergenceError,
     DomainError,

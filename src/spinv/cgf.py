@@ -5,14 +5,16 @@ X(tau) with CGF K(t + tau) - K(tau). Standardizing the tilted variable so
 that it has mean zero and unit variance at t = 0 yields the characteristic
 function the inversion integral consumes:
 
-    cf(s) = exp( -K(tau) - i*s*x0/sqrt(K''(tau)) + K(tau + i*s/sqrt(K''(tau))) )
+    cf(s) = exp( K(tau + i*y) - K(tau) - i*y*x0 ),   y = s/sqrt(K''(tau)).
 
-Models implement K directly over complex arguments; the inversion contour
-runs vertically through the tilt point, where the real part of the CGF
-argument stays fixed at tau. standardized_tilted_cf builds that contour
-from its real and imaginary parts and finishes the exponent in the array
-k_complex returns, so k_complex must hand back a new array (see
-CgfModel.k_complex). K''(tau) comes from the caller, which took it with
+The package takes K off the real axis only on vertical lines c + iy: the
+inversion contour through the tilt (c = tau) and the imaginary axis of
+the plain CF (c = 0). So a model states K there as the increment
+K(c + iy) - K(c), in real and imaginary parts (CgfModel.k_complex on a
+Line), in real arithmetic, and K(tau) cancels without being taken. The
+inversion integrand is the real part of cf, exp(Re)*cos(Im - y*x0), which
+standardized_tilted_cf finishes in the two new arrays k_complex returns,
+with no complex array. K''(tau) comes from the caller, which took it with
 K'(tau) in one k1_k2 call or from the saddlepoint solver. How fast the CF
 decays sets the error of the rule that inverts it, so each model states
 its SPI rule (CgfModel.spi_quad, a QuadratureSpec).
@@ -50,6 +52,26 @@ class QuadratureSpec:
             object.__setattr__(self, "n_points", self.n_points + 1)
 
 
+class Line:
+    """Points c + iy on vertical lines of the complex plane, in real arithmetic.
+
+    c holds the real part of each line: a scalar, or a column with one
+    row per line. y holds the imaginary offsets, a float array of at least
+    one dimension with the shape of the points, which c broadcasts against.
+    size counts the points.
+    """
+
+    __slots__ = ("c", "y")
+
+    def __init__(self, c, y):
+        self.c = np.asarray(c, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+
+    @property
+    def size(self) -> int:
+        return self.y.size
+
+
 @dataclass(frozen=True)
 class DomainInterval:
     """Open interval of CGF convergence; must contain 0."""
@@ -72,11 +94,12 @@ class CgfModel(ABC):
     """A distribution known through its cumulant generating function.
 
     A model states four things: K over the real domain (k), K' and K''
-    together (k1_k2), K over complex arguments whose real part lies inside
-    the domain (k_complex), and the domain. All evaluation methods are
-    vectorized over their argument. k1 and k2 each read one half of
-    k1_k2; the solver and the inversion core call k1_k2 and carry K''
-    on from there, so neither takes K'' again at a point where it has it.
+    together (k1_k2), the increment of K along vertical lines whose real
+    part lies inside the domain (k_complex), and the domain. All
+    evaluation methods are vectorized over their argument. k1 and k2 each
+    read one half of k1_k2; the solver and the inversion core call k1_k2
+    and carry K'' on from there, so neither takes K'' again at a point
+    where it has it.
 
     saddlepoint_start is where the saddlepoint solver starts. A subclass
     whose K' inverts in closed form may override it with the exact root;
@@ -92,11 +115,12 @@ class CgfModel(ABC):
         """K(t) for real t inside the domain."""
 
     @abstractmethod
-    def k_complex(self, z):
-        """K(z) for complex z; only ever called with re(z) inside the domain.
+    def k_complex(self, line: Line):
+        """(Re, Im) of K(c + iy) - K(c) at the points of line (a Line).
 
-        Returns a new complex array of z's shape that shares no memory
-        with z or with the model: standardized_tilted_cf overwrites it.
+        Only ever called with every c inside the domain. Returns two new
+        float arrays of the shape of line.y, which the caller may
+        overwrite. At y = 0 both are 0, so K(c) itself is never needed.
         """
 
     @abstractmethod
@@ -145,34 +169,48 @@ class CgfModel(ABC):
         return float(self.k2(0.0))
 
 
+def log_char_fn(model: CgfModel, s):
+    """(Re, Im) of log phi(s) = K(i s), vectorized over s: the increment on Line(0, s).
+
+    Raises InversionError at the first s where either part is not finite.
+    """
+    s = np.asarray(s, dtype=float)
+    re, im = model.k_complex(Line(0.0, np.atleast_1d(s)))
+    bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
+    if bad.size:
+        raise InversionError(f"characteristic function not finite at s = {np.atleast_1d(s)[bad[0]]}")
+    return re.reshape(s.shape), im.reshape(s.shape)
+
+
 def char_fn(model: CgfModel, s):
-    """Characteristic function phi(s) = exp(K(i s)), vectorized over s."""
-    val = np.exp(model.k_complex(1j * np.asarray(s, dtype=float)))
-    if not np.all(np.isfinite(val.real)) or not np.all(np.isfinite(val.imag)):
-        bad = np.atleast_1d(s)[np.flatnonzero(~np.isfinite(np.atleast_1d(val)))[0]]
-        raise InversionError(f"characteristic function not finite at s = {bad}")
-    return val
+    """Characteristic function phi(s) = exp(K(i s)), vectorized over s, from log_char_fn."""
+    re, im = log_char_fn(model, s)
+    return np.exp(re) * (np.cos(im) + 1j * np.sin(im))
 
 
 def standardized_tilted_cf(model: CgfModel, tau_hat, k2, x0, s):
-    """CF of the standardized tilted variable, evaluated at real s.
+    """Re cf(s), the real part of the CF of the standardized tilted variable, at real s.
 
     With tau_hat solving K'(tau_hat) = x0 and k2 = K''(tau_hat), which the
-    caller took with K' there, this is the CF of
-    (X(tau_hat) - x0) / sqrt(K''(tau_hat)); its value at s = 0 is 1.
-    tau_hat, k2 and x0 may be column arrays, one row per point, which
-    broadcast against s. Entries that overflow are returned as they are.
+    caller took with K' there, cf is the CF of
+    (X(tau_hat) - x0) / sqrt(K''(tau_hat)). Its real part, the integrand
+    that inverts it (1 at s = 0), is exp(Re)*cos(Im - y*x0) with
+    y = s/sqrt(k2) and (Re, Im) = model.k_complex(Line(tau_hat, y)), and
+    is returned as a new float array; no complex array is built. tau_hat,
+    k2 and x0 may be column arrays, one row per point, which broadcast
+    against s. Entries that overflow are returned as they are.
     """
     k2 = np.asarray(k2, dtype=float)
     if not np.all(k2 > 0.0):
         raise DomainError(f"K'' must be positive at the tilt, got {np.min(k2)}")
-    # the contour z = tau_hat + i*y, y = s / sqrt(K''); no complex temporaries
-    y = np.asarray(s, dtype=float) / np.sqrt(k2)
-    z = np.empty(np.broadcast(tau_hat, x0, y).shape, dtype=complex)
-    z.real = tau_hat
-    z.imag = y
-    # w = K(z) - K(tau_hat) - i*y*x0, finished in the new array k_complex returns
-    w = np.asarray(model.k_complex(z))
-    w.real -= model.k(tau_hat)
-    w.imag -= y * x0
-    return np.exp(w, out=w)
+    y = np.asarray(s, dtype=float) * (1.0 / np.sqrt(k2))
+    shape = np.broadcast_shapes(np.shape(tau_hat), np.shape(x0), y.shape)
+    if y.shape != shape or not shape:
+        y = np.broadcast_to(y, shape or (1,))
+    # exp(Re) cos(Im - y*x0), finished in the two new arrays k_complex returns
+    re, im = model.k_complex(Line(tau_hat, y))
+    im -= y * x0
+    np.cos(im, out=im)
+    np.exp(re, out=re)
+    re *= im
+    return re.reshape(shape)

@@ -295,7 +295,14 @@ def cmd_simulate(args):
         path = FAMILIES[args.family].simulate(params, args.n, args.dt, args.seed)
     except ValueError as exc:  # numpy refuses a draw parameter, as Poisson does a mean of 1e20
         raise ValidationError(f"cannot draw from these parameters: {exc}") from None
-    lines = "".join(f"{p:.17g}\n" for p in np.exp(path))
+    with np.errstate(over="ignore"):
+        prices = np.exp(path)
+    bad = np.flatnonzero(~np.isfinite(prices))
+    if bad.size:
+        raise ValidationError(
+            f"simulated price not finite at step {bad[0]} of {args.n}: these parameters overflow the path"
+        )
+    lines = "".join(f"{p:.17g}\n" for p in prices)
     _emit(lines, args.output)
     return 0
 

@@ -22,9 +22,12 @@ convergence at 257 nodes) takes each row by itself, in blocks. Each batch
 logs one DEBUG record saying which, with the rule and its error indicators.
 
 A node or row is taken by the trapezoid rule on the real part of the
-standardized tilted CF. That integrand is even and analytic in a strip,
-where the trapezoid rule converges geometrically as its step shrinks
-(Trefethen & Weideman 2014, SIAM Rev. 56:385); Simpson's rule is
+standardized tilted CF, exp(Re)*cos(Im - y*x0) from the model's increment
+of K along the contour (standardized_tilted_cf), with no complex array;
+direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) the same way. The SPI
+integrand is even and analytic in a strip, where the trapezoid rule
+converges geometrically as its step shrinks (Trefethen & Weideman 2014,
+SIAM Rev. 56:385); Simpson's rule is
 (4 T_h - T_2h)/3 and so carries the error of the rule with twice the
 step. Direct IFT keeps its Simpson rule. Every rule's points are summed
 by one reduction (_even_odd) in one loop over blocks of rows (_row_sums):
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._log import debug
-from .cgf import CgfModel, DomainInterval, QuadratureSpec, char_fn, standardized_tilted_cf
+from .cgf import CgfModel, DomainInterval, QuadratureSpec, log_char_fn, standardized_tilted_cf
 from .errors import InversionError, ValidationError
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
 
@@ -137,7 +140,7 @@ def _p_bar_zero_rows(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         even, odd, last = _row_sums(
             x.size, s,
-            lambda b: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s).real,
+            lambda b: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s),
         )
         fine = even + odd
         p_bar = h / math.pi * fine
@@ -420,8 +423,17 @@ def direct_ift_log_density_batch(
     x = np.asarray(x, dtype=float).ravel()
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
     h = quad.upper_limit / (quad.n_points - 1)
-    phi = char_fn(model, s)
-    even, odd, _ = _row_sums(x.size, s, lambda b: (phi * np.exp(-1j * np.outer(x[b], s))).real)
+    # Re(phi(s) exp(-i s x)) = |phi(s)| cos(Im log phi(s) - s x)
+    log_mod, phase = log_char_fn(model, s)
+    mod = np.exp(log_mod)
+
+    def integrand(b):
+        vals = np.subtract(phase, np.multiply.outer(x[b], s))
+        np.cos(vals, out=vals)
+        vals *= mod
+        return vals
+
+    even, odd, _ = _row_sums(x.size, s, integrand)
     return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
 
 

@@ -14,16 +14,23 @@ That difference of square roots cancels catastrophically when psi is large
 
     sqrt(chi) * u / (sqrt(psi) + sqrt(psi - u)),   u = t^2 + 2*t*gamma,
 
-which is exact and stable for all psi. Along the vertical contours used by
-the inversion integral, re(psi - u) = D(re z) + im(z)^2 > 0, so the
-principal square root is the correct analytic continuation. Since that
-real part is positive, k_complex takes the root in real arithmetic:
-sqrt(a + ib) = r + i*b/(2r) with r = sqrt((|a + ib| + a)/2), which holds
-only for a > 0, that is for re(z) inside the domain.
+which is exact and stable for all psi. On a vertical line c + iy with c
+in the domain, psi - u = a - 2igy with a = D + y^2 > 0, D = D(c) =
+psi - c^2 - 2c*gamma and g = c + gamma, so the principal square root is
+the correct analytic continuation. It is r - i*g*y/r, with
+r^2 = (|v| + a)/2 and |v| = sqrt(a^2 + 4 g^2 y^2), and k_complex states
+the increment K(c + iy) - K(c) in the same cancellation-free way:
 
-The NIG and MJD k_complex work in place on arrays they allocate, since
-their argument is the whole CF matrix of a block; each returns a new
-array, as CgfModel.k_complex requires.
+    Re = -sqrt(chi) * y^2 * (1 + g^2/r^2) / (r + sqrt(D)),
+    Im = y * (mu + sqrt(chi) * g / r),
+
+where every term is positive, so nothing cancels as y goes to 0 or psi
+grows.
+
+Each k_complex takes the terms that depend on c once per line, and
+works in place on arrays it allocates, since its line holds the whole CF
+matrix of a block; each returns two new arrays, as CgfModel.k_complex
+requires.
 
 The MJD transition is the conditional law of the log price X_t given
 X_0 = x0 over a step dt, a Gaussian increment plus a compound Poisson sum
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CgfModel, DomainInterval, QuadratureSpec
+from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
@@ -113,9 +120,12 @@ class Gaussian(CgfModel):
     def k(self, t):
         return self.params.mu * t + 0.5 * self._var * t * t
 
-    def k_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.params.mu * z + 0.5 * self._var * z * z
+    def k_complex(self, line: Line):
+        # K(c + iy) - K(c) = -sigma^2 y^2 / 2 + i y (mu + sigma^2 c)
+        y = line.y
+        re = y * y
+        re *= -0.5 * self._var
+        return re, y * (self.params.mu + self._var * line.c)
 
     def k1_k2(self, t):
         return self.params.mu + self._var * t, self._var + 0.0 * t
@@ -149,33 +159,37 @@ class Nig(CgfModel):
             self._sqrt_psi + np.sqrt(self._d(t))
         )
 
-    def k_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        # flat, so that the in-place steps below also hold for a 0-d z
-        shape, z = z.shape, z.reshape(-1)
+    def k_complex(self, line: Line):
+        """(Re, Im) of K(c + iy) - K(c), in the module docstring's form."""
         p = self.params
-        u = z + 2.0 * p.gamma
-        u *= z
-        # v = psi - u = a + ib has a > 0 (module docstring), so its root is
-        # r + i*b/(2r) with r^2 = (|v| + a)/2 = a*(1 + sqrt(1 + (b/a)^2))/2,
-        # a form that squares no large number
-        den = p.psi - u
-        a, b = den.real, den.imag
-        r = b / a
+        c, y = line.c, line.y
+        g = c + p.gamma
+        d = p.psi - c * c - 2.0 * c * p.gamma
+        yy = y * y
+        # r^2 = (|v| + a)/2 = a (1 + sqrt(1 + q^2))/2 with q = 2gy/a, a form
+        # that squares no large number
+        a = yy + d
+        r = y * (2.0 * g)
+        r /= a
         r *= r
         r += 1.0
         np.sqrt(r, out=r)
         r += 1.0
-        r *= 0.5
         r *= a
+        r *= 0.5
         np.sqrt(r, out=r)
-        b /= r
-        b *= 0.5
-        np.add(r, self._sqrt_psi, out=a)  # den = sqrt(psi) + sqrt(psi - u)
-        u /= den
-        u *= self._sqrt_chi
-        u += z * p.mu
-        return u.reshape(shape)
+        # h = sqrt(chi) g / r; Im = y (mu + h) and
+        # Re = -y^2 (chi + h^2) / (sqrt(chi) (r + sqrt(D)))
+        h = np.divide(self._sqrt_chi * g, r, out=a)
+        im = h + p.mu
+        im *= y
+        h *= h
+        h += p.chi
+        h *= yy
+        r += np.sqrt(d)
+        h /= r
+        h *= -1.0 / self._sqrt_chi
+        return h, im
 
     def k1_k2(self, t):
         """K'(t) = mu + sqrt(chi) (t + gamma) / sqrt(D(t)) and
@@ -244,21 +258,31 @@ class MjdTransition(CgfModel):
             + self._lam_dt * (np.exp(self._jump_exponent(t)) - 1.0)
         )
 
-    def k_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        shape, z = z.shape, z.reshape(-1)
+    def k_complex(self, line: Line):
+        """(Re, Im) of K(c + iy) - K(c) on one per-line E = lam dt exp(J(c)):
+
+            Re = -sigma^2 dt y^2 / 2 + E (exp(-nu^2 y^2/2) cos(phi) - 1),
+            Im = y (base + sigma^2 dt c) + E exp(-nu^2 y^2/2) sin(phi),
+
+        with J the jump exponent and phi = y (mu_J + nu^2 c).
+        """
         p = self.params
-        jump = z * (0.5 * p.nu**2)
-        jump += p.mu_j
-        jump *= z
-        np.exp(jump, out=jump)
-        jump -= 1.0
-        jump *= self._lam_dt
-        out = z * (0.5 * self._var_diff)
-        out += self._base
-        out *= z
-        out += jump
-        return out.reshape(shape)
+        c, y = line.c, line.y
+        e = self._lam_dt * np.exp(self._jump_exponent(c))
+        phi = y * (p.mu_j + p.nu**2 * c)
+        yy = y * y
+        damp = yy * (-0.5 * p.nu**2)
+        np.exp(damp, out=damp)
+        damp *= e
+        re = np.cos(phi)
+        re *= damp
+        re -= e
+        yy *= 0.5 * self._var_diff
+        re -= yy
+        im = np.sin(phi, out=phi)
+        im *= damp
+        im += y * (self._base + self._var_diff * c)
+        return re, im
 
     def k1_k2(self, t):
         """K' and K'' on one exp(jump exponent) e and one a = mu_J + nu^2 t:

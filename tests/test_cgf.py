@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinv.cgf import CgfModel, DomainInterval, char_fn, standardized_tilted_cf
+from spinv.cgf import CgfModel, DomainInterval, Line, char_fn, standardized_tilted_cf
 from spinv.errors import DomainError
 from spinv.saddlepoint import solve_saddlepoint
 from spinv.models import (
@@ -90,11 +90,18 @@ class TestCgfDerivatives:
 
     @pytest.mark.parametrize("model", _family_models())
     def test_k_complex_matches_k_on_real_axis(self, model):
+        # the increment K(c + iy) - K(c) is 0 on the real axis, and off it
+        # matches the one-expression K(c + iy) - K(c)
         dom = model.domain()
-        ts = np.linspace(max(dom.lo, -5.0), min(dom.hi, 5.0), 11)[1:-1]
-        kc = model.k_complex(ts.astype(complex))
-        np.testing.assert_allclose(kc.real, model.k(ts), rtol=1e-12)
-        np.testing.assert_allclose(kc.imag, 0.0, atol=1e-12)
+        c = np.linspace(max(dom.lo, -5.0), min(dom.hi, 5.0), 11)[1:-1, None]
+        re, im = model.k_complex(Line(c, np.zeros((c.size, 1))))
+        np.testing.assert_allclose(re, 0.0, atol=1e-12)
+        np.testing.assert_allclose(im, 0.0, atol=1e-12)
+        y = np.array([0.3, -1.0, 7.0, 40.0]) / np.sqrt(model.variance())
+        re, im = model.k_complex(Line(c, np.broadcast_to(y, (c.size, y.size))))
+        want = _reference_k(model, c + 1j * y) - _reference_k(model, c)
+        np.testing.assert_allclose(re, want.real, rtol=1e-12)
+        np.testing.assert_allclose(im, want.imag, rtol=1e-12)
 
 
 class TestCharFn:
@@ -119,7 +126,7 @@ class TestStandardizedTiltedCf:
             x0 = m.mean() + 0.7 * np.sqrt(m.variance())
             sp = solve_saddlepoint(m, x0)
             v = standardized_tilted_cf(m, sp.tau_hat, sp.k2_at, x0, 0.0)
-            np.testing.assert_allclose(v, 1.0 + 0.0j, atol=1e-10)
+            np.testing.assert_allclose(v, 1.0, atol=1e-10)
 
     def test_gaussian_is_standard_normal_cf(self):
         # Gaussian tilts are Gaussian, so the standardized tilted CF is
@@ -129,13 +136,16 @@ class TestStandardizedTiltedCf:
         sp = solve_saddlepoint(m, x0)
         s = np.linspace(0.0, 8.0, 33)
         v = standardized_tilted_cf(m, sp.tau_hat, sp.k2_at, x0, s)
-        np.testing.assert_allclose(v.real, np.exp(-0.5 * s**2), atol=1e-13)
-        np.testing.assert_allclose(v.imag, 0.0, atol=1e-13)
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(v, np.exp(-0.5 * s**2), atol=1e-13)
 
 
-def _reference_k_complex(model, z):
+def _reference_k(model, z):
     """K(z) as one complex expression, with numpy's principal square root for NIG."""
     z = np.asarray(z, dtype=complex)
+    if isinstance(model, Gaussian):
+        p = model.params
+        return p.mu * z + 0.5 * p.sigma**2 * z * z
     if isinstance(model, Nig):
         p = model.params
         u = z * z + 2.0 * z * p.gamma
@@ -144,18 +154,18 @@ def _reference_k_complex(model, z):
         p = model.params
         jump = z * p.mu_j + 0.5 * p.nu**2 * z * z
         return z * model._base + 0.5 * model._var_diff * z * z + model._lam_dt * (np.exp(jump) - 1.0)
-    return model.k_complex(z)
+    return model._k(z)
 
 
 def _reference_cf(model, tau_hat, x0, s):
     """exp(-K(tau) - i*s*x0/sqrt(K''(tau)) + K(tau + i*s/sqrt(K''(tau)))), term by term."""
     rk2 = np.sqrt(model.k2(tau_hat))
     s = np.asarray(s, dtype=float)
-    return np.exp(-model.k(tau_hat) - 1j * s * x0 / rk2 + _reference_k_complex(model, tau_hat + 1j * s / rk2))
+    return np.exp(-model.k(tau_hat) - 1j * s * x0 / rk2 + _reference_k(model, tau_hat + 1j * s / rk2))
 
 
 class TestTiltedCfKernel:
-    """The in-place kernel against the one-expression form, entry by entry."""
+    """The real kernel against the real part of the one-expression form, entry by entry."""
 
     _MODELS = _family_models() + [VarianceGamma(VgParams(sigma=0.01, nu=0.25, theta=-0.003, mu=0.001))]
     _S = np.linspace(0.0, 800.0, 1601)
@@ -170,8 +180,8 @@ class TestTiltedCfKernel:
         with np.errstate(over="ignore", under="ignore"):
             got = standardized_tilted_cf(model, *cols)
             want = _reference_cf(model, cols[0], cols[2], cols[3])
-        assert got.shape == (x0.size, self._S.size)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        assert got.shape == (x0.size, self._S.size) and got.dtype == np.float64
+        np.testing.assert_allclose(got, want.real, rtol=0.0, atol=1e-13)
         # the kernel reads its inputs and writes only arrays of its own
         np.testing.assert_array_equal(cols[0], tau[:, None])
         np.testing.assert_array_equal(cols[1], k2[:, None])
@@ -187,7 +197,8 @@ class TestTiltedCfKernel:
         tau = (dom.lo + 0.005 * (dom.hi - dom.lo)) if side < 0 else (dom.hi - 0.005 * (dom.hi - dom.lo))
         x0 = float(m.k1(tau))
         got = standardized_tilted_cf(m, tau, m.k2(tau), x0, self._S)
-        np.testing.assert_allclose(got, _reference_cf(m, tau, x0, self._S), rtol=0.0, atol=1e-13)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, _reference_cf(m, tau, x0, self._S).real, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
     def test_zero_d_inputs(self, model):
@@ -198,5 +209,5 @@ class TestTiltedCfKernel:
             got = standardized_tilted_cf(
                 model, np.float64(tau), np.float64(sp.k2_at), np.float64(x0), np.float64(s)
             )
-            assert np.shape(got) == ()
-            np.testing.assert_allclose(got, _reference_cf(model, tau, x0, s), rtol=0.0, atol=1e-13)
+            assert np.shape(got) == () and got.dtype == np.float64
+            np.testing.assert_allclose(got, _reference_cf(model, tau, x0, s).real, rtol=0.0, atol=1e-13)

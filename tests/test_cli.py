@@ -516,6 +516,21 @@ class TestSimulate:
         assert code == 3
         assert out == "" and err == "error: cannot draw from these parameters: lam value too large\n"
 
+    @pytest.mark.parametrize(
+        "params",
+        [["--family", "nig", "--params", "chi=1e300", "psi=1e-300"], ["--family", "gbm", "--params", "r=1e300", "sigma=0.2"]],
+        ids=["nig-nan", "gbm-overflow"],
+    )
+    def test_price_that_is_not_finite_exits_3(self, capsys, params):
+        # finite parameters whose draws overflow: the inverse-Gaussian mean
+        # sqrt(chi/psi) is inf (NaN draws), or exp of the log path is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["simulate", *params, "--n", "2"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: simulated price not finite at step 1 of 2: these parameters overflow the path\n"
+
     def test_gbm_price_path(self, capsys, tmp_path):
         out_file = tmp_path / "prices.csv"
         code = main(

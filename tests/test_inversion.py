@@ -12,6 +12,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import spinv
+import spinv.inversion as inversion
 from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, ValidationError
 from spinv.inversion import (
@@ -45,6 +46,7 @@ from spinv.models import (
     simulate_nig,
 )
 from spinv.saddlepoint import solve_saddlepoint_batch
+from test_cgf import _reference_cf
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
 _FINE_QUAD = QuadratureSpec(800.0, 16384)
@@ -273,11 +275,15 @@ class _Gamma(CgfModel):
     def __init__(self, alpha, beta):
         self.alpha, self.beta = alpha, beta
 
-    def k(self, t):
-        return -self.alpha * np.log1p(-np.asarray(t) / self.beta)
+    def _k(self, t):
+        return -self.alpha * np.log1p(-t / self.beta)
 
-    def k_complex(self, z):
-        return -self.alpha * np.log(1.0 - np.asarray(z, dtype=complex) / self.beta)
+    def k(self, t):
+        return self._k(np.asarray(t, dtype=float))
+
+    def k_complex(self, line):
+        w = self._k(line.c + 1j * line.y) - self._k(line.c)
+        return w.real, w.imag
 
     def k1_k2(self, t):
         u = self.beta - np.asarray(t)
@@ -288,7 +294,9 @@ class _Gamma(CgfModel):
 
 
 class _Reflected(CgfModel):
-    """The law of -X for a law X: K(t) = K_X(-t), on the reflected domain."""
+    """The law of -X for a law X: K(t) = K_X(-t), on the reflected domain.
+
+    X states K_X as one expression, _k, over real and complex arguments."""
 
     def __init__(self, law):
         self.law = law
@@ -296,8 +304,9 @@ class _Reflected(CgfModel):
     def k(self, t):
         return self.law.k(-np.asarray(t))
 
-    def k_complex(self, z):
-        return self.law.k_complex(-np.asarray(z, dtype=complex))
+    def k_complex(self, line):
+        w = self.law._k(-(line.c + 1j * line.y)) - self.law._k(-line.c)
+        return w.real, w.imag
 
     def k1_k2(self, t):
         k1, k2 = self.law.k1_k2(-np.asarray(t))
@@ -477,3 +486,66 @@ class TestInterpolatedCore:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestRealKernel:
+    """The core on the real kernel against the same rule on the one-expression CF."""
+
+    @staticmethod
+    def _terms_both_ways(monkeypatch, model, x):
+        # the reference kernel sums the real part of exp of the complex
+        # exponent; everything else in the core stays the same
+        got = log_density_terms(model, x)
+        with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(
+                inversion, "standardized_tilted_cf",
+                lambda m, tau, k2, x0, s: _reference_cf(m, tau, x0, s).real,
+            )
+            want = log_density_terms(model, x)
+        return got, want
+
+    @staticmethod
+    def _usable(terms):
+        p_bar = terms[4]
+        return np.isfinite(p_bar) & (p_bar > 0.0)
+
+    @pytest.mark.parametrize("case", ["criterion-9 NIG", "criterion-6 MJD"])
+    def test_matches_the_one_expression_cf_on_the_criterion_data(self, monkeypatch, case):
+        if case == "criterion-9 NIG":
+            model, x = Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11)
+        else:
+            model = MjdTransition(_MJD_P, x0=0.0, dt=1.0 / 252.0)
+            x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
+        got, want = self._terms_both_ways(monkeypatch, model, x)
+        assert self._usable(got).all() and self._usable(want).all()
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-11)
+
+    def test_same_unusable_rows_on_the_50_sd_nig_grid(self, monkeypatch):
+        # the CLI benchmark's grid: 801 rows from -50 to +50 sd
+        model = Nig(_NIG_P)
+        x = _sd_grid(model, 50.0, 801)
+        got, want = self._terms_both_ways(monkeypatch, model, x)
+        usable = self._usable(got)
+        assert np.array_equal(usable, self._usable(want))
+        assert np.count_nonzero(~usable) == 296
+        np.testing.assert_allclose(got[0][usable], want[0][usable], rtol=0.0, atol=1e-11)
+
+
+class TestKAtTheTilt:
+    """K(tau) is taken once per SPI batch, for the tilt term: the kernel never needs it."""
+
+    @pytest.mark.parametrize("rows, path", [(101, "interpolated"), (21, "per row")])
+    def test_one_k_call_in_solved_terms(self, caplog, rows, path):
+        callers = []
+
+        class CountingNig(Nig):
+            def k(self, t):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return super().k(t)
+
+        model = CountingNig(_NIG_P)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            spi_log_density_batch(model, _sd_grid(model, 3.0, rows))
+        (record,) = caplog.records
+        assert f": {path}" in record.getMessage()
+        assert callers == ["_solved_terms"]

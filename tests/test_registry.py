@@ -52,12 +52,15 @@ class VarianceGamma(CgfModel):
         p = self.params
         return 1.0 - p.theta * p.nu * t - 0.5 * p.sigma**2 * p.nu * t * t
 
-    def k(self, t):
+    def _k(self, t):
         return self.params.mu * t - np.log(self._q(t)) / self.params.nu
 
-    def k_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.params.mu * z - np.log(self._q(z)) / self.params.nu
+    def k(self, t):
+        return self._k(np.asarray(t, dtype=float))
+
+    def k_complex(self, line):
+        w = self._k(line.c + 1j * line.y) - self._k(line.c)
+        return w.real, w.imag
 
     def k1_k2(self, t):
         p = self.params

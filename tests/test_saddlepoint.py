@@ -74,8 +74,9 @@ class Exponential(CgfModel):
     def k(self, t):
         return -np.log1p(-np.asarray(t, dtype=float) / self.rate)
 
-    def k_complex(self, z):
-        return -np.log(1.0 - np.asarray(z, dtype=complex) / self.rate)
+    def k_complex(self, line):
+        w = -np.log1p(-(line.c + 1j * line.y) / self.rate) - self.k(line.c)
+        return w.real, w.imag
 
     def k1_k2(self, t):
         u = self.rate - np.asarray(t, dtype=float)
@@ -97,8 +98,9 @@ class Knee(CgfModel):
     def k(self, t):
         return self._k(np.asarray(t, dtype=float))
 
-    def k_complex(self, z):
-        return self._k(np.asarray(z, dtype=complex))
+    def k_complex(self, line):
+        w = self._k(line.c + 1j * line.y) - self._k(line.c)
+        return w.real, w.imag
 
     def _k(self, t):
         e = self.eps
