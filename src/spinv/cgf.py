@@ -8,16 +8,22 @@ function the inversion integral consumes:
     cf(s) = exp( K(tau + i*y) - K(tau) - i*y*x0 ),   y = s/sqrt(K''(tau)).
 
 The package takes K off the real axis only on vertical lines c + iy: the
-inversion contour through the tilt (c = tau) and the imaginary axis of
-the plain CF (c = 0). So a model states K there as the increment
-K(c + iy) - K(c), in real and imaginary parts (CgfModel.k_complex on a
-Line), in real arithmetic, and K(tau) cancels without being taken. The
-inversion integrand is the real part of cf, exp(Re)*cos(Im - y*x0), which
+line through the tilt (c = tau), SPI's contour moved off it to any c
+inside the domain, and the imaginary axis of the plain CF (c = 0). So a
+model states K there as the increment K(c + iy) - K(c), in real and
+imaginary parts (CgfModel.k_complex on a Line), in real arithmetic, and
+K(tau) cancels without being taken. The inversion integrand at the tilt
+is the real part of cf, exp(Re)*cos(Im - y*x0), which
 standardized_tilted_cf finishes in the two new arrays k_complex returns,
 with no complex array. K''(tau) comes from the caller, which took it with
-K'(tau) in one k1_k2 call or from the saddlepoint solver. How fast the CF
-decays sets the error of the rule that inverts it, so each model states
-its SPI rule (CgfModel.spi_quad, a QuadratureSpec).
+K'(tau) in one k1_k2 call or from the saddlepoint solver.
+
+How fast the CF decays, and how far K is analytic off the real axis, set
+the error of the rule that inverts it. A model may state a fixed SPI rule
+(CgfModel.spi_quad, a QuadratureSpec); by default it states none
+(spi_quad = None), and SPI takes its contour rule, which sets each line,
+step and length from K itself, where the domain has a finite end, and
+a fixed default rule where it has none (inversion._spi_rule).
 """
 
 import math
@@ -104,11 +110,14 @@ class CgfModel(ABC):
     saddlepoint_start is where the saddlepoint solver starts. A subclass
     whose K' inverts in closed form may override it with the exact root;
     the solver still checks the residual there, and iterates from it only
-    when the tolerance is not met. spi_quad is the SPI rule taken wherever
-    none is given; a subclass whose CF decays sooner states a shorter one.
+    when the tolerance is not met. spi_quad is the fixed SPI rule taken
+    wherever none is given; None, the default, leaves the rule to the
+    inversion core: the contour where the domain has a finite end. A
+    subclass whose CF decays like a Gaussian's on an unbounded domain may
+    state a short one.
     """
 
-    spi_quad = QuadratureSpec(100.0, 513)
+    spi_quad = None
 
     @abstractmethod
     def k(self, t):

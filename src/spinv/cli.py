@@ -28,7 +28,6 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from .cgf import CgfModel
 from .errors import (
     ConvergenceError,
     InversionError,
@@ -46,6 +45,7 @@ from .estimation import (
 )
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
+    DEFAULT_SPI_QUAD,
     QuadratureSpec,
     direct_ift_log_density_batch,
     log_density_terms,
@@ -129,20 +129,32 @@ def _parse_grid(spec):
 
 
 def _quad_from_args(args, model):
-    """The method's default rule, for spi the model's own, with either flag given overriding it."""
+    """The rule either --quad flag selects, or None, the method's default.
+
+    With neither flag, spi takes the model's own rule, the contour where
+    the model states none and its CGF domain has a finite end (see
+    inversion.p_bar_zero_batch), and direct takes DEFAULT_DIRECT_QUAD.
+    A flag given alone keeps the other field of the model's own fixed
+    rule, else of DEFAULT_SPI_QUAD, or for direct of DEFAULT_DIRECT_QUAD.
+    """
     if args.quad_points is not None and args.quad_points > _MAX_QUAD_POINTS:
         raise ValidationError(f"--quad-points is more than {_MAX_QUAD_POINTS}, got {args.quad_points}")
-    base = DEFAULT_DIRECT_QUAD if args.method == "direct" else model.spi_quad
+    if args.quad_upper is None and args.quad_points is None:
+        return None
+    base = DEFAULT_DIRECT_QUAD if args.method == "direct" else model.spi_quad or DEFAULT_SPI_QUAD
     return QuadratureSpec(
         args.quad_upper if args.quad_upper is not None else base.upper_limit,
         args.quad_points if args.quad_points is not None else base.n_points,
     )
 
 
-def _rule_defaults(field):
-    """One field of the base SPI rule and of the direct rule, for --help."""
-    spi = f"{getattr(CgfModel.spi_quad, field):g}, or the model's own rule where it states one"
-    return f"spi: {spi}; direct: {getattr(DEFAULT_DIRECT_QUAD, field):g}"
+def _rule_defaults(field, name):
+    """The SPI default, and the named field of the fixed SPI rule and of the direct rule, for --help."""
+    return (
+        f"spi: the model's own rule, a contour with error control where the CGF domain has a "
+        f"finite end; a fixed rule takes the model's own {name}, else "
+        f"{getattr(DEFAULT_SPI_QUAD, field):g}; direct: {getattr(DEFAULT_DIRECT_QUAD, field):g}"
+    )
 
 
 def _is_number(text):
@@ -222,7 +234,7 @@ def _density_rows(model, xs, method, quad):
     *terms, p_bar, sp = log_density_terms(model, xs, method, quad)
     rows = []
     for i, row in enumerate(zip(xs.tolist(), *(v.tolist() for v in terms))):
-        error = str(sp.error(i)) if sp.reason[i] else p_bar_error(p_bar[i], f"at x0 = {row[0]}")
+        error = str(sp.error(i)) if sp.reason[i] else p_bar_error(p_bar[i], f"at x0 = {row[0]}", quad)
         rows.append([row[0], "", "", "", "", error] if error else [*row, ""])
     return rows
 
@@ -342,15 +354,15 @@ def build_parser():
                 "--quad-upper",
                 type=float,
                 default=None,
-                help="upper end of the inversion rule's range [0, U] (default: "
-                + _rule_defaults("upper_limit") + ")",
+                help="upper end U of a fixed inversion rule on [0, U]; either --quad flag selects "
+                "one (default: " + _rule_defaults("upper_limit", "upper limit") + ")",
             )
             p.add_argument(
                 "--quad-points",
                 type=int,
                 default=None,
-                help="evaluations of the rule, an even count bumped to odd; spi takes the "
-                "trapezoid rule, direct Simpson's (default: " + _rule_defaults("n_points") + ")",
+                help="evaluations of a fixed rule, an even count bumped to odd; spi takes the "
+                "trapezoid rule, direct Simpson's (default: " + _rule_defaults("n_points", "point count") + ")",
             )
         if params:
             p.add_argument("--params", nargs="+", metavar="K=V")

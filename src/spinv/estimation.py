@@ -142,7 +142,8 @@ class Family:
     dt, seed) is a log-price path of n steps from 0. moment_init(data)
     starts a fit (None: the family cannot be fitted). A profile appends a
     fit of the reference family; exact_likelihood uses the oracle for every
-    method. The SPI rule is the model's (CgfModel.spi_quad), not the record's.
+    method. The SPI rule is the model's (CgfModel.spi_quad, or the contour
+    where that is None), not the record's.
     """
 
     transform: ParamTransform
@@ -247,7 +248,8 @@ def negative_log_likelihood(
     Each term is the family's model of a step of length dt started at
     zero, so for mjd the returns are transition increments. A family with
     exact_likelihood (gbm) uses its oracle whatever the method. SPI with
-    no quad takes the model's own rule (model.spi_quad).
+    no quad takes the model's own rule (model.spi_quad, or the contour
+    where that is None; see inversion.p_bar_zero_batch).
     """
     fam = family_for(family)
     model = fam.model(params, data.dt, 0.0)

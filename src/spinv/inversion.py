@@ -6,7 +6,7 @@ All three share the decomposition
 
 where p_bar is the density of the standardized tilted variable at zero.
 SPI computes p_bar(0) by Fourier inversion of a CF that is Gaussian-like
-near zero, so a fixed-range trapezoid rule converges fast. SPA
+near zero, by the trapezoid rule. SPA
 replaces p_bar(0) with the standard normal value (2*pi)^{-1/2}, exact only
 for Gaussians. Direct IFT inverts the raw characteristic function, whose
 oscillatory integrand degrades in the tails; its result is clamped at
@@ -21,29 +21,41 @@ fewer, an unusable node, a next level with more nodes than rows, no
 convergence at 257 nodes) takes each row by itself, in blocks. Each batch
 logs one DEBUG record saying which, with the rule and its error indicators.
 
-A node or row is taken by the trapezoid rule on the real part of the
-standardized tilted CF, exp(Re)*cos(Im - y*x0) from the model's increment
-of K along the contour (standardized_tilted_cf), with no complex array;
-direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) the same way. The SPI
-integrand is even and analytic in a strip, where the trapezoid rule
-converges geometrically as its step shrinks (Trefethen & Weideman 2014,
-SIAM Rev. 56:385); Simpson's rule is
-(4 T_h - T_2h)/3 and so carries the error of the rule with twice the
-step. Direct IFT keeps its Simpson rule. Every rule's points are summed
-by one reduction (_even_odd) in one loop over blocks of rows (_row_sums):
-the sum over the even-indexed points less half the two ends, which is
-T_2h / 2h, and the sum over the odd-indexed points. The trapezoid rule,
-the SPI step error indicator (the gap between T_h and T_2h) and
-Simpson's rule are each read off that pair, so the point count stays odd
-for both methods. SPI's rule is the caller's, else the model's own
-(CgfModel.spi_quad); direct IFT's is the method's, DEFAULT_DIRECT_QUAD.
+A node or row is taken by a trapezoid rule, in one of two forms. The
+fixed rule (a QuadratureSpec: [0, upper_limit] with n_points) sums the
+real part of the standardized tilted CF at the tilt,
+exp(Re)*cos(Im - y*x0) from the model's increment of K along the line
+through the tilt (standardized_tilted_cf), with no complex array. The
+contour moves that line off the tilt, to where K(c) - c*x0 is _BUDGET
+nats above its minimum, and sets each node's step from the strip in
+which the integrand is analytic and its length from where the CF has
+decayed (_contour_rows). The integrand is analytic in a strip, where the
+trapezoid rule converges geometrically as its step shrinks (Trefethen &
+Weideman 2014, SIAM Rev. 56:385); moving the line off the saddlepoint
+widens the strip, which is the optimal-contour idea of Lord & Kahl
+(2007, J. Comput. Finance 10(4)), so that a few hundred points reach
+1e-14 where a fixed rule is off by 0.07 nats or fails. SPI's rule is the
+caller's, else the model's own (CgfModel.spi_quad); a model that states
+none takes the contour where its CGF domain has a finite end, and
+DEFAULT_SPI_QUAD where it has none (_spi_rule).
+
+Direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) by Simpson's rule,
+(4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. Every rule's points are summed
+by one reduction (_even_odd) in one loop over blocks of rows
+(_row_sums): the sum over the even-indexed points less half the two
+ends, which is T_2h / 2h, and the sum over the odd-indexed points. The
+trapezoid rule, the SPI step error indicator (the gap between T_h and
+T_2h) and Simpson's rule are each read off that pair, so the point count
+stays odd for every method.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
 takes the terms and their sum from one expression (_solved_terms). The
 scalar ones solve one saddlepoint (keeping its iteration count) and take
-that row's terms, so an SPA row, and an SPI row where the core takes each
-row by itself, equals its batch row bit for bit; direct_ift_log_density
-is one row of direct_ift_log_density_batch.
+that row's terms, so an SPA row, and an SPI row by a fixed rule where the
+core takes each row by itself, equals its batch row bit for bit. On the
+contour a batch row also takes the points past its own cut up to the
+longest line of its block, which add less than 1e-16 each;
+direct_ift_log_density is one row of direct_ift_log_density_batch.
 """
 
 import math
@@ -52,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._log import debug
-from .cgf import CgfModel, DomainInterval, QuadratureSpec, log_char_fn, standardized_tilted_cf
+from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec, log_char_fn, standardized_tilted_cf
 from .errors import InversionError, ValidationError
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
 
@@ -68,8 +80,21 @@ _FIT_TOL = 1e-10
 # a batch of fewer rows than this never tries the fit: it would need 17
 # nodes, the cost of half its rows, before it could tell whether it pays
 _FIT_MIN_ROWS = 34
+# the contour rule (_contour_rows): its line lies where K(c) - cx is
+# _BUDGET nats above its minimum, placed by _NEWTON_STEPS; its step
+# leaves a discretisation error of exp(-_STRIP_NATS) in _STRIP_FRACTION
+# of the strip of analyticity; it stops where exp(Re) falls below
+# exp(_LOG_CUT), sought at _PROBES steps along the line, so that a line
+# that needs more than 2^16 steps is unusable
+_BUDGET = 2.0
+_NEWTON_STEPS = 2
+_STRIP_FRACTION = 0.95
+_STRIP_NATS = 32.0
+_LOG_CUT = math.log(1e-16)
+_PROBES = 2.0 ** np.arange(17.0)
 
 
+DEFAULT_SPI_QUAD = QuadratureSpec(100.0, 513)
 DEFAULT_DIRECT_QUAD = QuadratureSpec(150.0, 513)
 
 
@@ -96,21 +121,38 @@ def _even_odd(vals: np.ndarray):
     return vals[..., ::2].sum(axis=-1) - ends, vals[..., 1::2].sum(axis=-1)
 
 
-def _row_sums(n_rows: int, s: np.ndarray, integrand):
-    """(even, odd, last) of each row's rule on the points s, in blocks of about _BLOCK_ENTRIES entries.
+def _blocks(lengths: list):
+    """Consecutive slices of the rows, whose point counts lengths ascend, of
+    about _BLOCK_ENTRIES entries each when every row of a slice takes as
+    many points as its last (at least one row a slice)."""
+    lo = 0
+    while lo < len(lengths):
+        rows = min(max(1, _BLOCK_ENTRIES // lengths[lo]), len(lengths) - lo)
+        # the first k rows take k * lengths[lo + k - 1] entries, which ascends with k
+        while rows > 1 and rows * lengths[lo + rows - 1] > _BLOCK_ENTRIES:
+            rows -= 1
+        yield slice(lo, lo + rows)
+        lo += rows
 
-    integrand(b) is the real integrand at s of the rows in slice b, one
-    row each; (even, odd) are _even_odd of a row and last its value at
-    s[-1]. Every Fourier integral of the package is summed here.
+
+def _row_sums(lengths: list, integrand):
+    """(even, odd, last, entries) of each row's rule, in blocks of about _BLOCK_ENTRIES entries.
+
+    lengths lists each row's point count, odd and ascending (see _blocks).
+    integrand(b, m) is the real integrand of the rows in slice b at their
+    first m points, one row each, with m the count of the block's last
+    row; (even, odd) are _even_odd of a row, last its value at the last
+    point, and entries the count of values taken. Every Fourier integral
+    of the package is summed here.
     """
-    rows = max(1, _BLOCK_ENTRIES // s.size)
-    even, odd, last = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
-    for lo in range(0, n_rows, rows):
-        b = slice(lo, lo + rows)
-        vals = integrand(b)
+    even, odd, last = np.empty(len(lengths)), np.empty(len(lengths)), np.empty(len(lengths))
+    entries = 0
+    for b in _blocks(lengths):
+        vals = integrand(b, lengths[b.stop - 1])
         even[b], odd[b] = _even_odd(vals)
         last[b] = vals[:, -1]
-    return even, odd, last
+        entries += vals.size
+    return even, odd, last, entries
 
 
 def _largest(vals: np.ndarray) -> float:
@@ -118,34 +160,173 @@ def _largest(vals: np.ndarray) -> float:
     return float(np.fmax.reduce(vals, initial=0.0))
 
 
+def _spi_rule(model: CgfModel, quad: QuadratureSpec):
+    """The SPI rule: quad, else the model's own (spi_quad), else None, the
+    contour, where the CGF domain has a finite end, and DEFAULT_SPI_QUAD
+    where it has none."""
+    rule = model.spi_quad if quad is None else quad
+    if rule is None:
+        dom = model.domain()
+        if not (math.isfinite(dom.lo) or math.isfinite(dom.hi)):
+            return DEFAULT_SPI_QUAD
+    return rule
+
+
 def _p_bar_zero_rows(
     model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
 ):
-    """p_bar(0) of every row by its own trapezoid rule, in blocks of about _BLOCK_ENTRIES CF entries.
+    """p_bar(0) of every row by its own rule, the one _spi_rule gives for quad.
 
-    k2 is K''(tau), row by row.
+    k2 is K''(tau), row by row. Returns (p_bar, indicators), where
+    indicators are (step, truncation, points, most points of a row,
+    smallest step of a row). step is the largest relative gap between
+    the rule and the trapezoid rule on its even-indexed points (step
+    2h). Under geometric convergence that gap is about the error of the
+    coarser rule, so it overstates the error of the rule itself.
+    truncation is the largest |integrand| at the last point, where the
+    rule cuts it off (it is 1 at the first).
+    """
+    rule = _spi_rule(model, quad)
+    if rule is None:
+        return _contour_rows(model, x, tau, k2)
+    return _trapezoid_rows(model, x, tau, k2, rule)
+
+
+def _merged(a, b):
+    """The indicators of two sets of rows (see _p_bar_zero_rows) as those of one."""
+    return max(a[0], b[0]), max(a[1], b[1]), a[2] + b[2], max(a[3], b[3]), min(a[4], b[4])
+
+
+def _trapezoid_rows(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
+    """p_bar(0) of every row by the trapezoid rule of quad, in blocks of about _BLOCK_ENTRIES CF entries.
 
     p_bar(0) = (1/pi) * integral over [0, upper_limit] of Re cf(s), taken
     with weights h, and h/2 at s = 0 and s = upper_limit.
-
-    Returns (p_bar, step, truncation). step is the largest relative gap
-    between the rule and the trapezoid rule on its even-indexed points
-    (step 2h). Under geometric convergence that gap is about the error of
-    the coarser rule, so it overstates the error of the rule itself.
-    truncation is the largest |Re cf(upper_limit)|, the size of the
-    integrand where the rule cuts it off (it is 1 at s = 0).
     """
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
     h = quad.upper_limit / (quad.n_points - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        even, odd, last = _row_sums(
-            x.size, s,
-            lambda b: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s),
+        even, odd, last, entries = _row_sums(
+            [s.size] * x.size,
+            lambda b, m: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s),
         )
         fine = even + odd
         p_bar = h / math.pi * fine
         step = np.abs(1.0 - 2.0 * even / fine)
-    return p_bar, _largest(step), _largest(np.abs(last))
+    return p_bar, (_largest(step), _largest(np.abs(last)), entries, s.size, h)
+
+
+def _contour_lines(model: CgfModel, x, tau, k2):
+    """(c, gap, h) of each row's contour: the line Re z = c, K(c) - cx less
+    its value at tau, and the step in y.
+
+    c moves from tau away from the nearer finite end of the domain, by
+    Newton steps on K(c) - cx - (K(tau) - tau x) = _BUDGET from the
+    quadratic guess, and no further than the middle of a domain with two
+    finite ends, where the strip of analyticity is widest. The strip's
+    half-width d is the distance from c to the nearest finite end. On the
+    lines c +- a, a = _STRIP_FRACTION d, the integrand is at most
+    exp(growth) times its value at y = 0, with growth the larger rise of
+    K(z) - zx from c to c +- a, so the trapezoid rule of step
+    h = 2 pi a / (_STRIP_NATS + growth) is off by about exp(-_STRIP_NATS)
+    (Trefethen & Weideman 2014, SIAM Rev. 56:385).
+    """
+    dom = model.domain()
+    lo, hi = dom.lo, dom.hi
+    if math.isfinite(lo) and math.isfinite(hi):
+        mid = 0.5 * (lo + hi)
+        sign, lower, upper = np.where(tau > mid, -1.0, 1.0), np.fmin(tau, mid), np.fmax(tau, mid)
+    elif math.isfinite(hi):
+        sign, lower, upper = -1.0, -np.inf, tau
+    else:
+        sign, lower, upper = 1.0, tau, np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.fmin(np.fmax(tau + sign * np.sqrt(2.0 * _BUDGET / k2), lower), upper)
+        k_tau, k_c = np.asarray(model.k(np.concatenate([tau, c])), dtype=float).reshape(2, -1)
+        at_tau = k_tau - tau * x
+        for i in range(_NEWTON_STEPS):
+            gap = k_c - c * x - at_tau
+            c = np.fmin(np.fmax(c - (gap - _BUDGET) / (model.k1(c) - x), lower), upper)
+            if i + 1 < _NEWTON_STEPS:
+                k_c = np.asarray(model.k(c), dtype=float)
+    # K on the last line and on its strip's edges, in one call
+    a = _STRIP_FRACTION * np.fmin(c - lo, hi - c)
+    k_c, k_lo, k_hi = np.asarray(model.k(np.concatenate([c, c - a, c + a])), dtype=float).reshape(3, -1)
+    growth = np.maximum(k_lo + a * x, k_hi - a * x) - k_c
+    return c, k_c - c * x - at_tau, 2.0 * math.pi * a / (_STRIP_NATS + np.maximum(growth, 0.0))
+
+
+def _contour_rows(model: CgfModel, x, tau, k2):
+    """p_bar(0) of every row by the trapezoid rule on its own contour (see _contour_lines).
+
+    On the line Re z = c,
+
+        p(x) = exp(K(c) - cx) / pi * integral over y > 0 of exp(Re) cos(Im - y x),
+
+    with (Re, Im) = model.k_complex(Line(c, y)), the increment
+    K(c + iy) - K(c). So p_bar(0) = p(x) exp(tau x - K(tau)) sqrt(K''(tau))
+    is exp(gap) sqrt(K''(tau)) / pi times that integral, and it is exact
+    for any tau. Each row's rule runs from y = 0 to where exp(Re) falls
+    below exp(_LOG_CUT) (see _decay_cut); a row whose integrand does not
+    decay that far within 2^16 steps has no p_bar(0) (NaN).
+
+    Rows are sorted by their point count and summed in blocks of about
+    _BLOCK_ENTRIES CF entries, each row taking as many points as the
+    longest row of its block: the points past a row's own cut add less
+    than exp(_LOG_CUT) each.
+    """
+    p_bar = np.full(x.size, np.nan)
+    if not x.size:
+        return p_bar, (0.0, 0.0, 0, 0, math.inf)
+    c, gap, h = _contour_lines(model, x, tau, k2)
+    with np.errstate(invalid="ignore"):
+        n = np.ceil(_decay_cut(model, c, h)) + 1.0
+        rows = np.flatnonzero(np.isfinite(n) & np.isfinite(gap))
+    if not rows.size:
+        return p_bar, (0.0, 0.0, 0, 0, math.inf)
+    n = n[rows].astype(np.int64) | 1
+    order = np.argsort(n, kind="stable")
+    rows, n = rows[order], n[order]
+    k = np.arange(n[-1], dtype=float)
+
+    def integrand(b, m):
+        r = rows[b]
+        y = h[r, None] * k[:m]
+        re, im = model.k_complex(Line(c[r, None], y))
+        y *= x[r, None]
+        im -= y
+        np.cos(im, out=im)
+        np.exp(re, out=re)
+        re *= im
+        return re
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        even, odd, last, entries = _row_sums(n.tolist(), integrand)
+        fine = even + odd
+        p_bar[rows] = np.exp(gap[rows]) * np.sqrt(k2[rows]) / math.pi * h[rows] * fine
+        step = np.abs(1.0 - 2.0 * even / fine)
+    return p_bar, (_largest(step), _largest(np.abs(last)), entries, int(n[-1]), float(h[rows].min()))
+
+
+def _decay_cut(model: CgfModel, c, h):
+    """How many steps h along each line Re z = c take exp(Re) below
+    exp(_LOG_CUT), NaN where the last of _PROBES does not.
+
+    Re is probed at y = h * _PROBES, a factor 2 apart, and the cut found
+    by linear interpolation of log(-Re) in log y between the last probe
+    above it and the first below: exact where -Re is a power of y, as in
+    the Gaussian core (y^2) or an exponential tail (y).
+    """
+    re = model.k_complex(Line(c[:, None], h[:, None] * _PROBES))[0]
+    below = re < _LOG_CUT
+    j = np.argmax(below, axis=1)
+    i = np.arange(c.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        above = np.log(-re[i, j - 1])
+        w = (math.log(-_LOG_CUT) - above) / (np.log(-re[i, j]) - above)
+        cut = _PROBES[j] * 2.0 ** (np.clip(w, 0.0, 1.0) - 1.0)
+    cut = np.where((j > 0) & np.isfinite(cut), cut, _PROBES[j])
+    return np.where(below[i, j], cut, np.nan)
 
 
 def _tilt_map(dom: DomainInterval):
@@ -216,10 +397,10 @@ def _interpolated(
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
 
     Returns (fit, nodes used, largest last-quarter coefficient, why the
-    fit was not used). fit is None, or (p_bar, step, truncation) as
+    fit was not used). fit is None, or (p_bar, indicators) as
     _p_bar_zero_rows returns them, with the indicators over the nodes.
     """
-    nodes, tail, step, trunc = 0, math.nan, 0.0, 0.0
+    nodes, tail, seen = 0, math.nan, (0.0, 0.0, 0, 0, math.inf)
     if tau.size < _FIT_MIN_ROWS:
         return None, nodes, tail, "too few rows"
     to_v, from_v = _tilt_map(model.domain())
@@ -239,8 +420,8 @@ def _interpolated(
         j = np.arange(n + 1) if nodes == 0 else np.arange(1, n, 2)
         tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n))
         x_j, k2_j = model.k1_k2(tau_j)
-        p_j, step_j, trunc_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, quad)
-        step, trunc = max(step, step_j), max(trunc, trunc_j)
+        p_j, seen_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, quad)
+        seen = _merged(seen, seen_j)
         bad = np.flatnonzero(~(np.isfinite(p_j) & (p_j > 0.0)))
         if bad.size:
             return None, nodes + j.size, tail, f"unusable node at tau = {float(tau_j[bad[0]])!r}"
@@ -256,7 +437,7 @@ def _interpolated(
         tail = float(np.abs(c[-(c.size // 4):]).max())
         if tail <= _FIT_TOL:
             p_bar = np.exp(_read_fit(model, tau, k2, residual, c, to_v, a, b))
-            return (p_bar, step, trunc), nodes, tail, None
+            return (p_bar, seen), nodes, tail, None
     return None, nodes, tail, f"{nodes} nodes not converged"
 
 
@@ -264,54 +445,70 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     """p_bar(0) at each point x with solved saddlepoint tau: the batch core.
 
     k2 is K''(tau) and residual K'(tau) - x, as the solver leaves them.
+    The rule is quad, else the model's own (see _spi_rule): the fixed
+    trapezoid rule on the standardized tilted CF at the tilt, or the
+    contour, a trapezoid rule with its own line, step and length per
+    node or row (see _contour_rows).
 
     p_bar(0) depends on x only through tau, since x = K'(tau), so a batch
     samples one smooth function of the tilt. The core interpolates log
     p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
     257, each level reusing the values of the last. Each node is taken by
-    the trapezoid rule of quad at x = K'(tau_node), with K'' from the same
-    k1_k2 call. Once the last quarter of a level's Chebyshev coefficients
-    is at most _FIT_TOL, every row is read off the fit, with the solver's
-    residual taken into account (see _read_fit).
+    the rule at x = K'(tau_node), with K'' from the same k1_k2 call. Once
+    the last quarter of a level's Chebyshev coefficients is at most
+    _FIT_TOL, every row is read off the fit, with the solver's residual
+    taken into account (see _read_fit).
 
-    Each row runs its own trapezoid rule on the real part of the
-    standardized tilted CF instead when a node is unusable, 257 nodes do
-    not converge, the next level would need more nodes than there are
-    rows, the batch has 33 rows or fewer, or all rows share one tilt.
+    Each row runs the rule by itself instead when a node is unusable,
+    257 nodes do not converge, the next level would need more nodes than
+    there are rows, the batch has 33 rows or fewer, or all rows share one
+    tilt.
 
-    One DEBUG record per batch gives the rule (upper limit and points),
-    the path, the node count, the last-quarter coefficient size and the
-    rule's two error indicators (see _p_bar_zero_rows), over the nodes or,
-    on the per-row path, over the rows: the step error, the largest
-    relative gap to the rule of twice the step, and the truncation, the
-    largest |Re cf| at the upper limit.
+    One DEBUG record per batch gives the rule, the path, the node count,
+    the points taken in all, the most on one line, the smallest step, the
+    last-quarter coefficient size and the rule's two error indicators
+    (see _p_bar_zero_rows), over the nodes or, on the per-row path, over
+    the rows: the step error, the largest relative gap to the rule of
+    twice the step, and the truncation, the largest |integrand| where the
+    rule stops.
 
     Nothing is raised for a bad row: a p_bar(0) that is not finite or not
     positive is returned as it is, and each caller decides what to do
     with it (see p_bar_error).
     """
-    fit, nodes, tail, reason = _interpolated(model, tau, k2, residual, quad)
-    p_bar, step, trunc = fit if fit is not None else _p_bar_zero_rows(model, x, tau, k2, quad)
+    rule = _spi_rule(model, quad)
+    fit, nodes, tail, reason = _interpolated(model, tau, k2, residual, rule)
+    p_bar, (step, trunc, points, most, h) = (
+        fit if fit is not None else _p_bar_zero_rows(model, x, tau, k2, rule)
+    )
     debug(
         __name__,
-        "p_bar(0) of %d rows by the rule on [0, %g] of %d points: %s after %d nodes, "
+        "p_bar(0) of %d rows by %s: %s after %d nodes, %d points, at most %d a line, smallest step %.3g, "
         "last-quarter coefficients %.1e, step error %.1e, truncation %.1e",
-        x.size, quad.upper_limit, quad.n_points,
-        "interpolated" if reason is None else f"per row ({reason})", nodes, tail, step, trunc,
+        x.size,
+        f"the contour {_BUDGET:g} nats above the tilt" if rule is None
+        else f"the rule on [0, {rule.upper_limit:g}] of {rule.n_points} points",
+        "interpolated" if reason is None else f"per row ({reason})",
+        nodes, points, most, h, tail, step, trunc,
     )
     return p_bar
 
 
-def p_bar_error(p_bar: float, where: str):
-    """Why a p_bar(0) value is unusable, or None when it is finite and positive."""
+def p_bar_error(p_bar: float, where: str, quad: QuadratureSpec = None):
+    """Why a p_bar(0) value is unusable, or None when it is finite and positive.
+
+    quad is the rule the caller gave: with none, the model's own rule is
+    at fault, not a spec.
+    """
+    if quad is None:
+        rule = "the model's SPI rule cannot resolve it"
+    else:
+        rule = "quadrature spec inadequate for this model"
     if not math.isfinite(p_bar):
-        return f"standardized tilted CF not finite {where}"
+        return f"p_bar(0) is not finite {where}: the CF overflows or decays too slowly; {rule}"
     if not p_bar > 0.0:
-        return (
-            f"p_bar(0) = {p_bar:.3e} is not positive {where}; "
-            "quadrature spec inadequate for this model"
-        )
+        return f"p_bar(0) = {p_bar:.3e} is not positive {where}; {rule}"
     return None
 
 
@@ -320,15 +517,15 @@ def _solved_terms(model: CgfModel, x, tau, k2, residual, method: str, quad: Quad
 
     tau, k2 and residual are the solver's root, K''(tau) and K'(tau) - x.
     SPA's p_bar(0) is the scalar (2 pi)^{-1/2}, which broadcasts over the
-    rows; SPI's comes from the core by quad, else by model.spi_quad, bad
-    rows included (see p_bar_error).
+    rows; SPI's comes from the core by quad, else by the model's own rule
+    (see _spi_rule), bad rows included (see p_bar_error).
     """
     tilt_term = np.asarray(model.k(tau), dtype=float) - tau * x
     jacobian_term = -0.5 * np.log(k2)
     if method == "spa":
         p_bar = _SPA_P_BAR
     else:
-        p_bar = p_bar_zero_batch(model, x, tau, k2, residual, model.spi_quad if quad is None else quad)
+        p_bar = p_bar_zero_batch(model, x, tau, k2, residual, quad)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p_bar = np.log(p_bar)
     return tilt_term + jacobian_term + log_p_bar, tilt_term, jacobian_term, log_p_bar, p_bar
@@ -372,7 +569,7 @@ def _log_densities(model: CgfModel, x: np.ndarray, method: str, quad: Quadrature
     bad = np.flatnonzero(~(np.isfinite(p_bar) & (p_bar > 0.0)))
     if bad.size:
         i = int(bad[0])
-        raise InversionError(p_bar_error(p_bar[i], f"for observation {i} (x = {x[i]})"))
+        raise InversionError(p_bar_error(p_bar[i], f"for observation {i} (x = {x[i]})", quad))
     return log_density
 
 
@@ -396,7 +593,7 @@ def _log_density_row(model: CgfModel, x0: float, method: str, quad: QuadratureSp
     log_density, tilt_term, jacobian_term, log_p_bar, p_bar = (
         float(np.ravel(v)[0]) for v in _solved_terms(model, *rows, method, quad)
     )
-    error = p_bar_error(p_bar, f"at x0 = {x0}")
+    error = p_bar_error(p_bar, f"at x0 = {x0}", quad)
     if error:
         raise InversionError(error)
     return LogDensityResult(log_density, tilt_term, jacobian_term, log_p_bar, sp)
@@ -427,13 +624,13 @@ def direct_ift_log_density_batch(
     log_mod, phase = log_char_fn(model, s)
     mod = np.exp(log_mod)
 
-    def integrand(b):
+    def integrand(b, m):
         vals = np.subtract(phase, np.multiply.outer(x[b], s))
         np.cos(vals, out=vals)
         vals *= mod
         return vals
 
-    even, odd, _ = _row_sums(x.size, s, integrand)
+    even, odd, _, _ = _row_sums([s.size] * x.size, integrand)
     return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
 
 

@@ -35,7 +35,9 @@ requires.
 The MJD transition is the conditional law of the log price X_t given
 X_0 = x0 over a step dt, a Gaussian increment plus a compound Poisson sum
 of Gaussian jumps; its CGF is entire. It is the one built-in model to
-state its own SPI rule (spi_quad).
+state its own SPI rule (spi_quad): an entire CGF leaves no finite end
+for the contour's strip, which sets the step of NIG's rule. The Gaussian
+takes the core's fixed default rule.
 """
 
 import math
@@ -148,7 +150,7 @@ class Nig(CgfModel):
         # D(t) = psi - t^2 - 2 t gamma, positive exactly on the domain
         p = self.params
         d = p.psi - t * t - 2.0 * t * p.gamma
-        if np.any(np.asarray(d) <= 0.0):
+        if (d <= 0.0).any():
             raise DomainError(f"argument outside NIG CGF domain {self.domain()}")
         return d
 

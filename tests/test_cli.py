@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -32,8 +33,22 @@ from spinv.inversion import (
     spi_log_density,
     spi_log_density_batch,
 )
-from spinv.models import GaussianParams, MjdParams, Nig, NigParams, gaussian_log_density
+from spinv.models import (
+    GaussianParams,
+    MjdParams,
+    Nig,
+    NigParams,
+    gaussian_log_density,
+    nig_exact_log_density,
+    nig_moments,
+)
 from spinv.saddlepoint import solve_saddlepoint_batch
+
+
+# a fixed SPI rule that fails on heavy NIG tails, which the tests of
+# per-row failures rely on
+_FIXED_RULE = QuadratureSpec(100.0, 513)
+_FIXED_RULE_FLAGS = ["--quad-upper", "100", "--quad-points", "513"]
 
 
 def _run(capsys, argv):
@@ -155,13 +170,14 @@ class TestDensity:
         assert out == "" and err.startswith("error:") and message in err
 
     def test_inversion_failure_reported_per_row_exit_5(self, capsys):
-        # underresolved heavy-tail case: the spi quadrature goes negative
+        # underresolved heavy-tail case: the fixed rule (100, 513) goes
+        # negative
         code, out, err = _run(
             capsys,
             [
                 "density", "--family", "nig", "--method", "spi",
                 "--params", "chi=0.125", "psi=0.125",
-                "--grid", "-20:-20:1",
+                "--grid", "-20:-20:1", *_FIXED_RULE_FLAGS,
             ],
         )
         assert code == 5
@@ -242,10 +258,10 @@ class TestDensity:
                 assert abs(float(r[1]) + 116.97528527814424) < 1e-11
 
     def test_batch_pass_fails_the_same_rows_as_scalar(self, capsys):
-        # heavy tails: the default rule gives p_bar(0) <= 0 at x = -4 and
-        # from x = -12 down, but not in between, while every row's
-        # saddlepoint is solved. This checks that the batch pass and the
-        # scalar evaluators agree row by row, not that the values are
+        # heavy tails: the fixed rule (100, 513) gives p_bar(0) <= 0 at
+        # x = -4 and from x = -12 down, but not in between, while every
+        # row's saddlepoint is solved. This checks that the batch pass and
+        # the scalar evaluators agree row by row, not that the values are
         # accurate: between -11 and -2 they are off the Bessel density by
         # up to 2.3 nats.
         p = NigParams(chi=0.125, psi=0.125)
@@ -256,7 +272,7 @@ class TestDensity:
             [
                 "density", "--family", "nig", "--method", "spi",
                 "--params", "chi=0.125", "psi=0.125",
-                "--grid", "-24:0:1",
+                "--grid", "-24:0:1", *_FIXED_RULE_FLAGS,
             ],
         )
         assert code == 5
@@ -265,7 +281,7 @@ class TestDensity:
         expected = {}
         for x in xs.tolist():
             try:
-                expected[x] = spi_log_density(Nig(p), x).log_density
+                expected[x] = spi_log_density(Nig(p), x, _FIXED_RULE).log_density
             except InversionError:
                 expected[x] = None
         assert [r[5] != "" for r in rows] == [v is None for v in expected.values()]
@@ -278,9 +294,12 @@ class TestDensity:
     def test_density_rows_equal_the_batch(self, capsys, method):
         # the batch evaluators and the density rows take every term and the
         # sum from one expression, so the rows equal the batch to the bit.
-        # Here the 11 rows from -900 to -600 cannot be solved and spi fails
-        # two more by p_bar(0); both the grid and its good rows are too few
-        # for the fit, so spi takes each row by its own rule on both sides
+        # Here 11 rows from -900 to -480 cannot be solved, and spi marks 12
+        # more from -630 to -240, where its contour would need more than
+        # 2^16 points a line (the fixed rule (100, 513) returns them 4 nats
+        # off the Bessel density); both the grid and its good rows are too
+        # few for the fit, so spi takes each row by its own rule on both
+        # sides, and the good rows share the same blocks
         p = NigParams(chi=0.125, psi=0.125)
         code, out, _ = _run(
             capsys,
@@ -292,7 +311,7 @@ class TestDensity:
         assert code == 5
         _, rows = _parse_csv(out)
         good = [r for r in rows if not r[5]]
-        assert len(rows) == 32 and len(good) == (21 if method == "spa" else 19)
+        assert len(rows) == 32 and len(good) == (21 if method == "spa" else 9)
         batch = spa_log_density_batch if method == "spa" else spi_log_density_batch
         want = batch(Nig(p), np.array([float(r[0]) for r in good]))
         assert [float(r[1]) for r in good] == want.tolist()
@@ -306,21 +325,23 @@ class TestDensity:
         # the scalar evaluators take a row's terms from the batch code, so
         # each equals its CLI row to the bit: on this grid, taking the
         # Jacobian term by math.log rather than np.log moves it by one ulp
-        # at x = -0.225 and 0.341. The SPI rows take the per-row rule here
-        # (the fit meets an unusable node), as a scalar row does
+        # at x = -0.225 and 0.341. The SPI rows take the fixed rule
+        # (100, 513) and so the per-row path here (the fit meets an
+        # unusable node), as a scalar row does
         p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
+        rule = _FIXED_RULE_FLAGS if method == "spi" else []
         code, out, _ = _run(
             capsys,
             [
                 "density", "--family", "nig", "--method", method,
                 "--params", "chi=0.0003", "psi=1000", "mu=-0.0003", "gamma=2",
-                "--grid", "-1:1:0.001",
+                "--grid", "-1:1:0.001", *rule,
             ],
         )
         assert code == (5 if method == "spi" else 0)
         _, rows = _parse_csv(out)
         assert len(rows) == 2001
-        evaluate = spi_log_density if method == "spi" else spa_log_density
+        evaluate = (lambda m, x: spi_log_density(m, x, _FIXED_RULE)) if method == "spi" else spa_log_density
         for row in rows:
             try:
                 r = evaluate(Nig(p), float(row[0]))
@@ -356,6 +377,41 @@ class TestDensity:
         assert [float(r[1]) for r in rows] == want.tolist()
         if quad is not None:
             assert not np.array_equal(want, direct_ift_log_density_batch(Nig(p), xs))
+
+    @staticmethod
+    def _fifty_sd_nig_grid():
+        # the benchmark's cli grid: 801 rows from -50 to +50 sd of the
+        # criterion-9 NIG, written as the benchmark writes it
+        mean, var = nig_moments(NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0))
+        lo, step = mean - 50.0 * math.sqrt(var), 100.0 * math.sqrt(var) / 800
+        return [
+            "density", "--family", "nig", "--method", "spi",
+            "--params", "chi=0.0003", "psi=1000", "mu=-0.0003", "gamma=2",
+            "--grid", f"{lo!r}:{lo + 800 * step!r}:{step!r}",
+        ]
+
+    def test_default_rule_resolves_the_50_sd_grid(self, capsys):
+        # with no --quad flag, spi takes the model's own rule, the contour
+        # for NIG: every row is usable and accurate
+        code, out, _ = _run(capsys, self._fifty_sd_nig_grid())
+        assert code == 0
+        _, rows = _parse_csv(out)
+        assert len(rows) == 801 and not any(r[5] for r in rows)
+        xs = np.array([float(r[0]) for r in rows])
+        got = np.array([float(r[1]) for r in rows])
+        want = nig_exact_log_density(NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0), xs)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_one_quad_flag_selects_the_fixed_rule(self, capsys):
+        # --quad-points alone gives the fixed rule (100, 513), which fails
+        # 296 rows of this grid, in four runs
+        code, out, _ = _run(capsys, [*self._fifty_sd_nig_grid(), "--quad-points", "513"])
+        assert code == 5
+        _, rows = _parse_csv(out)
+        failed = [i for i, r in enumerate(rows) if r[5]]
+        runs = [(70, 198), (286, 304), (495, 513), (601, 729)]
+        assert failed == [i for a, b in runs for i in range(a, b + 1)]
+        assert all(r[1] == "" for r in rows if r[5])
 
     def test_quad_override_fixes_it(self, capsys):
         code, out, _ = _run(
@@ -481,6 +537,25 @@ class TestQuadFlags:
             # the start the rule was read from is the start the search takes
             data = ReturnSeries(dt=1.0 / 252.0, returns=np.diff(np.log(read_price_csv(prices))))
             assert seen["init"] == moment_init("mjd", data)
+
+    @pytest.mark.parametrize(
+        "flags, quad",
+        [([], None), (["--quad-points", "129"], QuadratureSpec(100.0, 129)),
+         (["--quad-upper", "50"], QuadratureSpec(50.0, 513))],
+        ids=["no-flag", "points", "upper"],
+    )
+    def test_nig_takes_its_own_rule_unless_a_flag_is_given(self, monkeypatch, prices, flags, quad):
+        # NIG states no rule: with no flag spi gets none, so the core takes
+        # the contour; a flag alone fills the other field from (100, 513)
+        seen = {}
+
+        def record(family, params, data, method, quad):
+            seen["quad"] = quad
+            raise ValidationError("recorded")
+
+        monkeypatch.setattr(spinv.cli, "negative_log_likelihood", record)
+        assert main(["loglik", *self._NIG, "--input", prices, *flags]) == 3
+        assert seen["quad"] == quad
 
 
 class TestSimulate:

@@ -185,9 +185,10 @@ class TestFitMle:
 
     def test_unusable_p_bar_is_an_infinite_counted_evaluation(self):
         # p_bar(0) at x = -20 of this heavy-tailed NIG is unusable under
-        # the default rule (tests/test_inversion.py, TestInversionErrors)
+        # the fixed rule (100, 513) (tests/test_inversion.py,
+        # TestInversionErrors)
         data = ReturnSeries(dt=_DT, returns=np.array([0.0, -20.0]))
-        f, failed = _objective("nig", data, "spi", None)
+        f, failed = _objective("nig", data, "spi", QuadratureSpec(100.0, 513))
         assert f(transform_for("nig").to_vector(NigParams(chi=0.125, psi=0.125))) == math.inf
         assert failed == {"InversionError": 1}
 

@@ -15,6 +15,7 @@ import spinv
 import spinv.inversion as inversion
 from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, ValidationError
+from spinv.estimation import ReturnSeries, negative_log_likelihood
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
     LogDensityResult,
@@ -46,10 +47,13 @@ from spinv.models import (
     simulate_nig,
 )
 from spinv.saddlepoint import solve_saddlepoint_batch
-from test_cgf import _reference_cf
+from test_cgf import _reference_cf, _reference_k
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
 _FINE_QUAD = QuadratureSpec(800.0, 16384)
+# a fixed SPI rule that fails on heavy NIG tails, which the tests of
+# per-row failures rely on
+_FIXED_RULE = QuadratureSpec(100.0, 513)
 _MJD_P = MjdParams(
     r=0.0445, sigma=math.exp(-2.41), lam=math.exp(4.96), mu_j=-0.00114, nu=math.exp(-4.32)
 )
@@ -210,12 +214,22 @@ class TestMjdRoutes:
 class TestBatchRoutes:
     def test_spi_batch_matches_scalar(self):
         # 25 rows are too few for the fit, so the batch takes each row by
-        # its own rule, as a scalar row does, and the two are equal
+        # its own rule, as a scalar row does. On the contour, NIG's own
+        # rule, a batch row also takes the points past its own cut up to
+        # the longest row of its block, each below 1e-16
         m = Nig(_NIG_P)
-        mean, var = nig_moments(_NIG_P)
-        xs = mean + np.sqrt(var) * np.linspace(-6.0, 6.0, 25)
+        xs = _sd_grid(m, 6.0, 25)
         batch = spi_log_density_batch(m, xs)
         scalar = np.array([spi_log_density(m, float(x)).log_density for x in xs])
+        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-14)
+
+    def test_spi_batch_matches_scalar_to_the_bit_on_a_fixed_rule(self):
+        # a fixed rule takes the same points on every row, so a row's sums
+        # do not depend on the block it falls in
+        m = Nig(_NIG_P)
+        xs = _sd_grid(m, 6.0, 25)
+        batch = spi_log_density_batch(m, xs, _FIXED_RULE)
+        scalar = np.array([spi_log_density(m, float(x), _FIXED_RULE).log_density for x in xs])
         assert batch.tolist() == scalar.tolist()
 
     def test_spa_batch_matches_scalar(self):
@@ -251,15 +265,15 @@ class TestInversionErrors:
         # cannot resolve the slowly decaying tilted CF and the integral
         # goes negative
         m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
-        with pytest.raises(InversionError):
-            spi_log_density(m, -20.0)
+        with pytest.raises(InversionError, match="quadrature spec inadequate"):
+            spi_log_density(m, -20.0, _FIXED_RULE)
 
     def test_batch_names_the_observation_it_cannot_invert(self):
         # the batch pass raises for the first row whose p_bar(0) is
         # unusable, after the solve has succeeded for every row
         m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
         with pytest.raises(InversionError, match=r"for observation 1 \(x = -20\.0\)"):
-            spi_log_density_batch(m, np.array([0.0, -20.0]))
+            spi_log_density_batch(m, np.array([0.0, -20.0]), _FIXED_RULE)
 
     def test_fine_quadrature_fixes_it(self):
         # the tilted CF decays like exp(-sqrt(chi) s / sqrt(K'')), so an
@@ -414,14 +428,18 @@ class TestInterpolatedCore:
         ],
     )
     def test_per_row_path_is_the_rows_own_rule(self, case, reason, failing, caplog):
+        # the model's own rule, the contour, except on the 50 sd grid,
+        # where the fixed rule (100, 513) fails the nodes and rows that
+        # the contour does not
         m = Nig(_NIG_P)
+        quad = _FIXED_RULE if case == "nig-50-sd-grid" else m.spi_quad
         x = {
             "empty": np.empty(0),
             "one point 1000 times": np.full(1000, m.mean() + 0.5 * math.sqrt(m.variance())),
             "25-row grid": _sd_grid(m, 6.0, 25),
             "nig-50-sd-grid": _sd_grid(m, 50.0, 801),
         }[case]
-        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), m.spi_quad, caplog)
+        core, rows, message = _core(m, x, solve_saddlepoint_batch(m, x), quad, caplog)
         assert f"per row ({reason}" in message
         assert np.array_equal(core, rows, equal_nan=True)
         assert np.sum(~(np.isfinite(core) & (core > 0.0))) == failing
@@ -430,12 +448,12 @@ class TestInterpolatedCore:
         m = Nig(_NIG_P)
         with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
             spi_log_density_batch(m, _sd_grid(m, 6.0, 401))
-            log_density_terms(m, _sd_grid(m, 50.0, 801))
+            log_density_terms(m, _sd_grid(m, 50.0, 801), quad=_FIXED_RULE)
         fit, rows = (r.getMessage() for r in caplog.records)
         assert all(r.levelname == "DEBUG" for r in caplog.records)
-        rule = "by the rule on [0, 100] of 513 points"
-        assert fit.startswith(f"p_bar(0) of 401 rows {rule}: interpolated after ")
+        assert fit.startswith("p_bar(0) of 401 rows by the contour 2 nats above the tilt: interpolated after ")
         assert "last-quarter coefficients" in fit
+        rule = "by the rule on [0, 100] of 513 points"
         assert rows.startswith(f"p_bar(0) of 801 rows {rule}: per row (unusable node at tau = ")
         assert "after 17 nodes" in rows
 
@@ -444,21 +462,22 @@ class TestInterpolatedCore:
         [
             # both indicators small where the rule is good to 4.2e-6 nats
             ("mjd-criterion-6", "[0, 32] of 65", "interpolated", (5e-4, 6e-4), (1.1e-5, 1.3e-5)),
-            # the default rule is off by up to 2.25 nats on these rows and
-            # raises nothing; the integrand is still at 0.8 where it is cut
+            # the fixed rule (100, 513) is off by up to 2.25 nats on these
+            # rows and raises nothing; the integrand is still at 0.8 where
+            # it is cut
             ("nig-heavy-tail", "[0, 100] of 513", "per row", (2e-3, 4e-3), (0.79, 0.81)),
         ],
     )
     def test_debug_record_error_indicators(self, case, rule, path, step, truncation, caplog):
         if case == "mjd-criterion-6":
-            m = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
+            # no rule is given, so the record names the one the model states
+            m, quad = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0), None
             x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
         else:
-            m = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0))
+            m, quad = Nig(NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0)), _FIXED_RULE
             x = np.arange(-11.0, -1.0)
-        # no rule is given, so the record names the one the model states
         with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
-            log_density_terms(m, x)
+            log_density_terms(m, x, quad=quad)
         (record,) = caplog.records
         message = record.getMessage()
         assert message.startswith(f"p_bar(0) of {x.size} rows by the rule on {rule} points: {path}")
@@ -488,20 +507,103 @@ class TestInterpolatedCore:
         assert proc.stdout.strip() == "False"
 
 
+class TestContour:
+    """SPI's own rule where the CGF domain has a finite end: a trapezoid rule
+    on a line moved off the tilt, with its step and length set per node or
+    row, accurate to the tails."""
+
+    @pytest.mark.parametrize("rows", [801, 25], ids=["fit", "per-row"])
+    @pytest.mark.parametrize(
+        "params",
+        [_NIG_P, NigParams(chi=0.5, psi=0.5), NigParams(chi=0.125, psi=0.125)],
+        ids=["criterion-9", "chi-psi-0.5", "chi-psi-0.125"],
+    )
+    def test_nig_within_1e_10_of_the_oracle_over_50_sd(self, params, rows, caplog):
+        m = Nig(params)
+        x = _sd_grid(m, 50.0, rows)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            log_density, *_, p_bar, sp = log_density_terms(m, x)
+        assert ("interpolated" if rows == 801 else "per row") in caplog.records[-1].getMessage()
+        assert np.all(np.isfinite(p_bar) & (p_bar > 0.0))
+        assert np.max(np.abs(log_density - nig_exact_log_density(params, x))) <= 1e-10
+
+    @pytest.mark.parametrize("rows", [1000, 25], ids=["fit", "per-row"])
+    @pytest.mark.parametrize("reflected", [False, True], ids=["gamma", "reflected-gamma"])
+    def test_gamma_within_1e_10_of_its_density(self, reflected, rows):
+        # a pole of K at the domain's end, approached along the strip's
+        # edge; the CF decays only like |y|^-alpha
+        alpha, beta = 5.0, 2.0
+        m = _Reflected(_Gamma(alpha, beta)) if reflected else _Gamma(alpha, beta)
+        v = np.linspace(0.05, 4.0, rows) * alpha / beta
+        exact = alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1.0) * np.log(v) - beta * v
+        got = spi_log_density_batch(m, -v if reflected else v)
+        assert np.max(np.abs(got - exact)) <= 1e-10
+
+    def test_criterion_9_record(self, caplog):
+        # the fit needs 65 nodes, not the 129 of the fixed rule, whose
+        # truncation error oscillates with the tilt; the record names the
+        # rule and what it took
+        x = simulate_nig(_NIG_P, 4500, seed=11)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            log_density = spi_log_density_batch(Nig(_NIG_P), x)
+        (record,) = caplog.records
+        found = re.fullmatch(
+            r"p_bar\(0\) of 4500 rows by the contour 2 nats above the tilt: interpolated after 65 nodes, "
+            r"(\d+) points, at most (\d+) a line, smallest step (\S+), last-quarter coefficients (\S+), "
+            r"step error (\S+), truncation (\S+)",
+            record.getMessage(),
+        )
+        assert found
+        points, most, h, tail, step, truncation = (float(v) for v in found.groups())
+        assert 65 * 361 <= points <= 65 * most and most < 1000 and 1.0 < h < 6.0
+        assert tail <= 1e-10
+        # the step of twice h is off by about exp(-16), the rule's own by exp(-32)
+        assert 1e-9 < step < 1e-6 and truncation < 1e-16
+        assert np.max(np.abs(log_density - nig_exact_log_density(_NIG_P, x))) <= 1e-13
+
+    def test_nll_follows_the_oracle_along_log_chi(self):
+        # a per-node choice of line, step and length moves in steps with the
+        # parameters; over +-3 se of log chi (se 0.081 at the oracle
+        # optimum of these returns) the SPI NLL stays on the oracle's, far
+        # inside the fit's fatol of 1e-10 per evaluation step
+        data = ReturnSeries(dt=1.0 / 252.0, returns=simulate_nig(_NIG_P, 4500, seed=11))
+        for d in np.linspace(-3.0, 3.0, 41) * 0.081:
+            p = NigParams(chi=_NIG_P.chi * math.exp(d), psi=_NIG_P.psi, mu=_NIG_P.mu, gamma=_NIG_P.gamma)
+            spi = negative_log_likelihood("nig", p, data, "spi")
+            assert abs(spi - negative_log_likelihood("nig", p, data, "oracle")) <= 1e-9
+
+    def test_a_line_too_long_is_unusable(self):
+        # 630 sd out on a heavy-tailed NIG the budget keeps the line so
+        # near the domain's end that the step would need more than 2^16
+        # points: the row is marked, where the fixed rule returned a value
+        # 4 nats off
+        m = Nig(NigParams(chi=0.125, psi=0.125))
+        with pytest.raises(InversionError, match="decays too slowly; the model's SPI rule cannot resolve it"):
+            spi_log_density_batch(m, np.array([0.0, -630.0]))
+
+
+class _OneExpressionNig(Nig):
+    """NIG whose increment on a line is the difference of two complex K, one expression each."""
+
+    def k_complex(self, line):
+        w = _reference_k(self, line.c + 1j * line.y) - _reference_k(self, line.c)
+        return w.real, w.imag
+
+
 class TestRealKernel:
     """The core on the real kernel against the same rule on the one-expression CF."""
 
     @staticmethod
-    def _terms_both_ways(monkeypatch, model, x):
+    def _terms_both_ways(monkeypatch, model, x, quad):
         # the reference kernel sums the real part of exp of the complex
         # exponent; everything else in the core stays the same
-        got = log_density_terms(model, x)
+        got = log_density_terms(model, x, quad=quad)
         with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
             mp.setattr(
                 inversion, "standardized_tilted_cf",
                 lambda m, tau, k2, x0, s: _reference_cf(m, tau, x0, s).real,
             )
-            want = log_density_terms(model, x)
+            want = log_density_terms(model, x, quad=quad)
         return got, want
 
     @staticmethod
@@ -511,41 +613,63 @@ class TestRealKernel:
 
     @pytest.mark.parametrize("case", ["criterion-9 NIG", "criterion-6 MJD"])
     def test_matches_the_one_expression_cf_on_the_criterion_data(self, monkeypatch, case):
+        # NIG's own rule is the contour, which takes no standardized CF, so
+        # its leg takes the fixed rule (100, 513)
         if case == "criterion-9 NIG":
-            model, x = Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11)
+            model, x, quad = Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11), _FIXED_RULE
         else:
-            model = MjdTransition(_MJD_P, x0=0.0, dt=1.0 / 252.0)
+            model, quad = MjdTransition(_MJD_P, x0=0.0, dt=1.0 / 252.0), None
             x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
-        got, want = self._terms_both_ways(monkeypatch, model, x)
+        got, want = self._terms_both_ways(monkeypatch, model, x, quad)
         assert self._usable(got).all() and self._usable(want).all()
         np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-11)
 
     def test_same_unusable_rows_on_the_50_sd_nig_grid(self, monkeypatch):
-        # the CLI benchmark's grid: 801 rows from -50 to +50 sd
+        # the CLI benchmark's grid: 801 rows from -50 to +50 sd, where the
+        # fixed rule (100, 513) fails 296 rows
         model = Nig(_NIG_P)
         x = _sd_grid(model, 50.0, 801)
-        got, want = self._terms_both_ways(monkeypatch, model, x)
+        got, want = self._terms_both_ways(monkeypatch, model, x, _FIXED_RULE)
         usable = self._usable(got)
         assert np.array_equal(usable, self._usable(want))
         assert np.count_nonzero(~usable) == 296
         np.testing.assert_allclose(got[0][usable], want[0][usable], rtol=0.0, atol=1e-11)
 
+    @pytest.mark.parametrize("case", ["criterion-9", "50-sd-grid"])
+    def test_contour_matches_the_one_expression_increment(self, case):
+        # the contour takes k_complex on lines off the tilt; NIG's
+        # cancellation-free increment against K(c + iy) - K(c) by complex
+        # arithmetic, on the same lines, steps and cuts
+        x = simulate_nig(_NIG_P, 4500, seed=11) if case == "criterion-9" else _sd_grid(Nig(_NIG_P), 50.0, 801)
+        got = log_density_terms(Nig(_NIG_P), x)
+        want = log_density_terms(_OneExpressionNig(_NIG_P), x)
+        assert self._usable(got).all() and self._usable(want).all()
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-11)
+
 
 class TestKAtTheTilt:
-    """K(tau) is taken once per SPI batch, for the tilt term: the kernel never needs it."""
+    """K(tau) is taken once per SPI batch at the rows, for the tilt term:
+    the kernel never needs it, and the contour takes K at its nodes."""
 
     @pytest.mark.parametrize("rows, path", [(101, "interpolated"), (21, "per row")])
     def test_one_k_call_in_solved_terms(self, caplog, rows, path):
-        callers = []
+        calls = []
 
         class CountingNig(Nig):
             def k(self, t):
-                callers.append(sys._getframe(1).f_code.co_name)
+                calls.append((sys._getframe(1).f_code.co_name, np.size(t)))
                 return super().k(t)
 
         model = CountingNig(_NIG_P)
         with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
             spi_log_density_batch(model, _sd_grid(model, 3.0, rows))
         (record,) = caplog.records
-        assert f": {path}" in record.getMessage()
-        assert callers == ["_solved_terms"]
+        message = record.getMessage()
+        assert f": {path}" in message
+        nodes = int(re.search(r"after (\d+) nodes", message).group(1))
+        assert [c for c in calls if c[0] != "_contour_lines"] == [("_solved_terms", rows)]
+        # the contour takes K at each of its lines' tilts, its first guess,
+        # its two Newton steps and its strip's two edges: at the nodes, or
+        # on the per-row path at the rows
+        lines = nodes if path == "interpolated" else rows
+        assert sum(n for c, n in calls if c == "_contour_lines") == 6 * lines
