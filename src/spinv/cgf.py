@@ -114,7 +114,9 @@ class CgfModel(ABC):
     wherever none is given; None, the default, leaves the rule to the
     inversion core: the contour where the domain has a finite end. A
     subclass whose CF decays like a Gaussian's on an unbounded domain may
-    state a short one.
+    state a short one, and one whose CF decays only like a power of |s|
+    (a gamma law of shape below 4) must state one: the contour cannot
+    cut such a CF within its 2^16 steps and marks the row unusable.
     """
 
     spi_quad = None

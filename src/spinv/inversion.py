@@ -41,20 +41,19 @@ DEFAULT_SPI_QUAD where it has none (_spi_rule).
 
 Direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) by Simpson's rule,
 (4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. Every rule's points are summed
-by one reduction (_even_odd) in one loop over blocks of rows
-(_row_sums): the sum over the even-indexed points less half the two
-ends, which is T_2h / 2h, and the sum over the odd-indexed points. The
-trapezoid rule, the SPI step error indicator (the gap between T_h and
-T_2h) and Simpson's rule are each read off that pair, so the point count
-stays odd for every method.
+in one loop over blocks of rows (_row_sums) into one pair: the sum over
+the even-indexed points less half the two ends, which is T_2h / 2h, and
+the sum over the odd-indexed points (_even_odd, or _own_even_odd where
+the rows of a block differ in length). The trapezoid rule, the SPI step
+error indicator (the gap between T_h and T_2h) and Simpson's rule are
+each read off that pair, so the point count stays odd for every method.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
 takes the terms and their sum from one expression (_solved_terms). The
 scalar ones solve one saddlepoint (keeping its iteration count) and take
-that row's terms, so an SPA row, and an SPI row by a fixed rule where the
-core takes each row by itself, equals its batch row bit for bit. On the
-contour a batch row also takes the points past its own cut up to the
-longest line of its block, which add less than 1e-16 each;
+that row's terms, so an SPA row, and an SPI row where the core takes each
+row by itself, equals its batch row bit for bit: every row is summed
+over its own points, whatever rows share its block (_row_sums).
 direct_ift_log_density is one row of direct_ift_log_density_batch.
 """
 
@@ -135,23 +134,57 @@ def _blocks(lengths: list):
         lo += rows
 
 
-def _row_sums(lengths: list, integrand):
+def _own_even_odd(vals: np.ndarray, n: np.ndarray):
+    """(even, odd, last) of each row of vals over its own first n points.
+
+    n is odd and ascends, and the last row takes all of its points; last
+    is a row's value at its last point. Each sum is np.add.reduceat over
+    the row's own points alone, so it does not see the points past them
+    or the other rows: a row by itself gives the same sums, to the bit.
+    """
+    i = np.arange(n.size)
+    last = vals[i, n - 1]
+    sums = []
+    for part, own in ((vals[:, ::2], n // 2 + 1), (vals[:, 1::2], n // 2)):
+        # row r's points start at r * width of the flattened part; the
+        # segments between one row's last point and the next row are dropped
+        width = part.shape[1]
+        idx = np.empty(2 * n.size - 1, dtype=np.intp)
+        idx[0::2] = i * width
+        idx[1::2] = i[:-1] * width + own[:-1]
+        sums.append(np.add.reduceat(part.ravel(), idx)[0::2])
+    return sums[0] - 0.5 * (vals[:, 0] + last), sums[1], last
+
+
+def _row_sums(rows: int, n, integrand):
     """(even, odd, last, entries) of each row's rule, in blocks of about _BLOCK_ENTRIES entries.
 
-    lengths lists each row's point count, odd and ascending (see _blocks).
-    integrand(b, m) is the real integrand of the rows in slice b at their
-    first m points, one row each, with m the count of the block's last
-    row; (even, odd) are _even_odd of a row, last its value at the last
-    point, and entries the count of values taken. Every Fourier integral
-    of the package is summed here.
+    n is the point count every one of the rows takes, or an array of each
+    row's own count, odd and ascending (see _blocks). integrand(b, m) is
+    the real integrand of the rows in slice b at their first m points,
+    one row each, with m the count of the block's last row; (even, odd)
+    are those of _even_odd over a row's own points, last its value at its
+    last point, and entries the count of values taken. Every Fourier
+    integral of the package is summed here.
+
+    With one count for all, a block is summed by _even_odd. With a count
+    per row, each row is padded to the longest of its block and summed by
+    _own_even_odd over its own points alone, so its sums do not depend on
+    the rows that share its block. (np.add.reduceat groups its additions
+    unlike a sum, so the fixed rules keep _even_odd and their sums.)
     """
-    even, odd, last = np.empty(len(lengths)), np.empty(len(lengths)), np.empty(len(lengths))
+    same = isinstance(n, int)
+    lengths = [n] * rows if same else n.tolist()
+    even, odd, last = np.empty(rows), np.empty(rows), np.empty(rows)
     entries = 0
     for b in _blocks(lengths):
         vals = integrand(b, lengths[b.stop - 1])
-        even[b], odd[b] = _even_odd(vals)
-        last[b] = vals[:, -1]
         entries += vals.size
+        if same:
+            even[b], odd[b] = _even_odd(vals)
+            last[b] = vals[:, -1]
+        else:
+            even[b], odd[b], last[b] = _own_even_odd(vals, n[b])
     return even, odd, last, entries
 
 
@@ -173,9 +206,9 @@ def _spi_rule(model: CgfModel, quad: QuadratureSpec):
 
 
 def _p_bar_zero_rows(
-    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, quad: QuadratureSpec
+    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, rule: QuadratureSpec
 ):
-    """p_bar(0) of every row by its own rule, the one _spi_rule gives for quad.
+    """p_bar(0) of every row by rule, a fixed rule, or the contour where it is None (see _spi_rule).
 
     k2 is K''(tau), row by row. Returns (p_bar, indicators), where
     indicators are (step, truncation, points, most points of a row,
@@ -186,7 +219,6 @@ def _p_bar_zero_rows(
     truncation is the largest |integrand| at the last point, where the
     rule cuts it off (it is 1 at the first).
     """
-    rule = _spi_rule(model, quad)
     if rule is None:
         return _contour_rows(model, x, tau, k2)
     return _trapezoid_rows(model, x, tau, k2, rule)
@@ -207,7 +239,7 @@ def _trapezoid_rows(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
     h = quad.upper_limit / (quad.n_points - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         even, odd, last, entries = _row_sums(
-            [s.size] * x.size,
+            x.size, s.size,
             lambda b, m: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s),
         )
         fine = even + odd
@@ -270,10 +302,9 @@ def _contour_rows(model: CgfModel, x, tau, k2):
     below exp(_LOG_CUT) (see _decay_cut); a row whose integrand does not
     decay that far within 2^16 steps has no p_bar(0) (NaN).
 
-    Rows are sorted by their point count and summed in blocks of about
-    _BLOCK_ENTRIES CF entries, each row taking as many points as the
-    longest row of its block: the points past a row's own cut add less
-    than exp(_LOG_CUT) each.
+    Rows are sorted by their point count and taken in blocks of about
+    _BLOCK_ENTRIES CF entries, up to the longest row of the block, but
+    each row is summed over its own points alone (see _row_sums).
     """
     p_bar = np.full(x.size, np.nan)
     if not x.size:
@@ -301,7 +332,7 @@ def _contour_rows(model: CgfModel, x, tau, k2):
         return re
 
     with np.errstate(over="ignore", invalid="ignore"):
-        even, odd, last, entries = _row_sums(n.tolist(), integrand)
+        even, odd, last, entries = _row_sums(rows.size, n, integrand)
         fine = even + odd
         p_bar[rows] = np.exp(gap[rows]) * np.sqrt(k2[rows]) / math.pi * h[rows] * fine
         step = np.abs(1.0 - 2.0 * even / fine)
@@ -392,9 +423,9 @@ def _read_fit(model: CgfModel, tau, k2, residual, c, to_v, a: float, b: float) -
 
 
 def _interpolated(
-    model: CgfModel, tau: np.ndarray, k2: np.ndarray, residual: np.ndarray, quad: QuadratureSpec
+    model: CgfModel, tau: np.ndarray, k2: np.ndarray, residual: np.ndarray, rule: QuadratureSpec
 ):
-    """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt.
+    """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt, each node by rule.
 
     Returns (fit, nodes used, largest last-quarter coefficient, why the
     fit was not used). fit is None, or (p_bar, indicators) as
@@ -420,7 +451,7 @@ def _interpolated(
         j = np.arange(n + 1) if nodes == 0 else np.arange(1, n, 2)
         tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n))
         x_j, k2_j = model.k1_k2(tau_j)
-        p_j, seen_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, quad)
+        p_j, seen_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, rule)
         seen = _merged(seen, seen_j)
         bad = np.flatnonzero(~(np.isfinite(p_j) & (p_j > 0.0)))
         if bad.size:
@@ -630,7 +661,7 @@ def direct_ift_log_density_batch(
         vals *= mod
         return vals
 
-    even, odd, _, _ = _row_sums([s.size] * x.size, integrand)
+    even, odd, _, _ = _row_sums(x.size, s.size, integrand)
     return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
 
 

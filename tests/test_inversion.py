@@ -214,14 +214,14 @@ class TestMjdRoutes:
 class TestBatchRoutes:
     def test_spi_batch_matches_scalar(self):
         # 25 rows are too few for the fit, so the batch takes each row by
-        # its own rule, as a scalar row does. On the contour, NIG's own
-        # rule, a batch row also takes the points past its own cut up to
-        # the longest row of its block, each below 1e-16
+        # its own rule, as a scalar row does, and the two are equal. On
+        # the contour, NIG's own rule, rows of different lengths share a
+        # block, and each is summed over its own points
         m = Nig(_NIG_P)
         xs = _sd_grid(m, 6.0, 25)
         batch = spi_log_density_batch(m, xs)
         scalar = np.array([spi_log_density(m, float(x)).log_density for x in xs])
-        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-14)
+        assert batch.tolist() == scalar.tolist()
 
     def test_spi_batch_matches_scalar_to_the_bit_on_a_fixed_rule(self):
         # a fixed rule takes the same points on every row, so a row's sums
@@ -538,6 +538,20 @@ class TestContour:
         exact = alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1.0) * np.log(v) - beta * v
         got = spi_log_density_batch(m, -v if reflected else v)
         assert np.max(np.abs(got - exact)) <= 1e-10
+
+    def test_an_algebraic_tail_is_unusable_on_the_contour(self):
+        # a gamma law of shape 2: exp(Re) falls only like y^-2 on every
+        # line, so no line reaches 1e-16 within 2^16 steps and every row
+        # is marked. A model of such a law states a fixed rule, which
+        # gives these rows with its own error
+        m = _Gamma(2.0, 2.0)
+        v = np.linspace(0.05, 4.0, 40)
+        assert np.isnan(log_density_terms(m, v)[4]).all()
+        with pytest.raises(InversionError, match="decays too slowly; the model's SPI rule cannot resolve it"):
+            spi_log_density_batch(m, v)
+        exact = 2.0 * math.log(2.0) + np.log(v) - 2.0 * v
+        err = np.max(np.abs(spi_log_density_batch(m, v, _FIXED_RULE) - exact))
+        assert 1e-6 < err < 1e-5
 
     def test_criterion_9_record(self, caplog):
         # the fit needs 65 nodes, not the 129 of the fixed rule, whose
