@@ -1,4 +1,4 @@
-"""Cumulant generating function interface and the standardized tilted CF.
+"""Cumulant generating function interface, the SPI integrand and the standardized tilted CF.
 
 Exponentially tilting X by tau in the interior of Omega gives a variable
 X(tau) with CGF K(t + tau) - K(tau). Standardizing the tilted variable so
@@ -12,11 +12,12 @@ line through the tilt (c = tau), SPI's contour moved off it to any c
 inside the domain, and the imaginary axis of the plain CF (c = 0). So a
 model states K there as the increment K(c + iy) - K(c), in real and
 imaginary parts (CgfModel.k_complex on a Line), in real arithmetic, and
-K(tau) cancels without being taken. The inversion integrand at the tilt
-is the real part of cf, exp(Re)*cos(Im - y*x0), which
-standardized_tilted_cf finishes in the two new arrays k_complex returns,
-with no complex array. K''(tau) comes from the caller, which took it with
-K'(tau) in one k1_k2 call or from the saddlepoint solver.
+K(tau) cancels without being taken. Every SPI rule sums one integrand,
+Re exp(K(c + iy) - K(c) - iy*x0) = exp(Re)*cos(Im - y*x0), which
+line_integrand finishes in the two new arrays k_complex returns, with no
+complex array. At c = tau and y = s/sqrt(K''(tau)) it is the real part of
+cf (standardized_tilted_cf); K''(tau) comes from the caller, which took
+it with K'(tau) in one k1_k2 call or from the saddlepoint solver.
 
 How fast the CF decays, and how far K is analytic off the real axis, set
 the error of the rule that inverts it. A model may state a fixed SPI rule
@@ -199,17 +200,33 @@ def char_fn(model: CgfModel, s):
     return np.exp(re) * (np.cos(im) + 1j * np.sin(im))
 
 
+def line_integrand(model: CgfModel, c, x0, y):
+    """Re exp(K(c + iy) - K(c) - iy*x0) at the points c + iy: the integrand of every SPI rule.
+
+    y is a float array of the points' shape, which this overwrites; c and
+    x0 broadcast against it. The result, exp(Re)*cos(Im - y*x0) with
+    (Re, Im) = model.k_complex(Line(c, y)), is finished in the two new
+    arrays k_complex returns, with no complex array. Entries that overflow
+    are returned as they are.
+    """
+    re, im = model.k_complex(Line(c, y))
+    y *= x0
+    im -= y
+    np.cos(im, out=im)
+    np.exp(re, out=re)
+    re *= im
+    return re
+
+
 def standardized_tilted_cf(model: CgfModel, tau_hat, k2, x0, s):
     """Re cf(s), the real part of the CF of the standardized tilted variable, at real s.
 
     With tau_hat solving K'(tau_hat) = x0 and k2 = K''(tau_hat), which the
     caller took with K' there, cf is the CF of
-    (X(tau_hat) - x0) / sqrt(K''(tau_hat)). Its real part, the integrand
-    that inverts it (1 at s = 0), is exp(Re)*cos(Im - y*x0) with
-    y = s/sqrt(k2) and (Re, Im) = model.k_complex(Line(tau_hat, y)), and
-    is returned as a new float array; no complex array is built. tau_hat,
-    k2 and x0 may be column arrays, one row per point, which broadcast
-    against s. Entries that overflow are returned as they are.
+    (X(tau_hat) - x0) / sqrt(K''(tau_hat)). Its real part (1 at s = 0) is
+    line_integrand on the line through the tilt, c = tau_hat, at
+    y = s/sqrt(k2), returned as a new float array. tau_hat, k2 and x0 may
+    be column arrays, one row per point, which broadcast against s.
     """
     k2 = np.asarray(k2, dtype=float)
     if not np.all(k2 > 0.0):
@@ -217,11 +234,5 @@ def standardized_tilted_cf(model: CgfModel, tau_hat, k2, x0, s):
     y = np.asarray(s, dtype=float) * (1.0 / np.sqrt(k2))
     shape = np.broadcast_shapes(np.shape(tau_hat), np.shape(x0), y.shape)
     if y.shape != shape or not shape:
-        y = np.broadcast_to(y, shape or (1,))
-    # exp(Re) cos(Im - y*x0), finished in the two new arrays k_complex returns
-    re, im = model.k_complex(Line(tau_hat, y))
-    im -= y * x0
-    np.cos(im, out=im)
-    np.exp(re, out=re)
-    re *= im
-    return re.reshape(shape)
+        y = np.broadcast_to(y, shape or (1,)).copy()
+    return line_integrand(model, tau_hat, x0, y).reshape(shape)

@@ -558,20 +558,12 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     xs = np.linspace(0.0, half_width, n_points)
     h = half_width / (n_points - 1)
     p_truth = np.exp(nig_exact_log_density(truth, xs))
-    # the bracket reaches heavy-tailed candidates, where the default spec
-    # underresolves evaluations out to the window's edge. Even this spec is
-    # off by up to 1.6 nats near the edge at theta = 4.94 (the heaviest
-    # candidate golden-section tries at theta0 = 2) without raising, and
-    # raises from theta = 5.19 up. The error is the truncation at s = 800
-    # (the CF there is still 0.11), not the step; the drift moves theta_hat
-    # by only 4e-6
-    quad = QuadratureSpec(800.0, 16384)
 
     def cross_entropy(theta):
         theta = max(theta, 1e-12)
         model = Nig(NigParams(chi=1.0 / theta, psi=1.0 / theta, mu=0.0, gamma=0.0))
         if method == "spi":
-            logp = spi_log_density_batch(model, xs, quad)
+            logp = spi_log_density_batch(model, xs)
         else:
             logp = spa_log_density_batch(model, xs)
         even, odd = _even_odd(p_truth * logp)

@@ -21,23 +21,26 @@ fewer, an unusable node, a next level with more nodes than rows, no
 convergence at 257 nodes) takes each row by itself, in blocks. Each batch
 logs one DEBUG record saying which, with the rule and its error indicators.
 
-A node or row is taken by a trapezoid rule, in one of two forms. The
-fixed rule (a QuadratureSpec: [0, upper_limit] with n_points) sums the
-real part of the standardized tilted CF at the tilt,
-exp(Re)*cos(Im - y*x0) from the model's increment of K along the line
-through the tilt (standardized_tilted_cf), with no complex array. The
-contour moves that line off the tilt, to where K(c) - c*x0 is _BUDGET
-nats above its minimum, and sets each node's step from the strip in
-which the integrand is analytic and its length from where the CF has
-decayed (_contour_rows). The integrand is analytic in a strip, where the
-trapezoid rule converges geometrically as its step shrinks (Trefethen &
-Weideman 2014, SIAM Rev. 56:385); moving the line off the saddlepoint
-widens the strip, which is the optimal-contour idea of Lord & Kahl
-(2007, J. Comput. Finance 10(4)), so that a few hundred points reach
-1e-14 where a fixed rule is off by 0.07 nats or fails. SPI's rule is the
-caller's, else the model's own (CgfModel.spi_quad); a model that states
-none takes the contour where its CGF domain has a finite end, and
-DEFAULT_SPI_QUAD where it has none (_spi_rule).
+A node or row is taken by one line rule: the trapezoid rule on a vertical
+line Re z = c over y >= 0, summing the one integrand
+Re exp(K(c + iy) - K(c) - iy*x0) (cgf.line_integrand), and p_bar(0) is a
+prefactor times that sum (_p_bar_zero_rows). A rule only supplies its
+lines. The fixed rule (a QuadratureSpec: [0, upper_limit] with n_points)
+takes the line through the tilt, c = tau, at y = s/sqrt(K''(tau)), which
+is the standardized tilted CF (standardized_tilted_cf), with one step and
+length for all rows (_fixed_lines). The contour moves the line off the
+tilt, to where K(c) - c*x0 is _BUDGET nats above its minimum, and sets
+each node's step from the strip in which the integrand is analytic and
+its length from where the CF has decayed (_contour_lines). The integrand
+is analytic in a strip, where the trapezoid rule converges geometrically
+as its step shrinks (Trefethen & Weideman 2014, SIAM Rev. 56:385);
+moving the line off the saddlepoint widens the strip, which is the
+optimal-contour idea of Lord & Kahl (2007, J. Comput. Finance 10(4)), so
+that a few hundred points reach 1e-14 where a fixed rule is off by 0.07
+nats or fails. SPI's rule is the caller's, else the model's own
+(CgfModel.spi_quad); a model that states none takes the contour where its
+CGF domain has a finite end, and DEFAULT_SPI_QUAD where it has none
+(_spi_rule).
 
 Direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) by Simpson's rule,
 (4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. Every rule's points are summed
@@ -63,7 +66,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._log import debug
-from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec, log_char_fn, standardized_tilted_cf
+from .cgf import (
+    CgfModel, DomainInterval, Line, QuadratureSpec, line_integrand, log_char_fn, standardized_tilted_cf,
+)
 from .errors import InversionError, ValidationError
 from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
 
@@ -79,7 +84,7 @@ _FIT_TOL = 1e-10
 # a batch of fewer rows than this never tries the fit: it would need 17
 # nodes, the cost of half its rows, before it could tell whether it pays
 _FIT_MIN_ROWS = 34
-# the contour rule (_contour_rows): its line lies where K(c) - cx is
+# the contour rule (_contour_lines): its line lies where K(c) - cx is
 # _BUDGET nats above its minimum, placed by _NEWTON_STEPS; its step
 # leaves a discretisation error of exp(-_STRIP_NATS) in _STRIP_FRACTION
 # of the strip of analyticity; it stops where exp(Re) falls below
@@ -210,6 +215,13 @@ def _p_bar_zero_rows(
 ):
     """p_bar(0) of every row by rule, a fixed rule, or the contour where it is None (see _spi_rule).
 
+    Every rule is the trapezoid rule on one vertical line Re z = c per
+    row, over y >= 0. The rule supplies its lines (_fixed_lines,
+    _contour_lines): the rows it takes, each row's point count, the
+    integrand over a block of them, each row's prefactor and its step.
+    p_bar(0) is the prefactor times the row's trapezoid sum (_row_sums),
+    and NaN on a row the rule does not take.
+
     k2 is K''(tau), row by row. Returns (p_bar, indicators), where
     indicators are (step, truncation, points, most points of a row,
     smallest step of a row). step is the largest relative gap between
@@ -220,8 +232,18 @@ def _p_bar_zero_rows(
     rule cuts it off (it is 1 at the first).
     """
     if rule is None:
-        return _contour_rows(model, x, tau, k2)
-    return _trapezoid_rows(model, x, tau, k2, rule)
+        rows, n, integrand, prefactor, h = _contour_lines(model, x, tau, k2)
+    else:
+        rows, n, integrand, prefactor, h = _fixed_lines(model, x, tau, k2, rule)
+    p_bar = np.full(x.size, np.nan)
+    if not rows.size:
+        return p_bar, (0.0, 0.0, 0, 0, math.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        even, odd, last, entries = _row_sums(rows.size, n, lambda b, m: integrand(rows[b], m))
+        fine = even + odd
+        p_bar[rows] = prefactor * fine
+        step = np.abs(1.0 - 2.0 * even / fine)
+    return p_bar, (_largest(step), _largest(np.abs(last)), entries, int(np.max(n)), float(np.min(h)))
 
 
 def _merged(a, b):
@@ -229,28 +251,25 @@ def _merged(a, b):
     return max(a[0], b[0]), max(a[1], b[1]), a[2] + b[2], max(a[3], b[3]), min(a[4], b[4])
 
 
-def _trapezoid_rows(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
-    """p_bar(0) of every row by the trapezoid rule of quad, in blocks of about _BLOCK_ENTRIES CF entries.
+def _fixed_lines(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
+    """The lines of the fixed rule quad (see _p_bar_zero_rows): every row.
 
-    p_bar(0) = (1/pi) * integral over [0, upper_limit] of Re cf(s), taken
-    with weights h, and h/2 at s = 0 and s = upper_limit.
+    Each row's line runs through its tilt, c = tau, at the points s of
+    [0, upper_limit], y = s/sqrt(K''(tau)): the standardized tilted CF,
+    whose trapezoid rule with step h in s gives p_bar(0) with prefactor
+    h/pi.
     """
     s = np.linspace(0.0, quad.upper_limit, quad.n_points)
     h = quad.upper_limit / (quad.n_points - 1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        even, odd, last, entries = _row_sums(
-            x.size, s.size,
-            lambda b, m: standardized_tilted_cf(model, tau[b, None], k2[b, None], x[b, None], s),
-        )
-        fine = even + odd
-        p_bar = h / math.pi * fine
-        step = np.abs(1.0 - 2.0 * even / fine)
-    return p_bar, (_largest(step), _largest(np.abs(last)), entries, s.size, h)
+    return (
+        np.arange(x.size), s.size,
+        lambda r, m: standardized_tilted_cf(model, tau[r, None], k2[r, None], x[r, None], s),
+        h / math.pi, h,
+    )
 
 
 def _contour_lines(model: CgfModel, x, tau, k2):
-    """(c, gap, h) of each row's contour: the line Re z = c, K(c) - cx less
-    its value at tau, and the step in y.
+    """The contour's lines (see _p_bar_zero_rows): each row's own line, step and length.
 
     c moves from tau away from the nearer finite end of the domain, by
     Newton steps on K(c) - cx - (K(tau) - tau x) = _BUDGET from the
@@ -260,8 +279,20 @@ def _contour_lines(model: CgfModel, x, tau, k2):
     lines c +- a, a = _STRIP_FRACTION d, the integrand is at most
     exp(growth) times its value at y = 0, with growth the larger rise of
     K(z) - zx from c to c +- a, so the trapezoid rule of step
-    h = 2 pi a / (_STRIP_NATS + growth) is off by about exp(-_STRIP_NATS)
-    (Trefethen & Weideman 2014, SIAM Rev. 56:385).
+    h = 2 pi a / (_STRIP_NATS + growth) in y is off by about
+    exp(-_STRIP_NATS) (Trefethen & Weideman 2014, SIAM Rev. 56:385).
+
+    On the line Re z = c,
+
+        p(x) = exp(K(c) - cx) / pi * integral over y > 0 of line_integrand,
+
+    so p_bar(0) = p(x) exp(tau x - K(tau)) sqrt(K''(tau)) is exp(gap)
+    sqrt(K''(tau)) h / pi times the trapezoid sum at y = h j, with gap
+    K(c) - cx less its value at tau, exact for any tau. Each row's rule
+    runs from y = 0 to where exp(Re) falls below exp(_LOG_CUT) (see
+    _decay_cut). A row whose integrand does not decay that far within
+    2^16 steps, or whose gap is not finite, is not taken. The rows come
+    sorted by their point count (see _row_sums).
     """
     dom = model.domain()
     lo, hi = dom.lo, dom.hi
@@ -285,58 +316,20 @@ def _contour_lines(model: CgfModel, x, tau, k2):
     a = _STRIP_FRACTION * np.fmin(c - lo, hi - c)
     k_c, k_lo, k_hi = np.asarray(model.k(np.concatenate([c, c - a, c + a])), dtype=float).reshape(3, -1)
     growth = np.maximum(k_lo + a * x, k_hi - a * x) - k_c
-    return c, k_c - c * x - at_tau, 2.0 * math.pi * a / (_STRIP_NATS + np.maximum(growth, 0.0))
-
-
-def _contour_rows(model: CgfModel, x, tau, k2):
-    """p_bar(0) of every row by the trapezoid rule on its own contour (see _contour_lines).
-
-    On the line Re z = c,
-
-        p(x) = exp(K(c) - cx) / pi * integral over y > 0 of exp(Re) cos(Im - y x),
-
-    with (Re, Im) = model.k_complex(Line(c, y)), the increment
-    K(c + iy) - K(c). So p_bar(0) = p(x) exp(tau x - K(tau)) sqrt(K''(tau))
-    is exp(gap) sqrt(K''(tau)) / pi times that integral, and it is exact
-    for any tau. Each row's rule runs from y = 0 to where exp(Re) falls
-    below exp(_LOG_CUT) (see _decay_cut); a row whose integrand does not
-    decay that far within 2^16 steps has no p_bar(0) (NaN).
-
-    Rows are sorted by their point count and taken in blocks of about
-    _BLOCK_ENTRIES CF entries, up to the longest row of the block, but
-    each row is summed over its own points alone (see _row_sums).
-    """
-    p_bar = np.full(x.size, np.nan)
-    if not x.size:
-        return p_bar, (0.0, 0.0, 0, 0, math.inf)
-    c, gap, h = _contour_lines(model, x, tau, k2)
-    with np.errstate(invalid="ignore"):
+    h = 2.0 * math.pi * a / (_STRIP_NATS + np.maximum(growth, 0.0))
+    gap = k_c - c * x - at_tau
+    with np.errstate(over="ignore", invalid="ignore"):
         n = np.ceil(_decay_cut(model, c, h)) + 1.0
         rows = np.flatnonzero(np.isfinite(n) & np.isfinite(gap))
-    if not rows.size:
-        return p_bar, (0.0, 0.0, 0, 0, math.inf)
-    n = n[rows].astype(np.int64) | 1
-    order = np.argsort(n, kind="stable")
-    rows, n = rows[order], n[order]
-    k = np.arange(n[-1], dtype=float)
-
-    def integrand(b, m):
-        r = rows[b]
-        y = h[r, None] * k[:m]
-        re, im = model.k_complex(Line(c[r, None], y))
-        y *= x[r, None]
-        im -= y
-        np.cos(im, out=im)
-        np.exp(re, out=re)
-        re *= im
-        return re
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        even, odd, last, entries = _row_sums(rows.size, n, integrand)
-        fine = even + odd
-        p_bar[rows] = np.exp(gap[rows]) * np.sqrt(k2[rows]) / math.pi * h[rows] * fine
-        step = np.abs(1.0 - 2.0 * even / fine)
-    return p_bar, (_largest(step), _largest(np.abs(last)), entries, int(n[-1]), float(h[rows].min()))
+        n = n[rows].astype(np.int64) | 1
+        order = np.argsort(n, kind="stable")
+        rows, n = rows[order], n[order]
+        prefactor = np.exp(gap[rows]) * np.sqrt(k2[rows]) / math.pi * h[rows]
+    return (
+        rows, n,
+        lambda r, m: line_integrand(model, c[r, None], x[r, None], h[r, None] * np.arange(float(m))),
+        prefactor, h[rows],
+    )
 
 
 def _decay_cut(model: CgfModel, c, h):
@@ -453,7 +446,7 @@ def _interpolated(
         x_j, k2_j = model.k1_k2(tau_j)
         p_j, seen_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, rule)
         seen = _merged(seen, seen_j)
-        bad = np.flatnonzero(~(np.isfinite(p_j) & (p_j > 0.0)))
+        bad = np.flatnonzero(~_usable(p_j))
         if bad.size:
             return None, nodes + j.size, tail, f"unusable node at tau = {float(tau_j[bad[0]])!r}"
         if nodes:
@@ -477,9 +470,8 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
 
     k2 is K''(tau) and residual K'(tau) - x, as the solver leaves them.
     The rule is quad, else the model's own (see _spi_rule): the fixed
-    trapezoid rule on the standardized tilted CF at the tilt, or the
-    contour, a trapezoid rule with its own line, step and length per
-    node or row (see _contour_rows).
+    trapezoid rule on the line through the tilt, or the contour, with its
+    own line, step and length per node or row (see _p_bar_zero_rows).
 
     p_bar(0) depends on x only through tau, since x = K'(tau), so a batch
     samples one smooth function of the tilt. The core interpolates log
@@ -526,21 +518,26 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     return p_bar
 
 
+def _usable(p_bar):
+    """Whether each p_bar(0) is usable: finite and positive."""
+    return np.isfinite(p_bar) & (p_bar > 0.0)
+
+
 def p_bar_error(p_bar: float, where: str, quad: QuadratureSpec = None):
-    """Why a p_bar(0) value is unusable, or None when it is finite and positive.
+    """Why a p_bar(0) value is unusable, or None when it is usable (see _usable).
 
     quad is the rule the caller gave: with none, the model's own rule is
     at fault, not a spec.
     """
+    if _usable(p_bar):
+        return None
     if quad is None:
         rule = "the model's SPI rule cannot resolve it"
     else:
         rule = "quadrature spec inadequate for this model"
     if not math.isfinite(p_bar):
         return f"p_bar(0) is not finite {where}: the CF overflows or decays too slowly; {rule}"
-    if not p_bar > 0.0:
-        return f"p_bar(0) = {p_bar:.3e} is not positive {where}; {rule}"
-    return None
+    return f"p_bar(0) = {p_bar:.3e} is not positive {where}; {rule}"
 
 
 def _solved_terms(model: CgfModel, x, tau, k2, residual, method: str, quad: QuadratureSpec):
@@ -597,7 +594,7 @@ def _log_densities(model: CgfModel, x: np.ndarray, method: str, quad: Quadrature
     sp = solve_saddlepoint_batch(model, x)
     sp.raise_first_failure()
     log_density, *_, p_bar = _solved_terms(model, x, sp.tau, sp.k2, sp.residual, method, quad)
-    bad = np.flatnonzero(~(np.isfinite(p_bar) & (p_bar > 0.0)))
+    bad = np.flatnonzero(~_usable(p_bar))
     if bad.size:
         i = int(bad[0])
         raise InversionError(p_bar_error(p_bar[i], f"for observation {i} (x = {x[i]})", quad))

@@ -12,6 +12,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import spinv
+import spinv.cgf as cgf
 import spinv.inversion as inversion
 from spinv.cgf import CgfModel, DomainInterval
 from spinv.errors import InversionError, ValidationError
@@ -47,7 +48,7 @@ from spinv.models import (
     simulate_nig,
 )
 from spinv.saddlepoint import solve_saddlepoint_batch
-from test_cgf import _reference_cf, _reference_k
+from test_cgf import _reference_k
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
 _FINE_QUAD = QuadratureSpec(800.0, 16384)
@@ -609,14 +610,17 @@ class TestRealKernel:
 
     @staticmethod
     def _terms_both_ways(monkeypatch, model, x, quad):
-        # the reference kernel sums the real part of exp of the complex
-        # exponent; everything else in the core stays the same
+        # the reference integrand is the real part of exp of the complex
+        # exponent on the line and at the points it is given, in place of
+        # the one integrand of every rule; everything else in the core
+        # stays the same
+        def reference(m, c, x0, y):
+            return np.exp(_reference_k(m, c + 1j * y) - _reference_k(m, c) - 1j * y * x0).real
+
         got = log_density_terms(model, x, quad=quad)
         with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-            mp.setattr(
-                inversion, "standardized_tilted_cf",
-                lambda m, tau, k2, x0, s: _reference_cf(m, tau, x0, s).real,
-            )
+            mp.setattr(cgf, "line_integrand", reference)
+            mp.setattr(inversion, "line_integrand", reference)
             want = log_density_terms(model, x, quad=quad)
         return got, want
 
@@ -627,10 +631,9 @@ class TestRealKernel:
 
     @pytest.mark.parametrize("case", ["criterion-9 NIG", "criterion-6 MJD"])
     def test_matches_the_one_expression_cf_on_the_criterion_data(self, monkeypatch, case):
-        # NIG's own rule is the contour, which takes no standardized CF, so
-        # its leg takes the fixed rule (100, 513)
+        # each model's own rule: the contour for NIG, (32, 65) for MJD
         if case == "criterion-9 NIG":
-            model, x, quad = Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11), _FIXED_RULE
+            model, x, quad = Nig(_NIG_P), simulate_nig(_NIG_P, 4500, seed=11), None
         else:
             model, quad = MjdTransition(_MJD_P, x0=0.0, dt=1.0 / 252.0), None
             x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))

@@ -4,7 +4,9 @@ cgf is the bottom layer: the CGF interface, the standardized tilted CF and
 the quadrature rule a model states. The models and the saddlepoint solver
 sit on it, and the inversion layer on the solver; it takes whatever
 model it is given, so it names none of them. Only the registry (estimation) and
-the CLI name models and evaluators together.
+the CLI name models and evaluators together. Within the layers, every
+SPI rule sums the one integrand cgf states; the inversion layer takes K off
+the real axis itself only to probe how far a contour must run.
 """
 
 import ast
@@ -48,3 +50,17 @@ def test_cgf_imports_only_errors():
 )
 def test_lower_layers_import_no_higher_one(module, forbidden):
     assert not _relative_imports(module) & forbidden
+
+
+def test_inversion_takes_k_complex_only_in_the_decay_probe():
+    # every summed integrand comes from cgf (line_integrand), so a rule
+    # cannot grow its own copy of it
+    tree = ast.parse((_PACKAGE / "inversion.py").read_text())
+    callers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "k_complex"
+    }
+    assert callers == {"_decay_cut"}
