@@ -40,11 +40,13 @@ from .errors import DomainError, InversionError, ValidationError
 class QuadratureSpec:
     """A rule on [0, upper_limit] with n_points evaluations, n_points odd.
 
-    SPI takes the trapezoid rule on these points, direct IFT Simpson's.
-    The count is odd so that the even-indexed points form the trapezoid
-    rule of twice the step: the core's step error indicator at no extra
-    CF cost, and the other half of Simpson's rule (inversion._even_odd).
-    An even n_points is bumped up by one; asking for 512 runs 513.
+    SPI takes the trapezoid rule on these points, direct IFT and the KL
+    experiment's window Simpson's; each takes the points and their step
+    from grid. The count is odd so that the even-indexed points form the
+    trapezoid rule of twice the step: the core's step error indicator at
+    no extra CF cost, and the other half of Simpson's rule, both read off
+    the one sum of every rule (inversion._even_odd). An even n_points is
+    bumped up by one; asking for 512 runs 513.
     """
 
     upper_limit: float
@@ -57,6 +59,10 @@ class QuadratureSpec:
             raise ValidationError(f"n_points must be at least 3, got {self.n_points}")
         if self.n_points % 2 == 0:
             object.__setattr__(self, "n_points", self.n_points + 1)
+
+    def grid(self):
+        """(points, step): the n_points evenly spaced points of [0, upper_limit], ends included."""
+        return np.linspace(0.0, self.upper_limit, self.n_points), self.upper_limit / (self.n_points - 1)
 
 
 class Line:

@@ -2,11 +2,13 @@
 
 Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 --output or stdout; density and profile emit JSON records with --format
-json. Each subcommand declares only the flags it reads. Exit codes: 0
-success, 2 input parsing (an undeclared flag included), 3 validation,
-4 convergence, 5 inversion failure. What a command knows of a family
-comes from its record in estimation.FAMILIES: the --family choices, the
---params names and defaults, the model (and so its SPI rule), and more.
+json. JSON is strict (RFC 8259): a number that is not finite is written
+as null, where CSV keeps inf and nan. Each subcommand declares only the
+flags it reads. Exit codes: 0 success, 2 input parsing (an undeclared
+flag included), 3 validation, 4 convergence, 5 inversion failure. What a
+command knows of a family comes from its record in estimation.FAMILIES:
+the --family choices, the --params names and defaults, the model (and so
+its SPI rule), and more.
 
 density evaluates its grid in one batch pass: the batch saddlepoint solve
 marks the rows it cannot solve, and the inversion core the spi rows whose
@@ -136,11 +138,18 @@ def _quad_from_args(args, model):
     inversion.p_bar_zero_batch), and direct takes DEFAULT_DIRECT_QUAD.
     A flag given alone keeps the other field of the model's own fixed
     rule, else of DEFAULT_SPI_QUAD, or for direct of DEFAULT_DIRECT_QUAD.
+    A flag where no rule runs raises ValidationError: with spa or oracle,
+    and for the likelihood of a family that takes its closed form whatever
+    the method (gbm).
     """
     if args.quad_points is not None and args.quad_points > _MAX_QUAD_POINTS:
         raise ValidationError(f"--quad-points is more than {_MAX_QUAD_POINTS}, got {args.quad_points}")
     if args.quad_upper is None and args.quad_points is None:
         return None
+    exact = args.command != "density" and FAMILIES[args.family].exact_likelihood
+    if exact or args.method not in ("spi", "direct"):
+        what = f"{args.command} of {args.family}, its closed form" if exact else f"--method {args.method}"
+        raise ValidationError(f"--quad-upper/--quad-points set the rule of spi and direct; none runs in {what}")
     base = DEFAULT_DIRECT_QUAD if args.method == "direct" else model.spi_quad or DEFAULT_SPI_QUAD
     return QuadratureSpec(
         args.quad_upper if args.quad_upper is not None else base.upper_limit,
@@ -208,14 +217,24 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+def _json_text(value):
+    """value as strict JSON (RFC 8259), with each number that is not finite as null.
+
+    json writes such a float as NaN, Infinity or -Infinity, which are not
+    JSON; reading the text back turns each into None, and allow_nan=False
+    raises on any that is left.
+    """
+    strict = json.loads(json.dumps(value), parse_constant=lambda name: None)
+    return json.dumps(strict, indent=2, allow_nan=False) + "\n"
+
+
 def _emit_table(args, header, rows):
-    """The rows as CSV, or as JSON records with empty cells as null.
+    """The rows as CSV, or as JSON records with empty cells and numbers that are not finite as null.
 
     A dict cell is a JSON object in both; in CSV it is written as its JSON text.
     """
     if args.format == "json":
-        records = [{k: None if v == "" else v for k, v in zip(header, row)} for row in rows]
-        text = json.dumps(records, indent=2) + "\n"
+        text = _json_text([{k: None if v == "" else v for k, v in zip(header, row)} for row in rows])
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -278,7 +297,7 @@ def cmd_fit(args):
     init = fam.moment_init(data)
     quad = _quad_from_args(args, fam.model(init, data.dt, 0.0))
     result = fit_mle(args.family, data, method=args.method, quad=quad, init=init)
-    _emit(json.dumps(_fit_payload(result, data), indent=2) + "\n", args.output)
+    _emit(_json_text(_fit_payload(result, data)), args.output)
     return 0 if result.converged else 4
 
 
@@ -332,7 +351,7 @@ def cmd_loglik(args):
         "nll": nll,
         "loglik": -nll,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(_json_text(payload), args.output)
     return 0
 
 

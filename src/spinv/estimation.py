@@ -555,8 +555,7 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     truth = NigParams(chi=1.0 / theta0, psi=1.0 / theta0, mu=0.0, gamma=0.0)
     half_width = _symmetric_tail_half_width(truth, _KL_TAIL_MASS)
     n_points = 2 * math.ceil(half_width / (2.0 * _KL_STEP)) + 1
-    xs = np.linspace(0.0, half_width, n_points)
-    h = half_width / (n_points - 1)
+    xs, h = QuadratureSpec(half_width, n_points).grid()
     p_truth = np.exp(nig_exact_log_density(truth, xs))
 
     def cross_entropy(theta):
@@ -566,8 +565,8 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
             logp = spi_log_density_batch(model, xs)
         else:
             logp = spa_log_density_batch(model, xs)
-        even, odd = _even_odd(p_truth * logp)
-        return -2.0 * h / 3.0 * float(2.0 * even + 4.0 * odd)
+        even, odd, _ = _even_odd((p_truth * logp)[None], np.array([xs.size]))
+        return -2.0 * h / 3.0 * float(2.0 * even[0] + 4.0 * odd[0])
 
     return _golden_min(cross_entropy, 0.0, 4.0 * theta0, tol=1e-8 + 1e-6 * theta0)
 

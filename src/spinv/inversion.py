@@ -43,13 +43,15 @@ CGF domain has a finite end, and DEFAULT_SPI_QUAD where it has none
 (_spi_rule).
 
 Direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) by Simpson's rule,
-(4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. Every rule's points are summed
-in one loop over blocks of rows (_row_sums) into one pair: the sum over
-the even-indexed points less half the two ends, which is T_2h / 2h, and
-the sum over the odd-indexed points (_even_odd, or _own_even_odd where
-the rows of a block differ in length). The trapezoid rule, the SPI step
-error indicator (the gap between T_h and T_2h) and Simpson's rule are
-each read off that pair, so the point count stays odd for every method.
+(4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. A fixed rule, SPI's or direct
+IFT's, takes its points and step from its QuadratureSpec (grid). Every
+rule's points are summed in one loop over blocks of rows (_row_sums) by
+one function (_even_odd) into one pair: the sum over the even-indexed
+points less half the two ends, which is T_2h / 2h, and the sum over the
+odd-indexed points, each over the row's own points alone. The trapezoid
+rule, the SPI step error indicator (the gap between T_h and T_2h) and
+Simpson's rule are each read off that pair, so the point count stays odd
+for every method.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
 takes the terms and their sum from one expression (_solved_terms). The
@@ -111,20 +113,6 @@ class LogDensityResult:
     saddlepoint: SaddlepointSolution
 
 
-def _even_odd(vals: np.ndarray):
-    """(even, odd) along the last axis of vals, an odd number of points.
-
-    even is the sum over the even-indexed points less half the two ends,
-    odd the sum over the odd-indexed points. With step h, the trapezoid
-    rule is h (even + odd), the trapezoid rule of step 2h is 2h even, and
-    Simpson's rule is h (2 even + 4 odd) / 3. Plain sums rather than a
-    product with the weights: numpy hands a matrix-vector product to BLAS,
-    whose threads spin a second core for nothing on products this small.
-    """
-    ends = 0.5 * (vals[..., 0] + vals[..., -1])
-    return vals[..., ::2].sum(axis=-1) - ends, vals[..., 1::2].sum(axis=-1)
-
-
 def _blocks(lengths: list):
     """Consecutive slices of the rows, whose point counts lengths ascend, of
     about _BLOCK_ENTRIES entries each when every row of a slice takes as
@@ -139,57 +127,59 @@ def _blocks(lengths: list):
         lo += rows
 
 
-def _own_even_odd(vals: np.ndarray, n: np.ndarray):
+def _even_odd(vals: np.ndarray, n: np.ndarray):
     """(even, odd, last) of each row of vals over its own first n points.
 
-    n is odd and ascends, and the last row takes all of its points; last
-    is a row's value at its last point. Each sum is np.add.reduceat over
-    the row's own points alone, so it does not see the points past them
-    or the other rows: a row by itself gives the same sums, to the bit.
+    n is odd and ascends, and the last row takes all of its points. even
+    is the sum over a row's even-indexed points less half its two ends,
+    odd the sum over its odd-indexed points, and last its value at its
+    last point. With step h, the trapezoid rule is h (even + odd), the
+    trapezoid rule of step 2h is 2h even, and Simpson's rule is
+    h (2 even + 4 odd) / 3. Plain sums rather than a product with the
+    weights: numpy hands a matrix-vector product to BLAS, whose threads
+    spin a second core for nothing on products this small.
+
+    Each sum is np.add.reduceat over the row's own points alone, so it
+    does not see the points past them or the other rows: a row by itself
+    gives the same sums, to the bit. Where every row takes all of its
+    points (every block of a fixed rule), each row is one segment along
+    the row, which sums to the same bits with no index to build.
     """
-    i = np.arange(n.size)
-    last = vals[i, n - 1]
+    full = n[0] == vals.shape[1]
+    last = vals[:, -1] if full else vals[np.arange(n.size), n - 1]
     sums = []
-    for part, own in ((vals[:, ::2], n // 2 + 1), (vals[:, 1::2], n // 2)):
+    for is_odd, part in enumerate((vals[:, ::2], vals[:, 1::2])):
+        if full:
+            # every row takes all of its points: one segment a row, from its start
+            sums.append(np.add.reduceat(part, [0], axis=1)[:, 0])
+            continue
         # row r's points start at r * width of the flattened part; the
         # segments between one row's last point and the next row are dropped
-        width = part.shape[1]
+        starts = np.arange(n.size) * part.shape[1]
         idx = np.empty(2 * n.size - 1, dtype=np.intp)
-        idx[0::2] = i * width
-        idx[1::2] = i[:-1] * width + own[:-1]
+        idx[0::2] = starts
+        idx[1::2] = starts[:-1] + n[:-1] // 2 + 1 - is_odd
         sums.append(np.add.reduceat(part.ravel(), idx)[0::2])
     return sums[0] - 0.5 * (vals[:, 0] + last), sums[1], last
 
 
-def _row_sums(rows: int, n, integrand):
-    """(even, odd, last, entries) of each row's rule, in blocks of about _BLOCK_ENTRIES entries.
+def _row_sums(n: np.ndarray, integrand):
+    """(even, odd, last, entries) of each row's rule (_even_odd), in blocks of about _BLOCK_ENTRIES entries.
 
-    n is the point count every one of the rows takes, or an array of each
-    row's own count, odd and ascending (see _blocks). integrand(b, m) is
-    the real integrand of the rows in slice b at their first m points,
-    one row each, with m the count of the block's last row; (even, odd)
-    are those of _even_odd over a row's own points, last its value at its
-    last point, and entries the count of values taken. Every Fourier
-    integral of the package is summed here.
-
-    With one count for all, a block is summed by _even_odd. With a count
-    per row, each row is padded to the longest of its block and summed by
-    _own_even_odd over its own points alone, so its sums do not depend on
-    the rows that share its block. (np.add.reduceat groups its additions
-    unlike a sum, so the fixed rules keep _even_odd and their sums.)
+    n holds each row's point count, odd and ascending (see _blocks).
+    integrand(b, m) is the real integrand of the rows in slice b at their
+    first m points, one row each, with m the count of the block's last
+    row; each row is summed over its own points alone, so its sums do not
+    depend on the rows that share its block. entries counts the values
+    taken. Every Fourier integral of the package is summed here.
     """
-    same = isinstance(n, int)
-    lengths = [n] * rows if same else n.tolist()
-    even, odd, last = np.empty(rows), np.empty(rows), np.empty(rows)
+    lengths = n.tolist()
+    even, odd, last = np.empty(n.size), np.empty(n.size), np.empty(n.size)
     entries = 0
     for b in _blocks(lengths):
         vals = integrand(b, lengths[b.stop - 1])
         entries += vals.size
-        if same:
-            even[b], odd[b] = _even_odd(vals)
-            last[b] = vals[:, -1]
-        else:
-            even[b], odd[b], last[b] = _own_even_odd(vals, n[b])
+        even[b], odd[b], last[b] = _even_odd(vals, n[b])
     return even, odd, last, entries
 
 
@@ -236,14 +226,13 @@ def _p_bar_zero_rows(
     else:
         rows, n, integrand, prefactor, h = _fixed_lines(model, x, tau, k2, rule)
     p_bar = np.full(x.size, np.nan)
-    if not rows.size:
-        return p_bar, (0.0, 0.0, 0, 0, math.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        even, odd, last, entries = _row_sums(rows.size, n, lambda b, m: integrand(rows[b], m))
+        even, odd, last, entries = _row_sums(n, lambda b, m: integrand(rows[b], m))
         fine = even + odd
         p_bar[rows] = prefactor * fine
         step = np.abs(1.0 - 2.0 * even / fine)
-    return p_bar, (_largest(step), _largest(np.abs(last)), entries, int(np.max(n)), float(np.min(h)))
+    most, smallest = int(np.max(n, initial=0)), float(np.min(h, initial=math.inf))
+    return p_bar, (_largest(step), _largest(np.abs(last)), entries, most, smallest)
 
 
 def _merged(a, b):
@@ -259,10 +248,9 @@ def _fixed_lines(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
     whose trapezoid rule with step h in s gives p_bar(0) with prefactor
     h/pi.
     """
-    s = np.linspace(0.0, quad.upper_limit, quad.n_points)
-    h = quad.upper_limit / (quad.n_points - 1)
+    s, h = quad.grid()
     return (
-        np.arange(x.size), s.size,
+        np.arange(x.size), np.full(x.size, s.size),
         lambda r, m: standardized_tilted_cf(model, tau[r, None], k2[r, None], x[r, None], s),
         h / math.pi, h,
     )
@@ -646,8 +634,7 @@ def direct_ift_log_density_batch(
     if quad is None:
         quad = DEFAULT_DIRECT_QUAD
     x = np.asarray(x, dtype=float).ravel()
-    s = np.linspace(0.0, quad.upper_limit, quad.n_points)
-    h = quad.upper_limit / (quad.n_points - 1)
+    s, h = quad.grid()
     # Re(phi(s) exp(-i s x)) = |phi(s)| cos(Im log phi(s) - s x)
     log_mod, phase = log_char_fn(model, s)
     mod = np.exp(log_mod)
@@ -658,7 +645,7 @@ def direct_ift_log_density_batch(
         vals *= mod
         return vals
 
-    even, odd, _, _ = _row_sums(x.size, s.size, integrand)
+    even, odd, _, _ = _row_sums(np.full(x.size, s.size), integrand)
     return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
 
 

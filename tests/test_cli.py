@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import spinv.estimation
 from spinv.cli import main, read_price_csv
 from spinv.errors import InversionError, ParseError, SpinvError, ValidationError
 from spinv.estimation import (
+    FitResult,
     GbmParams,
     ReturnSeries,
     moment_init,
@@ -538,6 +540,40 @@ class TestQuadFlags:
             data = ReturnSeries(dt=1.0 / 252.0, returns=np.diff(np.log(read_price_csv(prices))))
             assert seen["init"] == moment_init("mjd", data)
 
+    @pytest.mark.parametrize("flag", [["--quad-points", "7"], ["--quad-upper", "5"]], ids=["points", "upper"])
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["density", *_NIG, "--method", "spa", "--grid", "-1:1:1"], "--method spa"),
+            (["density", *_NIG, "--method", "oracle", "--grid", "-1:1:1"], "--method oracle"),
+            (["loglik", *_NIG, "--method", "spa", "--input", "PRICES"], "--method spa"),
+            (["fit", "--family", "nig", "--method", "oracle", "--input", "PRICES"], "--method oracle"),
+            (["profile", *_NIG, "--method", "spa", "--param", "mu", "--grid", "0:0:1", "--input", "PRICES"],
+             "--method spa"),
+            (["fit", "--family", "gbm", "--input", "PRICES"], "fit of gbm, its closed form"),
+            (["loglik", "--family", "gbm", "--method", "direct", "--params", "r=0", "sigma=0.2",
+              "--input", "PRICES"], "loglik of gbm, its closed form"),
+            (["profile", "--family", "gbm", "--param", "r", "--grid", "0:0:1", "--input", "PRICES"],
+             "profile of gbm, its closed form"),
+        ],
+        ids=["density-spa", "density-oracle", "loglik-spa", "fit-oracle", "profile-spa",
+             "fit-gbm", "loglik-gbm-direct", "profile-gbm"],
+    )
+    def test_a_flag_where_no_rule_runs_exits_3(self, capsys, monkeypatch, prices, argv, what, flag):
+        # spa and oracle run no rule, nor does the likelihood of gbm, its
+        # closed form whatever the method: the flag is refused before any
+        # row is evaluated
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a row was evaluated")
+
+        for name in ("log_density_terms", "negative_log_likelihood", "fit_mle", "profile_nll"):
+            monkeypatch.setattr(spinv.cli, name, evaluated)
+        monkeypatch.setitem(spinv.cli.FAMILIES, "nig", replace(spinv.cli.FAMILIES["nig"], oracle=evaluated))
+        argv = [prices if a == "PRICES" else a for a in argv]
+        code, out, err = _run(capsys, [*argv, *flag])
+        assert code == 3 and out == ""
+        assert "--quad-upper/--quad-points set the rule of spi and direct; none runs in " + what in err
+
     @pytest.mark.parametrize(
         "flags, quad",
         [([], None), (["--quad-points", "129"], QuadratureSpec(100.0, 129)),
@@ -843,6 +879,63 @@ class TestProfile:
             ],
         )
         assert code == 3 and "sigma must be positive" in err
+
+
+class TestStrictJson:
+    """JSON output is strict (RFC 8259): a number that is not finite is null, where CSV keeps it."""
+
+    @staticmethod
+    def _loads(text):
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        return json.loads(text, parse_constant=refuse)
+
+    @pytest.fixture
+    def prices(self, tmp_path):
+        path = tmp_path / "nig.csv"
+        main(["simulate", "--family", "nig", "--params", "chi=3e-4", "psi=1000", "--n", "100",
+              "--seed", "4", "--output", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_profile_nll_that_overflows(self, capsys, prices, fmt):
+        # exp(710) overflows, so the refit at log_chi = 710 ends on +inf
+        code, out, _ = _run(capsys, ["profile", "--family", "nig", "--input", prices, "--param", "log_chi",
+                                     "--grid", "710:710:1", "--format", fmt])
+        assert code == 0
+        if fmt == "csv":
+            assert _parse_csv(out)[1][0][1] == "inf"
+        else:
+            assert self._loads(out)[0]["nll"] is None
+
+    def test_density_value_that_is_not_finite(self, capsys, monkeypatch):
+        oracle = lambda m, x: np.full(x.shape, -np.inf)  # noqa: E731
+        monkeypatch.setitem(spinv.cli.FAMILIES, "nig", replace(spinv.cli.FAMILIES["nig"], oracle=oracle))
+        argv = ["density", "--family", "nig", "--method", "oracle", "--params", "chi=1", "psi=1", "--grid", "0:1:1"]
+        _, out, _ = _run(capsys, [*argv, "--format", "json"])
+        assert [r["log_density"] for r in self._loads(out)] == [None, None]
+        _, out, _ = _run(capsys, argv)
+        assert [r[1] for r in _parse_csv(out)[1]] == ["-inf", "-inf"]
+
+    def test_fit_std_errors_that_are_nan(self, capsys, monkeypatch, prices):
+        def fit(family, data, **kwargs):
+            return FitResult(family, "spa", ("r", "log_sigma"), np.array([0.05, math.log(0.2)]), math.inf,
+                             np.array([math.nan, 0.1]), 7, True, {})
+
+        monkeypatch.setattr(spinv.cli, "fit_mle", fit)
+        code, out, _ = _run(capsys, ["fit", "--family", "gbm", "--input", prices])
+        payload = self._loads(out)
+        assert code == 0
+        assert payload["std_errors"] == {"r": None, "log_sigma": 0.1} and payload["nll"] is None
+        assert payload["params"]["sigma"] == pytest.approx(0.2)
+
+    def test_loglik_that_is_not_finite(self, capsys, monkeypatch, prices):
+        monkeypatch.setattr(spinv.cli, "negative_log_likelihood", lambda *args: math.inf)
+        code, out, _ = _run(capsys, ["loglik", "--family", "nig", "--params", "chi=1", "psi=1",
+                                     "--input", prices])
+        payload = self._loads(out)
+        assert code == 0 and payload["nll"] is None and payload["loglik"] is None
 
 
 class TestPriceCsv:

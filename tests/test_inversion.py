@@ -23,6 +23,7 @@ from spinv.inversion import (
     QuadratureSpec,
     _cheb_coeffs,
     _clenshaw,
+    _even_odd,
     _p_bar_zero_rows,
     direct_ift_log_density,
     direct_ift_log_density_batch,
@@ -78,6 +79,43 @@ class TestQuadratureSpec:
     def test_non_finite_upper_limit_rejected(self, upper):
         with pytest.raises(ValidationError, match="positive and finite"):
             QuadratureSpec(upper, 513)
+
+    def test_grid_is_the_rules_points_and_step(self):
+        s, h = QuadratureSpec(3.0, 7).grid()
+        assert s.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0] and h == 0.5
+
+
+class TestEvenOdd:
+    """The one sum of every rule: a row's (even, odd, last) depend on its own points alone."""
+
+    # magnitudes over 16 decades, so that any other grouping of the
+    # additions moves the last bits
+    _rng = np.random.default_rng(23)
+    _VALS = _rng.standard_normal((6, 129)) * np.exp(_rng.uniform(-18.0, 18.0, (6, 129)))
+
+    def test_the_sums_of_a_row(self):
+        row = self._VALS[2, :33]
+        even, odd, last = _even_odd(self._VALS[:3, :33], np.array([9, 17, 33]))
+        assert last[2] == row[-1]
+        assert even[2] == pytest.approx(math.fsum(row[::2]) - 0.5 * (row[0] + row[-1]), rel=1e-12)
+        assert odd[2] == pytest.approx(math.fsum(row[1::2]), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [[129] * 6, [3, 17, 17, 65, 127, 129]], ids=["full", "ragged"])
+    def test_each_row_of_a_block_sums_as_it_does_alone(self, n):
+        n = np.array(n)
+        block = _even_odd(self._VALS, n)
+        for r in range(n.size):
+            alone = _even_odd(self._VALS[r : r + 1, : n[r]], n[r : r + 1])
+            assert [float(v[r]) for v in block] == [float(v[0]) for v in alone]
+
+    def test_a_full_row_sums_alike_whichever_index_its_block_takes(self):
+        # in the first block every row takes all of its points, which is
+        # summed from the row starts alone; in the second the first row
+        # stops short, and every row is summed by its own segments
+        full = _even_odd(self._VALS, np.full(6, 129))
+        ragged = _even_odd(self._VALS, np.array([65, 129, 129, 129, 129, 129]))
+        for got, want in zip(ragged, full):
+            assert got[1:].tolist() == want[1:].tolist()
 
 
 class TestGaussianCollapse:

@@ -6,7 +6,8 @@ sit on it, and the inversion layer on the solver; it takes whatever
 model it is given, so it names none of them. Only the registry (estimation) and
 the CLI name models and evaluators together. Within the layers, every
 SPI rule sums the one integrand cgf states; the inversion layer takes K off
-the real axis itself only to probe how far a contour must run.
+the real axis itself only to probe how far a contour must run, and every
+rule's points are added up by one function.
 """
 
 import ast
@@ -52,15 +53,29 @@ def test_lower_layers_import_no_higher_one(module, forbidden):
     assert not _relative_imports(module) & forbidden
 
 
-def test_inversion_takes_k_complex_only_in_the_decay_probe():
-    # every summed integrand comes from cgf (line_integrand), so a rule
-    # cannot grow its own copy of it
+def _inversion_callers(calls):
+    """The functions of inversion.py that make a call calls(func) accepts, func being an ast.Attribute."""
     tree = ast.parse((_PACKAGE / "inversion.py").read_text())
-    callers = {
+    return {
         func.name
         for func in tree.body
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "k_complex"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and calls(node.func)
     }
-    assert callers == {"_decay_cut"}
+
+
+def test_inversion_takes_k_complex_only_in_the_decay_probe():
+    # every summed integrand comes from cgf (line_integrand), so a rule
+    # cannot grow its own copy of it
+    assert _inversion_callers(lambda f: f.attr == "k_complex") == {"_decay_cut"}
+
+
+def test_inversion_sums_only_in_the_one_sum():
+    # .sum, np.sum and np.add.reduce(at) only in _even_odd, so that each
+    # rule's sums, and any indicator added to them, are formed once
+    def adds(f):
+        on_add = isinstance(f.value, ast.Attribute) and f.value.attr == "add"
+        return f.attr == "sum" or (on_add and f.attr in ("reduce", "reduceat"))
+
+    assert _inversion_callers(adds) == {"_even_odd"}
