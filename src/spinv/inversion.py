@@ -16,22 +16,26 @@ Every p_bar(0) comes from one batch core, p_bar_zero_batch, which marks
 unusable rows instead of raising. Since x0 = K'(tau), p_bar(0) depends on
 x0 only through the tilt, so the core fits log p_bar at a few Chebyshev
 nodes in the tilt and reads every row off the fit (Battles & Trefethen
-2004 for the stopping rule). A batch the fit does not serve (33 rows or
-fewer, an unusable node, a next level with more nodes than rows, no
-convergence at 257 nodes) takes each row by itself, in blocks. Each batch
-logs one DEBUG record saying which, with the rule and its error indicators.
+2004 for the stopping rule). The nodes' lines are placed once for the
+levels up to 65 nodes and once more for the rest, not once a level, and
+each level sums only its own nodes (_interpolated). A batch the fit does
+not serve (33 rows or fewer, an unusable node, a next level with more
+nodes than rows, no convergence at 257 nodes) takes each row by itself,
+in blocks. Each batch logs one DEBUG record saying which, with the nodes
+summed and placed, the rule and its error indicators.
 
 A node or row is taken by one line rule: the trapezoid rule on a vertical
 line Re z = c over y >= 0, summing the one integrand
 Re exp(K(c + iy) - K(c) - iy*x0) (cgf.line_integrand), and p_bar(0) is a
-prefactor times that sum (_p_bar_zero_rows). A rule only supplies its
-lines. The fixed rule (a QuadratureSpec: [0, upper_limit] with n_points)
-takes the line through the tilt, c = tau, at y = s/sqrt(K''(tau)), which
-is the standardized tilted CF (standardized_tilted_cf), with one step and
-length for all rows (_fixed_lines). The contour moves the line off the
-tilt, to where K(c) - c*x0 is _BUDGET nats above its minimum, and sets
-each node's step from the strip in which the integrand is analytic and
-its length from where the CF has decayed (_contour_lines). The integrand
+prefactor times that sum (_p_bar_zero_rows). A rule only places its
+lines (_lines), each from its own row alone. The fixed rule (a
+QuadratureSpec: [0, upper_limit] with n_points) takes the line through
+the tilt, c = tau, at y = s/sqrt(K''(tau)), which is the standardized
+tilted CF (standardized_tilted_cf), with one step and length for all
+rows (_fixed_lines). The contour moves the line off the tilt, to where
+K(c) - c*x0 is _BUDGET nats above its minimum, and sets each node's step
+from the strip in which the integrand is analytic and its length from
+where the CF has decayed (_contour_lines). The integrand
 is analytic in a strip, where the trapezoid rule converges geometrically
 as its step shrinks (Trefethen & Weideman 2014, SIAM Rev. 56:385);
 moving the line off the saddlepoint widens the strip, which is the
@@ -82,6 +86,10 @@ _BLOCK_ENTRIES = 8192
 # Chebyshev degrees of the nested fit levels (17, 33, 65, 129, 257 nodes),
 # and the bound on its last-quarter coefficients, in nats of log p_bar
 _FIT_DEGREES = (16, 32, 64, 128, 256)
+# the levels whose nodes are placed together (_interpolated): most
+# batches stop by 65 nodes, and placing all 257 up front costs more,
+# since the decay probe (_decay_cut) grows with the nodes
+_PLACEMENTS = (_FIT_DEGREES[:3], _FIT_DEGREES[3:])
 _FIT_TOL = 1e-10
 # a batch of fewer rows than this never tries the fit: it would need 17
 # nodes, the cost of half its rows, before it could tell whether it pays
@@ -200,38 +208,49 @@ def _spi_rule(model: CgfModel, quad: QuadratureSpec):
     return rule
 
 
-def _p_bar_zero_rows(
-    model: CgfModel, x: np.ndarray, tau: np.ndarray, k2: np.ndarray, rule: QuadratureSpec
-):
-    """p_bar(0) of every row by rule, a fixed rule, or the contour where it is None (see _spi_rule).
+def _lines(model: CgfModel, x, tau, k2, rule: QuadratureSpec):
+    """The line of every row by rule, a fixed rule, or the contour where it is None (see _spi_rule).
 
     Every rule is the trapezoid rule on one vertical line Re z = c per
-    row, over y >= 0. The rule supplies its lines (_fixed_lines,
-    _contour_lines): the rows it takes, each row's point count, the
-    integrand over a block of them, each row's prefactor and its step.
-    p_bar(0) is the prefactor times the row's trapezoid sum (_row_sums),
-    and NaN on a row the rule does not take.
-
-    k2 is K''(tau), row by row. Returns (p_bar, indicators), where
-    indicators are (step, truncation, points, most points of a row,
-    smallest step of a row). step is the largest relative gap between
-    the rule and the trapezoid rule on its even-indexed points (step
-    2h). Under geometric convergence that gap is about the error of the
-    coarser rule, so it overstates the error of the rule itself.
-    truncation is the largest |integrand| at the last point, where the
-    rule cuts it off (it is 1 at the first).
+    row, over y >= 0. The rule places each row's line (_fixed_lines,
+    _contour_lines), and returns (n, integrand, prefactor, h): each row's
+    point count, 0 on a row it does not take, the integrand of rows r at
+    their first m points, integrand(r, m), one row each, and each row's
+    prefactor and step. A row's line depends on that row alone, so it is
+    the same to the bit whatever rows are placed with it.
     """
     if rule is None:
-        rows, n, integrand, prefactor, h = _contour_lines(model, x, tau, k2)
-    else:
-        rows, n, integrand, prefactor, h = _fixed_lines(model, x, tau, k2, rule)
-    p_bar = np.full(x.size, np.nan)
+        return _contour_lines(model, x, tau, k2)
+    return _fixed_lines(model, x, tau, k2, rule)
+
+
+def _p_bar_zero_rows(lines, rows: np.ndarray):
+    """p_bar(0) at the given rows of placed lines (see _lines), in the order given.
+
+    p_bar(0) is a row's prefactor times its trapezoid sum (_row_sums),
+    and NaN on a row the rule does not take. The rows are summed in
+    blocks in the order of their point counts.
+
+    Returns (p_bar, indicators), where indicators are (step, truncation,
+    points, most points of a row, smallest step of a row). step is the
+    largest relative gap between the rule and the trapezoid rule on its
+    even-indexed points (step 2h). Under geometric convergence that gap
+    is about the error of the coarser rule, so it overstates the error of
+    the rule itself. truncation is the largest |integrand| at the last
+    point, where the rule cuts it off (it is 1 at the first).
+    """
+    n, integrand, prefactor, h = lines
+    n = n[rows]
+    taken = np.flatnonzero(n > 0)
+    taken = taken[np.argsort(n[taken], kind="stable")]
+    r, n = rows[taken], n[taken]
+    p_bar = np.full(rows.size, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        even, odd, last, entries = _row_sums(n, lambda b, m: integrand(rows[b], m))
+        even, odd, last, entries = _row_sums(n, lambda b, m: integrand(r[b], m))
         fine = even + odd
-        p_bar[rows] = prefactor * fine
+        p_bar[taken] = prefactor[r] * fine
         step = np.abs(1.0 - 2.0 * even / fine)
-    most, smallest = int(np.max(n, initial=0)), float(np.min(h, initial=math.inf))
+    most, smallest = int(np.max(n, initial=0)), float(np.min(h[r], initial=math.inf))
     return p_bar, (_largest(step), _largest(np.abs(last)), entries, most, smallest)
 
 
@@ -241,7 +260,7 @@ def _merged(a, b):
 
 
 def _fixed_lines(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
-    """The lines of the fixed rule quad (see _p_bar_zero_rows): every row.
+    """The lines of the fixed rule quad (see _lines): every row, on one grid.
 
     Each row's line runs through its tilt, c = tau, at the points s of
     [0, upper_limit], y = s/sqrt(K''(tau)): the standardized tilted CF,
@@ -250,14 +269,14 @@ def _fixed_lines(model: CgfModel, x, tau, k2, quad: QuadratureSpec):
     """
     s, h = quad.grid()
     return (
-        np.arange(x.size), np.full(x.size, s.size),
+        np.full(x.size, s.size),
         lambda r, m: standardized_tilted_cf(model, tau[r, None], k2[r, None], x[r, None], s),
-        h / math.pi, h,
+        np.full(x.size, h / math.pi), np.full(x.size, h),
     )
 
 
 def _contour_lines(model: CgfModel, x, tau, k2):
-    """The contour's lines (see _p_bar_zero_rows): each row's own line, step and length.
+    """The contour's lines (see _lines): each row's own line, step and length.
 
     c moves from tau away from the nearer finite end of the domain, by
     Newton steps on K(c) - cx - (K(tau) - tau x) = _BUDGET from the
@@ -279,8 +298,7 @@ def _contour_lines(model: CgfModel, x, tau, k2):
     K(c) - cx less its value at tau, exact for any tau. Each row's rule
     runs from y = 0 to where exp(Re) falls below exp(_LOG_CUT) (see
     _decay_cut). A row whose integrand does not decay that far within
-    2^16 steps, or whose gap is not finite, is not taken. The rows come
-    sorted by their point count (see _row_sums).
+    2^16 steps, or whose gap is not finite, is not taken.
     """
     dom = model.domain()
     lo, hi = dom.lo, dom.hi
@@ -306,17 +324,16 @@ def _contour_lines(model: CgfModel, x, tau, k2):
     growth = np.maximum(k_lo + a * x, k_hi - a * x) - k_c
     h = 2.0 * math.pi * a / (_STRIP_NATS + np.maximum(growth, 0.0))
     gap = k_c - c * x - at_tau
+    n = np.zeros(x.size, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        n = np.ceil(_decay_cut(model, c, h)) + 1.0
-        rows = np.flatnonzero(np.isfinite(n) & np.isfinite(gap))
-        n = n[rows].astype(np.int64) | 1
-        order = np.argsort(n, kind="stable")
-        rows, n = rows[order], n[order]
-        prefactor = np.exp(gap[rows]) * np.sqrt(k2[rows]) / math.pi * h[rows]
+        cut = np.ceil(_decay_cut(model, c, h)) + 1.0
+        taken = np.isfinite(cut) & np.isfinite(gap)
+        n[taken] = cut[taken].astype(np.int64) | 1
+        prefactor = np.exp(gap) * np.sqrt(k2) / math.pi * h
     return (
-        rows, n,
+        n,
         lambda r, m: line_integrand(model, c[r, None], x[r, None], h[r, None] * np.arange(float(m))),
-        prefactor, h[rows],
+        prefactor, h,
     )
 
 
@@ -408,49 +425,70 @@ def _interpolated(
 ):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt, each node by rule.
 
-    Returns (fit, nodes used, largest last-quarter coefficient, why the
-    fit was not used). fit is None, or (p_bar, indicators) as
-    _p_bar_zero_rows returns them, with the indicators over the nodes.
+    The levels of each group of _PLACEMENTS that the rows allow have
+    their nodes placed at once: one tilt each from the grid of the
+    deepest of them, one k1_k2 and one _lines over all of them. On that
+    grid, of degree top, a level's j is j top/n; top/n is a power of 2,
+    so pi (j top/n) / top rounds as pi j/n does, and a node's tilt, line
+    and p_bar are the same to the bit whichever placement takes it. Each
+    level then sums only its own nodes, so what a level sums does not
+    depend on the placement.
+
+    Returns (fit, nodes summed, nodes placed, largest last-quarter
+    coefficient, why the fit was not used). fit is None, or (p_bar,
+    indicators) as _p_bar_zero_rows returns them, with the indicators
+    over the nodes.
     """
-    nodes, tail, seen = 0, math.nan, (0.0, 0.0, 0, 0, math.inf)
+    nodes, placed, tail, seen = 0, 0, math.nan, (0.0, 0.0, 0, 0, math.inf)
     if tau.size < _FIT_MIN_ROWS:
-        return None, nodes, tail, "too few rows"
+        return None, nodes, placed, tail, "too few rows"
     to_v, from_v = _tilt_map(model.domain())
     with np.errstate(divide="ignore", invalid="ignore"):
         v = to_v(tau)
     a, b = float(v.min()), float(v.max())
     if not (math.isfinite(a) and math.isfinite(b)):
-        return None, nodes, tail, "tilt not inside the domain"
+        return None, nodes, placed, tail, "tilt not inside the domain"
     if not b > a:
-        return None, nodes, tail, "all rows share one tilt"
-    for n in _FIT_DEGREES:
-        if n + 1 > tau.size:
-            # a level with more nodes than rows costs more than the rows
-            return None, nodes, tail, "too few rows"
-        # the points cos(pi j/n) not already in the previous level: all
-        # of them on the first level, the odd j after
-        j = np.arange(n + 1) if nodes == 0 else np.arange(1, n, 2)
-        tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n))
+        return None, nodes, placed, tail, "all rows share one tilt"
+    for group in _PLACEMENTS:
+        # a level with more nodes than rows costs more than the rows
+        levels = [n for n in group if n + 1 <= tau.size]
+        if not levels:
+            return None, nodes, placed, tail, "too few rows"
+        # the points cos(pi j/n) of each level not already in the last: all
+        # of them on the first level, the odd j after, at j top/n on this grid
+        top = levels[-1]
+        j = [(np.arange(1, n, 2) if n > _FIT_DEGREES[0] else np.arange(n + 1)) * (top // n) for n in levels]
+        tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.concatenate(j) / top))
         x_j, k2_j = model.k1_k2(tau_j)
-        p_j, seen_j = _p_bar_zero_rows(model, x_j, tau_j, k2_j, rule)
-        seen = _merged(seen, seen_j)
-        bad = np.flatnonzero(~_usable(p_j))
-        if bad.size:
-            return None, nodes + j.size, tail, f"unusable node at tau = {float(tau_j[bad[0]])!r}"
-        if nodes:
-            merged = np.empty(n + 1)
-            merged[0::2] = log_p
-            merged[1::2] = np.log(p_j)
-            log_p = merged
-        else:
-            log_p = np.log(p_j)
-        nodes = n + 1
-        c = _cheb_coeffs(log_p)
-        tail = float(np.abs(c[-(c.size // 4):]).max())
-        if tail <= _FIT_TOL:
-            p_bar = np.exp(_read_fit(model, tau, k2, residual, c, to_v, a, b))
-            return (p_bar, seen), nodes, tail, None
-    return None, nodes, tail, f"{nodes} nodes not converged"
+        lines = _lines(model, x_j, tau_j, k2_j, rule)
+        placed += tau_j.size
+        start = 0
+        for n, new in zip(levels, j):
+            rows = np.arange(start, start + new.size)
+            start += new.size
+            p_j, seen_j = _p_bar_zero_rows(lines, rows)
+            seen = _merged(seen, seen_j)
+            bad = np.flatnonzero(~_usable(p_j))
+            if bad.size:
+                at = float(tau_j[rows[bad[0]]])
+                return None, nodes + new.size, placed, tail, f"unusable node at tau = {at!r}"
+            if nodes:
+                merged = np.empty(n + 1)
+                merged[0::2] = log_p
+                merged[1::2] = np.log(p_j)
+                log_p = merged
+            else:
+                log_p = np.log(p_j)
+            nodes = n + 1
+            c = _cheb_coeffs(log_p)
+            tail = float(np.abs(c[-(c.size // 4):]).max())
+            if tail <= _FIT_TOL:
+                p_bar = np.exp(_read_fit(model, tau, k2, residual, c, to_v, a, b))
+                return (p_bar, seen), nodes, placed, tail, None
+        if len(levels) < len(group):
+            return None, nodes, placed, tail, "too few rows"
+    return None, nodes, placed, tail, f"{nodes} nodes not converged"
 
 
 def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec) -> np.ndarray:
@@ -466,7 +504,10 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
     257, each level reusing the values of the last. Each node is taken by
-    the rule at x = K'(tau_node), with K'' from the same k1_k2 call. Once
+    the rule at x = K'(tau_node), with K'' from the same k1_k2 call. The
+    nodes' lines are placed once for the levels up to 65 nodes that the
+    rows allow, and once more for the rest of the deepest level they
+    allow (see _interpolated); each level sums only its own nodes. Once
     the last quarter of a level's Chebyshev coefficients is at most
     _FIT_TOL, every row is read off the fit, with the solver's residual
     taken into account (see _read_fit).
@@ -476,32 +517,32 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     there are rows, the batch has 33 rows or fewer, or all rows share one
     tilt.
 
-    One DEBUG record per batch gives the rule, the path, the node count,
-    the points taken in all, the most on one line, the smallest step, the
-    last-quarter coefficient size and the rule's two error indicators
-    (see _p_bar_zero_rows), over the nodes or, on the per-row path, over
-    the rows: the step error, the largest relative gap to the rule of
-    twice the step, and the truncation, the largest |integrand| where the
-    rule stops.
+    One DEBUG record per batch gives the rule, the path, the nodes summed
+    and the nodes placed, the points taken in all, the most on one line,
+    the smallest step, the last-quarter coefficient size and the rule's
+    two error indicators (see _p_bar_zero_rows), over the nodes summed
+    or, on the per-row path, over the rows: the step error, the largest
+    relative gap to the rule of twice the step, and the truncation, the
+    largest |integrand| where the rule stops.
 
     Nothing is raised for a bad row: a p_bar(0) that is not finite or not
     positive is returned as it is, and each caller decides what to do
     with it (see p_bar_error).
     """
     rule = _spi_rule(model, quad)
-    fit, nodes, tail, reason = _interpolated(model, tau, k2, residual, rule)
+    fit, nodes, placed, tail, reason = _interpolated(model, tau, k2, residual, rule)
     p_bar, (step, trunc, points, most, h) = (
-        fit if fit is not None else _p_bar_zero_rows(model, x, tau, k2, rule)
+        fit if fit is not None else _p_bar_zero_rows(_lines(model, x, tau, k2, rule), np.arange(x.size))
     )
     debug(
         __name__,
-        "p_bar(0) of %d rows by %s: %s after %d nodes, %d points, at most %d a line, smallest step %.3g, "
-        "last-quarter coefficients %.1e, step error %.1e, truncation %.1e",
+        "p_bar(0) of %d rows by %s: %s after %d nodes (%d placed), %d points, at most %d a line, "
+        "smallest step %.3g, last-quarter coefficients %.1e, step error %.1e, truncation %.1e",
         x.size,
         f"the contour {_BUDGET:g} nats above the tilt" if rule is None
         else f"the rule on [0, {rule.upper_limit:g}] of {rule.n_points} points",
         "interpolated" if reason is None else f"per row ({reason})",
-        nodes, points, most, h, tail, step, trunc,
+        nodes, placed, points, most, h, tail, step, trunc,
     )
     return p_bar
 

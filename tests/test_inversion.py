@@ -19,12 +19,15 @@ from spinv.errors import InversionError, ValidationError
 from spinv.estimation import ReturnSeries, negative_log_likelihood
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
+    _FIT_DEGREES,
     LogDensityResult,
     QuadratureSpec,
     _cheb_coeffs,
     _clenshaw,
     _even_odd,
+    _lines,
     _p_bar_zero_rows,
+    _tilt_map,
     direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,
@@ -380,7 +383,12 @@ def _core(m, x, sp, quad, caplog):
         caplog.clear()
         core = p_bar_zero_batch(m, x, sp.tau, sp.k2, m.k1(sp.tau) - x, quad)
     (record,) = caplog.records
-    return core, _p_bar_zero_rows(m, x, sp.tau, sp.k2, quad)[0], record.getMessage()
+    return core, _own_rule(m, x, sp.tau, sp.k2, quad)[0], record.getMessage()
+
+
+def _own_rule(m, x, tau, k2, quad):
+    """(p_bar, indicators) of every row by quad, each row on its own line (the core's per-row path)."""
+    return _p_bar_zero_rows(_lines(m, x, tau, k2, quad), np.arange(x.size))
 
 
 def _max_log_gap(p, q):
@@ -601,7 +609,8 @@ class TestContour:
             log_density = spi_log_density_batch(Nig(_NIG_P), x)
         (record,) = caplog.records
         found = re.fullmatch(
-            r"p_bar\(0\) of 4500 rows by the contour 2 nats above the tilt: interpolated after 65 nodes, "
+            r"p_bar\(0\) of 4500 rows by the contour 2 nats above the tilt: interpolated after 65 nodes "
+            r"\(65 placed\), "
             r"(\d+) points, at most (\d+) a line, smallest step (\S+), last-quarter coefficients (\S+), "
             r"step error (\S+), truncation (\S+)",
             record.getMessage(),
@@ -721,10 +730,151 @@ class TestKAtTheTilt:
         (record,) = caplog.records
         message = record.getMessage()
         assert f": {path}" in message
-        nodes = int(re.search(r"after (\d+) nodes", message).group(1))
+        placed = int(re.search(r"after \d+ nodes \((\d+) placed\)", message).group(1))
         assert [c for c in calls if c[0] != "_contour_lines"] == [("_solved_terms", rows)]
         # the contour takes K at each of its lines' tilts, its first guess,
-        # its two Newton steps and its strip's two edges: at the nodes, or
-        # on the per-row path at the rows
-        lines = nodes if path == "interpolated" else rows
+        # its two Newton steps and its strip's two edges: at the nodes
+        # placed, and on the per-row path at the rows too
+        lines = placed + (rows if path == "per row" else 0)
         assert sum(n for c, n in calls if c == "_contour_lines") == 6 * lines
+
+
+_HEAVY_NIG = NigParams(chi=0.125, psi=0.125)
+
+
+class TestPlacement:
+    """The core places its nodes' lines once for the fit levels up to 65
+    nodes and once more for the rest of the deepest level the rows allow,
+    not once a level. Every number stays what it was when each level
+    placed its own nodes, and so does the work each level sums."""
+
+    @staticmethod
+    def _placements(monkeypatch, m, x, rule, caplog):
+        """The core's message and the (tau, x, k2, lines) of each placement it makes on x."""
+        placements = []
+
+        def spy(model, x, tau, k2, rule):
+            lines = _lines(model, x, tau, k2, rule)
+            placements.append((tau, x, k2, lines))
+            return lines
+
+        sp = solve_saddlepoint_batch(m, x)
+        monkeypatch.setattr(inversion, "_lines", spy)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            p_bar_zero_batch(m, x, sp.tau, sp.k2, sp.residual, rule)
+        (record,) = caplog.records
+        return sp, record.getMessage(), placements
+
+    @staticmethod
+    def _line(lines, i):
+        """Node i's point count, prefactor, step, integrand at its points (which takes c) and p_bar."""
+        n, integrand, prefactor, h = lines
+        row = np.array([i])
+        return n[i], prefactor[i], h[i], integrand(row, n[i]), _p_bar_zero_rows(lines, row)[0]
+
+    @pytest.mark.parametrize("case", ["heavy NIG, contour", "MJD criterion-6, fixed rule"])
+    def test_a_node_is_the_same_alone_with_its_level_or_with_the_batch(self, monkeypatch, case, caplog):
+        # each batch's fit converges at 129 nodes, placed 65 and then 192
+        if case == "heavy NIG, contour":
+            m, rule = Nig(_HEAVY_NIG), None
+            x = _sd_grid(m, 50.0, 801)
+        else:
+            m = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
+            x, rule = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7)), m.spi_quad
+        sp, message, placements = self._placements(monkeypatch, m, x, rule, caplog)
+        assert "interpolated after 129 nodes (257 placed)" in message
+        assert [p[0].size for p in placements] == [65, 192]
+        # each level's tilts by its own formula, from_v(mid + half cos(pi j/n))
+        to_v, from_v = _tilt_map(m.domain())
+        v = to_v(sp.tau)
+        a, b = float(v.min()), float(v.max())
+        levels = [np.arange(17)] + [np.arange(1, n, 2) for n in _FIT_DEGREES[1:]]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        own = [from_v(mid + half * np.cos(np.pi * j / n)) for j, n in zip(levels, _FIT_DEGREES)]
+        assert np.array_equal(np.concatenate([p[0] for p in placements]), np.concatenate(own))
+        # each node's line and p_bar placed alone, with its own level, and
+        # in the batch's placement
+        sizes = iter(j.size for j in levels)
+        for tau, x_j, k2_j, batch in placements:
+            assert np.array_equal(m.k1_k2(tau), (x_j, k2_j))
+            lo = 0
+            while lo < tau.size:
+                level = slice(lo, lo + next(sizes))
+                lo = level.stop
+                with_level = _lines(m, *(v[level] for v in (x_j, tau, k2_j)), rule)
+                for i in range(level.start, level.stop):
+                    x_i, k2_i = m.k1_k2(tau[i:i + 1])
+                    alone = _lines(m, x_i, tau[i:i + 1], k2_i, rule)
+                    want = self._line(batch, i)
+                    assert want[0] > 0
+                    for got in (self._line(alone, 0), self._line(with_level, i - level.start)):
+                        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "case, node_placements, path",
+        [
+            # the points are those each level summed when it placed its own nodes
+            ("gamma, converges at 17", [65], "interpolated after 17 nodes (65 placed), 177395 points"),
+            ("criterion-9 NIG", [65], "interpolated after 65 nodes (65 placed), 36031 points"),
+            ("heavy NIG, 801 rows", [65, 192], "interpolated after 129 nodes (257 placed), 711501 points"),
+            ("heavy NIG, 200 rows", [65, 64], "interpolated after 129 nodes (129 placed), 711501 points"),
+            ("heavy NIG, 100 rows", [65], "per row (too few rows) after 65 nodes (65 placed), 735770 points"),
+        ],
+    )
+    def test_one_k1_k2_and_one_decay_probe_per_placement(self, case, node_placements, path, caplog):
+        calls = []
+
+        def counting(base):
+            class Counting(base):
+                def k1_k2(self, t):
+                    calls.append(("k1_k2", sys._getframe(1).f_code.co_name, np.size(t)))
+                    return super().k1_k2(t)
+
+                def k_complex(self, line):
+                    calls.append(("k_complex", sys._getframe(1).f_code.co_name, np.shape(line.c)[0]))
+                    return super().k_complex(line)
+
+            return Counting
+
+        heavy = Nig(_HEAVY_NIG)
+        base, args, x = {
+            "gamma, converges at 17": (_Gamma, (5.0, 2.0), np.linspace(0.05, 4.0, 1000) * 2.5),
+            "criterion-9 NIG": (Nig, (_NIG_P,), simulate_nig(_NIG_P, 4500, seed=11)),
+            "heavy NIG, 801 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 801)),
+            "heavy NIG, 200 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 200)),
+            "heavy NIG, 100 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 100)),
+        }[case]
+        m = counting(base)(*args)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            log_density_terms(m, x)
+        (record,) = caplog.records
+        assert f": {path}, " in record.getMessage()
+        assert [n for f, c, n in calls if (f, c) == ("k1_k2", "_interpolated")] == node_placements
+        # the decay is probed once a placement: of the nodes, and on the
+        # per-row path of the rows
+        rows = [x.size] if path.startswith("per row") else []
+        assert [n for f, c, n in calls if (f, c) == ("k_complex", "_decay_cut")] == node_placements + rows
+
+    @pytest.mark.parametrize(
+        "width, rows, rule, path, points",
+        [
+            # the contour on 40 rows of the criterion-9 NIG: 33 nodes, then too few rows for 65
+            (6.0, 40, None, "per row (too few rows) after 33 nodes (33 placed)", 20628),
+            # (100, 513) over 50 sd: a node of the first level is unusable, 48 nodes placed and not summed
+            (
+                50.0, 801, _FIXED_RULE,
+                "per row (unusable node at tau = 29.678675642525135) after 17 nodes (65 placed)", 801 * 513,
+            ),
+        ],
+    )
+    def test_a_batch_that_falls_back_sums_only_its_rows(self, width, rows, rule, path, points, caplog):
+        # the record counts the rows' own rule alone, as it did when each
+        # level placed its own nodes
+        m = Nig(_NIG_P)
+        x = _sd_grid(m, width, rows)
+        sp = solve_saddlepoint_batch(m, x)
+        with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
+            p_bar_zero_batch(m, x, sp.tau, sp.k2, sp.residual, rule)
+        (record,) = caplog.records
+        assert f": {path}, {points} points, " in record.getMessage()
+        assert _own_rule(m, x, sp.tau, sp.k2, rule)[1][2] == points

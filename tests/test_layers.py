@@ -6,8 +6,9 @@ sit on it, and the inversion layer on the solver; it takes whatever
 model it is given, so it names none of them. Only the registry (estimation) and
 the CLI name models and evaluators together. Within the layers, every
 SPI rule sums the one integrand cgf states; the inversion layer takes K off
-the real axis itself only to probe how far a contour must run, and every
-rule's points are added up by one function.
+the real axis itself only to probe how far a contour must run, every
+rule's lines are placed from one site, and every rule's points are added
+up by one function.
 """
 
 import ast
@@ -79,3 +80,26 @@ def test_inversion_sums_only_in_the_one_sum():
         return f.attr == "sum" or (on_add and f.attr in ("reduce", "reduceat"))
 
     assert _inversion_callers(adds) == {"_even_odd"}
+
+
+@pytest.mark.parametrize(
+    "rule, sites",
+    [
+        ("_contour_lines", ["_lines"]),
+        ("_fixed_lines", ["_lines"]),
+        ("_lines", ["_interpolated", "p_bar_zero_batch"]),
+    ],
+)
+def test_inversion_places_each_rules_lines_from_one_site(rule, sites):
+    # _lines is the one site of each rule; the core calls it once in the
+    # fit, for a group of levels at a time, and once for the per-row path,
+    # so a placement per level cannot creep back beside it
+    tree = ast.parse((_PACKAGE / "inversion.py").read_text())
+    found = [
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == rule
+    ]
+    assert found == sites
