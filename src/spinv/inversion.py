@@ -17,8 +17,8 @@ unusable rows instead of raising. Since x0 = K'(tau), p_bar(0) depends on
 x0 only through the tilt, so the core fits log p_bar at a few Chebyshev
 nodes in the tilt and reads every row off the fit (Battles & Trefethen
 2004 for the stopping rule). The nodes' lines are placed once for the
-levels up to 65 nodes and once more for the rest, not once a level, and
-each level sums only its own nodes (_interpolated). A batch the fit does
+levels up to 65 nodes, not once a level, and then once for each deeper
+level reached; each level sums only its own nodes (_interpolated). A batch the fit does
 not serve (33 rows or fewer, an unusable node, a next level with more
 nodes than rows, no convergence at 257 nodes) takes each row by itself,
 in blocks. Each batch logs one DEBUG record saying which, with the nodes
@@ -87,9 +87,9 @@ _BLOCK_ENTRIES = 8192
 # and the bound on its last-quarter coefficients, in nats of log p_bar
 _FIT_DEGREES = (16, 32, 64, 128, 256)
 # the levels whose nodes are placed together (_interpolated): most
-# batches stop by 65 nodes, and placing all 257 up front costs more,
-# since the decay probe (_decay_cut) grows with the nodes
-_PLACEMENTS = (_FIT_DEGREES[:3], _FIT_DEGREES[3:])
+# batches stop by 65 nodes, and a deeper level is placed only when it is
+# reached, since the decay probe (_decay_cut) grows with the nodes
+_PLACEMENTS = (_FIT_DEGREES[:3], _FIT_DEGREES[3:4], _FIT_DEGREES[4:])
 _FIT_TOL = 1e-10
 # a batch of fewer rows than this never tries the fit: it would need 17
 # nodes, the cost of half its rows, before it could tell whether it pays
@@ -506,8 +506,8 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     257, each level reusing the values of the last. Each node is taken by
     the rule at x = K'(tau_node), with K'' from the same k1_k2 call. The
     nodes' lines are placed once for the levels up to 65 nodes that the
-    rows allow, and once more for the rest of the deepest level they
-    allow (see _interpolated); each level sums only its own nodes. Once
+    rows allow, and then once for each deeper level reached (see
+    _interpolated); each level sums only its own nodes. Once
     the last quarter of a level's Chebyshev coefficients is at most
     _FIT_TOL, every row is read off the fit, with the solver's residual
     taken into account (see _read_fit).

@@ -744,9 +744,9 @@ _HEAVY_NIG = NigParams(chi=0.125, psi=0.125)
 
 class TestPlacement:
     """The core places its nodes' lines once for the fit levels up to 65
-    nodes and once more for the rest of the deepest level the rows allow,
-    not once a level. Every number stays what it was when each level
-    placed its own nodes, and so does the work each level sums."""
+    nodes, not once a level, and then once for each deeper level reached.
+    Every number stays what it was when each level placed its own nodes,
+    and so does the work each level sums."""
 
     @staticmethod
     def _placements(monkeypatch, m, x, rule, caplog):
@@ -772,25 +772,38 @@ class TestPlacement:
         row = np.array([i])
         return n[i], prefactor[i], h[i], integrand(row, n[i]), _p_bar_zero_rows(lines, row)[0]
 
-    @pytest.mark.parametrize("case", ["heavy NIG, contour", "MJD criterion-6, fixed rule"])
-    def test_a_node_is_the_same_alone_with_its_level_or_with_the_batch(self, monkeypatch, case, caplog):
-        # each batch's fit converges at 129 nodes, placed 65 and then 192
+    @pytest.mark.parametrize(
+        "case, nodes, node_placements",
+        [
+            ("heavy NIG, contour", 129, [65, 64]),
+            ("MJD criterion-6, fixed rule", 129, [65, 64]),
+            ("MJD over 10 sd, fixed rule", 257, [65, 64, 128]),
+        ],
+    )
+    def test_a_node_is_the_same_alone_with_its_level_or_with_the_batch(
+        self, monkeypatch, case, nodes, node_placements, caplog
+    ):
         if case == "heavy NIG, contour":
             m, rule = Nig(_HEAVY_NIG), None
             x = _sd_grid(m, 50.0, 801)
         else:
             m = MjdTransition(_MJD_P, 0.0, 1.0 / 252.0)
-            x, rule = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7)), m.spi_quad
+            rule = m.spi_quad
+            if case == "MJD criterion-6, fixed rule":
+                x = np.diff(simulate_mjd_path(_MJD_P, 0.0, 1.0 / 252.0, 4500, seed=7))
+            else:
+                x = _sd_grid(m, 10.0, 801)
         sp, message, placements = self._placements(monkeypatch, m, x, rule, caplog)
-        assert "interpolated after 129 nodes (257 placed)" in message
-        assert [p[0].size for p in placements] == [65, 192]
+        assert f"interpolated after {nodes} nodes ({nodes} placed)" in message
+        assert [p[0].size for p in placements] == node_placements
         # each level's tilts by its own formula, from_v(mid + half cos(pi j/n))
         to_v, from_v = _tilt_map(m.domain())
         v = to_v(sp.tau)
         a, b = float(v.min()), float(v.max())
-        levels = [np.arange(17)] + [np.arange(1, n, 2) for n in _FIT_DEGREES[1:]]
+        degrees = [n for n in _FIT_DEGREES if n < nodes]
+        levels = [np.arange(17)] + [np.arange(1, n, 2) for n in degrees[1:]]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        own = [from_v(mid + half * np.cos(np.pi * j / n)) for j, n in zip(levels, _FIT_DEGREES)]
+        own = [from_v(mid + half * np.cos(np.pi * j / n)) for j, n in zip(levels, degrees)]
         assert np.array_equal(np.concatenate([p[0] for p in placements]), np.concatenate(own))
         # each node's line and p_bar placed alone, with its own level, and
         # in the batch's placement
@@ -816,9 +829,10 @@ class TestPlacement:
             # the points are those each level summed when it placed its own nodes
             ("gamma, converges at 17", [65], "interpolated after 17 nodes (65 placed), 177395 points"),
             ("criterion-9 NIG", [65], "interpolated after 65 nodes (65 placed), 36031 points"),
-            ("heavy NIG, 801 rows", [65, 192], "interpolated after 129 nodes (257 placed), 711501 points"),
+            ("heavy NIG, 801 rows", [65, 64], "interpolated after 129 nodes (129 placed), 711501 points"),
             ("heavy NIG, 200 rows", [65, 64], "interpolated after 129 nodes (129 placed), 711501 points"),
             ("heavy NIG, 100 rows", [65], "per row (too few rows) after 65 nodes (65 placed), 735770 points"),
+            ("MJD over 10 sd, 801 rows", [65, 64, 128], "interpolated after 257 nodes (257 placed), 16705 points"),
         ],
     )
     def test_one_k1_k2_and_one_decay_probe_per_placement(self, case, node_placements, path, caplog):
@@ -836,13 +850,14 @@ class TestPlacement:
 
             return Counting
 
-        heavy = Nig(_HEAVY_NIG)
+        heavy, mjd = Nig(_HEAVY_NIG), (_MJD_P, 0.0, 1.0 / 252.0)
         base, args, x = {
             "gamma, converges at 17": (_Gamma, (5.0, 2.0), np.linspace(0.05, 4.0, 1000) * 2.5),
             "criterion-9 NIG": (Nig, (_NIG_P,), simulate_nig(_NIG_P, 4500, seed=11)),
             "heavy NIG, 801 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 801)),
             "heavy NIG, 200 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 200)),
             "heavy NIG, 100 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 100)),
+            "MJD over 10 sd, 801 rows": (MjdTransition, mjd, _sd_grid(MjdTransition(*mjd), 10.0, 801)),
         }[case]
         m = counting(base)(*args)
         with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
@@ -850,10 +865,11 @@ class TestPlacement:
         (record,) = caplog.records
         assert f": {path}, " in record.getMessage()
         assert [n for f, c, n in calls if (f, c) == ("k1_k2", "_interpolated")] == node_placements
-        # the decay is probed once a placement: of the nodes, and on the
-        # per-row path of the rows
+        # the contour probes the decay once a placement: of the nodes, and
+        # on the per-row path of the rows; a fixed rule (MJD's) never does
         rows = [x.size] if path.startswith("per row") else []
-        assert [n for f, c, n in calls if (f, c) == ("k_complex", "_decay_cut")] == node_placements + rows
+        probes = node_placements + rows if m.spi_quad is None else []
+        assert [n for f, c, n in calls if (f, c) == ("k_complex", "_decay_cut")] == probes
 
     @pytest.mark.parametrize(
         "width, rows, rule, path, points",

@@ -91,9 +91,10 @@ def test_inversion_sums_only_in_the_one_sum():
     ],
 )
 def test_inversion_places_each_rules_lines_from_one_site(rule, sites):
-    # _lines is the one site of each rule; the core calls it once in the
-    # fit, for a group of levels at a time, and once for the per-row path,
-    # so a placement per level cannot creep back beside it
+    # each rule's lines are placed only through _lines, which the core
+    # calls from one site in the fit and one on the per-row path; how many
+    # placements the fit makes is counted by test_inversion.py's
+    # TestPlacement::test_one_k1_k2_and_one_decay_probe_per_placement
     tree = ast.parse((_PACKAGE / "inversion.py").read_text())
     found = [
         func.name
