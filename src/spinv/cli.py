@@ -298,7 +298,8 @@ def cmd_fit(args):
     quad = _quad_from_args(args, fam.model(init, data.dt, 0.0))
     result = fit_mle(args.family, data, method=args.method, quad=quad, init=init)
     _emit(_json_text(_fit_payload(result, data)), args.output)
-    return 0 if result.converged else 4
+    # a fit without a finite standard error on every parameter fails as one that did not converge
+    return 0 if result.converged and np.isfinite(result.std_errors).all() else 4
 
 
 def cmd_profile(args):
@@ -428,6 +429,8 @@ def main(argv=None):
             value = getattr(args, flag, 0.0)
             if not math.isfinite(value):
                 raise ValidationError(f"--{flag} must be finite, got {value}")
+        if not args.dt > 0.0:
+            raise ValidationError(f"--dt must be positive, got {args.dt}")
         return args.func(args)
     except SpinvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,12 +16,15 @@ Every p_bar(0) comes from one batch core, p_bar_zero_batch, which marks
 unusable rows instead of raising. Since x0 = K'(tau), p_bar(0) depends on
 x0 only through the tilt, so the core fits log p_bar at a few Chebyshev
 nodes in the tilt and reads every row off the fit (Battles & Trefethen
-2004 for the stopping rule). The nodes' lines are placed once for the
-levels up to 65 nodes, not once a level, and then once for each deeper
-level reached; each level sums only its own nodes (_interpolated). A batch the fit does
-not serve (33 rows or fewer, an unusable node, a next level with more
-nodes than rows, no convergence at 257 nodes) takes each row by itself,
-in blocks. Each batch logs one DEBUG record saying which, with the nodes
+2004 for the stopping rule). Its nodes come from one table of the 257
+points of the last level (_NODE_J), in the order the levels reach them,
+and each level reads a stride of one array of log p_bar. The nodes'
+lines are placed once for the levels up to _FIRST_PLACEMENT nodes, not
+once a level, and then once for each deeper level reached; each level
+sums only its own nodes (_interpolated). A batch the fit does not
+serve (33 rows or fewer, an unusable node, a next level with more nodes
+than rows, no convergence at 257 nodes) takes each row by itself, in
+blocks. Each batch logs one DEBUG record saying which, with the nodes
 summed and placed, the rule and its error indicators.
 
 A node or row is taken by one line rule: the trapezoid rule on a vertical
@@ -86,11 +89,15 @@ _BLOCK_ENTRIES = 8192
 # Chebyshev degrees of the nested fit levels (17, 33, 65, 129, 257 nodes),
 # and the bound on its last-quarter coefficients, in nats of log p_bar
 _FIT_DEGREES = (16, 32, 64, 128, 256)
-# the levels whose nodes are placed together (_interpolated): most
-# batches stop by 65 nodes, and a deeper level is placed only when it is
-# reached, since the decay probe (_decay_cut) grows with the nodes
-_PLACEMENTS = (_FIT_DEGREES[:3], _FIT_DEGREES[3:4], _FIT_DEGREES[4:])
 _FIT_TOL = 1e-10
+# every node's j on the last grid, cos(pi j/256), in the order the levels
+# reach them: the first level's 17, then the odd multiples of each finer
+# level's step, so the nodes of the first k levels are a prefix
+_NODE_J = np.concatenate([np.arange(0, 257, 16), *(np.arange(256 // n, 256, 512 // n) for n in _FIT_DEGREES[1:])])
+# the nodes the first level places (_interpolated): most batches stop by
+# 65 nodes, and a deeper level places its own only when it is reached,
+# since the decay probe (_decay_cut) grows with the nodes
+_FIRST_PLACEMENT = 65
 # a batch of fewer rows than this never tries the fit: it would need 17
 # nodes, the cost of half its rows, before it could tell whether it pays
 _FIT_MIN_ROWS = 34
@@ -425,14 +432,15 @@ def _interpolated(
 ):
     """p_bar(0) of every row from a Chebyshev fit of log p_bar over the tilt, each node by rule.
 
-    The levels of each group of _PLACEMENTS that the rows allow have
-    their nodes placed at once: one tilt each from the grid of the
-    deepest of them, one k1_k2 and one _lines over all of them. On that
-    grid, of degree top, a level's j is j top/n; top/n is a power of 2,
-    so pi (j top/n) / top rounds as pi j/n does, and a node's tilt, line
-    and p_bar are the same to the bit whichever placement takes it. Each
-    level then sums only its own nodes, so what a level sums does not
-    depend on the placement.
+    The nodes are read from one table, _NODE_J, in the order the levels
+    reach them, and log p_bar is kept at every j of the last grid, so
+    level n fits log_p[::256 // n]. The first level places the nodes of
+    the levels up to _FIRST_PLACEMENT nodes that the rows allow, and each
+    deeper level its own when reached: one tilt each, one k1_k2 and one
+    _lines over all of them. Every level sums only its own nodes. For k a
+    power of 2, pi j/256 rounds as pi (j/k)/(256/k) does, so a node's
+    tilt, line and p_bar are the same to the bit on any grid and in any
+    placement.
 
     Returns (fit, nodes summed, nodes placed, largest last-quarter
     coefficient, why the fit was not used). fit is None, or (p_bar,
@@ -450,44 +458,32 @@ def _interpolated(
         return None, nodes, placed, tail, "tilt not inside the domain"
     if not b > a:
         return None, nodes, placed, tail, "all rows share one tilt"
-    for group in _PLACEMENTS:
+    # the nodes of the first placement: the levels up to _FIRST_PLACEMENT nodes that the rows allow
+    first = max(n + 1 for n in _FIT_DEGREES if n < min(_FIRST_PLACEMENT, tau.size))
+    log_p = np.empty(_NODE_J.size)
+    for n in _FIT_DEGREES:
         # a level with more nodes than rows costs more than the rows
-        levels = [n for n in group if n + 1 <= tau.size]
-        if not levels:
+        if n >= tau.size:
             return None, nodes, placed, tail, "too few rows"
-        # the points cos(pi j/n) of each level not already in the last: all
-        # of them on the first level, the odd j after, at j top/n on this grid
-        top = levels[-1]
-        j = [(np.arange(1, n, 2) if n > _FIT_DEGREES[0] else np.arange(n + 1)) * (top // n) for n in levels]
-        tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.concatenate(j) / top))
-        x_j, k2_j = model.k1_k2(tau_j)
-        lines = _lines(model, x_j, tau_j, k2_j, rule)
-        placed += tau_j.size
-        start = 0
-        for n, new in zip(levels, j):
-            rows = np.arange(start, start + new.size)
-            start += new.size
-            p_j, seen_j = _p_bar_zero_rows(lines, rows)
-            seen = _merged(seen, seen_j)
-            bad = np.flatnonzero(~_usable(p_j))
-            if bad.size:
-                at = float(tau_j[rows[bad[0]]])
-                return None, nodes + new.size, placed, tail, f"unusable node at tau = {at!r}"
-            if nodes:
-                merged = np.empty(n + 1)
-                merged[0::2] = log_p
-                merged[1::2] = np.log(p_j)
-                log_p = merged
-            else:
-                log_p = np.log(p_j)
-            nodes = n + 1
-            c = _cheb_coeffs(log_p)
-            tail = float(np.abs(c[-(c.size // 4):]).max())
-            if tail <= _FIT_TOL:
-                p_bar = np.exp(_read_fit(model, tau, k2, residual, c, to_v, a, b))
-                return (p_bar, seen), nodes, placed, tail, None
-        if len(levels) < len(group):
-            return None, nodes, placed, tail, "too few rows"
+        if placed <= n:
+            start, j = placed, _NODE_J[placed:max(n + 1, first)]
+            tau_j = from_v(0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / 256))
+            x_j, k2_j = model.k1_k2(tau_j)
+            lines = _lines(model, x_j, tau_j, k2_j, rule)
+            placed += tau_j.size
+        rows = np.arange(nodes, n + 1) - start
+        p_j, seen_j = _p_bar_zero_rows(lines, rows)
+        seen = _merged(seen, seen_j)
+        bad = np.flatnonzero(~_usable(p_j))
+        if bad.size:
+            return None, n + 1, placed, tail, f"unusable node at tau = {float(tau_j[rows[bad[0]]])!r}"
+        log_p[_NODE_J[nodes:n + 1]] = np.log(p_j)
+        nodes = n + 1
+        c = _cheb_coeffs(log_p[::256 // n])
+        tail = float(np.abs(c[-(c.size // 4):]).max())
+        if tail <= _FIT_TOL:
+            p_bar = np.exp(_read_fit(model, tau, k2, residual, c, to_v, a, b))
+            return (p_bar, seen), nodes, placed, tail, None
     return None, nodes, placed, tail, f"{nodes} nodes not converged"
 
 
@@ -503,9 +499,10 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     samples one smooth function of the tilt. The core interpolates log
     p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
-    257, each level reusing the values of the last. Each node is taken by
-    the rule at x = K'(tau_node), with K'' from the same k1_k2 call. The
-    nodes' lines are placed once for the levels up to 65 nodes that the
+    257, each level reusing the values of the last, all read from one
+    table of the 257 nodes (_NODE_J). Each node is taken by the rule at
+    x = K'(tau_node), with K'' from the same k1_k2 call. The nodes' lines
+    are placed once for the levels up to _FIRST_PLACEMENT nodes that the
     rows allow, and then once for each deeper level reached (see
     _interpolated); each level sums only its own nodes. Once
     the last quarter of a level's Chebyshev coefficients is at most

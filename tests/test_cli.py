@@ -143,6 +143,15 @@ class TestDensity:
              "dt must be positive"),
             (["simulate", "--family", "gbm", "--params", "r=0.05", "sigma=0.2", "--dt", "-1", "--n", "3"],
              "dt must be positive"),
+            # every subcommand rejects a step that is not positive, also for a family that ignores it
+            (["density", "--family", "nig", "--params", "chi=1", "psi=1", "--grid", "0:1:1", "--dt", "-3"],
+             "--dt must be positive, got -3.0"),
+            (["simulate", "--family", "nig", "--params", "chi=1", "psi=1", "--n", "3", "--dt", "0"],
+             "--dt must be positive, got 0.0"),
+            (["simulate", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "mu_j=0",
+              "nu=0.1", "--n", "3", "--dt", "0"], "--dt must be positive, got 0.0"),
+            (["density", "--family", "gaussian", "--grid", "0:1:1", "--dt", "-0.0"], "--dt must be positive"),
+            (["fit", "--family", "gbm", "--input", "prices.csv", "--dt", "-1"], "--dt must be positive"),
             (["density", "--family", "gaussian", "--grid", "0:inf:1"], "finite"),
             (["density", "--family", "gaussian", "--grid", "nan:1:1"], "finite"),
             # rejected before any grid is allocated
@@ -926,7 +935,8 @@ class TestStrictJson:
         monkeypatch.setattr(spinv.cli, "fit_mle", fit)
         code, out, _ = _run(capsys, ["fit", "--family", "gbm", "--input", prices])
         payload = self._loads(out)
-        assert code == 0
+        # the JSON is written, and the missing standard error exits 4, as a fit that did not converge
+        assert code == 4
         assert payload["std_errors"] == {"r": None, "log_sigma": 0.1} and payload["nll"] is None
         assert payload["params"]["sigma"] == pytest.approx(0.2)
 

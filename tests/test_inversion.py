@@ -20,6 +20,7 @@ from spinv.estimation import ReturnSeries, negative_log_likelihood
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
     _FIT_DEGREES,
+    _NODE_J,
     LogDensityResult,
     QuadratureSpec,
     _cheb_coeffs,
@@ -53,6 +54,7 @@ from spinv.models import (
 )
 from spinv.saddlepoint import solve_saddlepoint_batch
 from test_cgf import _reference_k
+from test_registry import VarianceGamma, VgParams
 
 _NIG_P = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
 _FINE_QUAD = QuadratureSpec(800.0, 16384)
@@ -748,6 +750,17 @@ class TestPlacement:
     Every number stays what it was when each level placed its own nodes,
     and so does the work each level sums."""
 
+    def test_node_table_orders_every_node_by_the_first_level_that_has_it(self):
+        # log_p is kept at every j of the last grid, and level n reads
+        # log_p[::256 // n]: so the first n + 1 nodes must be exactly its points
+        assert sorted(_NODE_J.tolist()) == list(range(257))
+        for n in _FIT_DEGREES:
+            assert sorted(_NODE_J[:n + 1].tolist()) == list(range(0, 257, 256 // n))
+        # within a level, the nodes ascend in j, as the levels placed them
+        assert np.array_equal(_NODE_J[:17], np.arange(17) * 16)
+        for n in _FIT_DEGREES[1:]:
+            assert np.array_equal(_NODE_J[n // 2 + 1:n + 1], np.arange(1, n, 2) * (256 // n))
+
     @staticmethod
     def _placements(monkeypatch, m, x, rule, caplog):
         """The core's message and the (tau, x, k2, lines) of each placement it makes on x."""
@@ -833,6 +846,10 @@ class TestPlacement:
             ("heavy NIG, 200 rows", [65, 64], "interpolated after 129 nodes (129 placed), 711501 points"),
             ("heavy NIG, 100 rows", [65], "per row (too few rows) after 65 nodes (65 placed), 735770 points"),
             ("MJD over 10 sd, 801 rows", [65, 64, 128], "interpolated after 257 nodes (257 placed), 16705 points"),
+            (
+                "VG on (100, 513), 300 rows", [65, 64, 128],
+                "per row (257 nodes not converged) after 257 nodes (257 placed), 153900 points",
+            ),
         ],
     )
     def test_one_k1_k2_and_one_decay_probe_per_placement(self, case, node_placements, path, caplog):
@@ -851,6 +868,7 @@ class TestPlacement:
             return Counting
 
         heavy, mjd = Nig(_HEAVY_NIG), (_MJD_P, 0.0, 1.0 / 252.0)
+        vg = VgParams(sigma=0.5, nu=0.5, theta=-0.1, mu=0.0)
         base, args, x = {
             "gamma, converges at 17": (_Gamma, (5.0, 2.0), np.linspace(0.05, 4.0, 1000) * 2.5),
             "criterion-9 NIG": (Nig, (_NIG_P,), simulate_nig(_NIG_P, 4500, seed=11)),
@@ -858,17 +876,19 @@ class TestPlacement:
             "heavy NIG, 200 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 200)),
             "heavy NIG, 100 rows": (Nig, (_HEAVY_NIG,), _sd_grid(heavy, 50.0, 100)),
             "MJD over 10 sd, 801 rows": (MjdTransition, mjd, _sd_grid(MjdTransition(*mjd), 10.0, 801)),
+            "VG on (100, 513), 300 rows": (VarianceGamma, (vg,), _sd_grid(VarianceGamma(vg), 8.0, 300)),
         }[case]
         m = counting(base)(*args)
+        rule = _FIXED_RULE if case.startswith("VG") else None
         with caplog.at_level(logging.DEBUG, logger="spinv.inversion"):
-            log_density_terms(m, x)
+            log_density_terms(m, x, quad=rule)
         (record,) = caplog.records
         assert f": {path}, " in record.getMessage()
         assert [n for f, c, n in calls if (f, c) == ("k1_k2", "_interpolated")] == node_placements
         # the contour probes the decay once a placement: of the nodes, and
         # on the per-row path of the rows; a fixed rule (MJD's) never does
         rows = [x.size] if path.startswith("per row") else []
-        probes = node_placements + rows if m.spi_quad is None else []
+        probes = node_placements + rows if rule is None and m.spi_quad is None else []
         assert [n for f, c, n in calls if (f, c) == ("k_complex", "_decay_cut")] == probes
 
     @pytest.mark.parametrize(
