@@ -5,7 +5,6 @@ from .cgf import (
     DomainInterval,
     Line,
     QuadratureSpec,
-    char_fn,
     standardized_tilted_cf,
 )
 from .errors import (
@@ -35,8 +34,6 @@ from .estimation import (
 )
 from .inversion import (
     DEFAULT_DIRECT_QUAD,
-    LogDensityResult,
-    direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,
     p_bar_zero_batch,
@@ -61,7 +58,6 @@ from .models import (
 )
 from .saddlepoint import (
     SaddlepointBatch,
-    SaddlepointSolution,
     solve_saddlepoint,
     solve_saddlepoint_batch,
 )

@@ -188,22 +188,15 @@ class CgfModel(ABC):
 
 
 def log_char_fn(model: CgfModel, s):
-    """(Re, Im) of log phi(s) = K(i s), vectorized over s: the increment on Line(0, s).
+    """(Re, Im) of log phi(s) = K(i s) at the points of s, a 1-D float array: the increment on Line(0, s).
 
     Raises InversionError at the first s where either part is not finite.
     """
-    s = np.asarray(s, dtype=float)
-    re, im = model.k_complex(Line(0.0, np.atleast_1d(s)))
+    re, im = model.k_complex(Line(0.0, s))
     bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
     if bad.size:
-        raise InversionError(f"characteristic function not finite at s = {np.atleast_1d(s)[bad[0]]}")
-    return re.reshape(s.shape), im.reshape(s.shape)
-
-
-def char_fn(model: CgfModel, s):
-    """Characteristic function phi(s) = exp(K(i s)), vectorized over s, from log_char_fn."""
-    re, im = log_char_fn(model, s)
-    return np.exp(re) * (np.cos(im) + 1j * np.sin(im))
+        raise InversionError(f"characteristic function not finite at s = {s[bad[0]]}")
+    return re, im
 
 
 def line_integrand(model: CgfModel, c, x0, y):

@@ -5,10 +5,10 @@ Subcommands emit CSV (density, profile, simulate) or JSON (fit, loglik) to
 json. JSON is strict (RFC 8259): a number that is not finite is written
 as null, where CSV keeps inf and nan. Each subcommand declares only the
 flags it reads. Exit codes: 0 success, 2 input parsing (an undeclared
-flag included), 3 validation, 4 convergence, 5 inversion failure. What a
-command knows of a family comes from its record in estimation.FAMILIES:
-the --family choices, the --params names and defaults, the model (and so
-its SPI rule), and more.
+flag and an --output that cannot be written included), 3 validation, 4
+convergence, 5 inversion failure. What a command knows of a family
+comes from its record in estimation.FAMILIES: the --family choices, the
+--params names and defaults, the model (and so its SPI rule), and more.
 
 density evaluates its grid in one batch pass: the batch saddlepoint solve
 marks the rows it cannot solve, and the inversion core the spi rows whose
@@ -210,11 +210,14 @@ def _load_returns(args):
 
 
 def _emit(text, output):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _json_text(value):
@@ -314,7 +317,8 @@ def cmd_profile(args):
         ref = fit_mle(fam.reference, data)
         rows.append([f"{fam.reference}_ref", ref.nll, ref.converged, ref.failed_evals])
     _emit_table(args, ["param_value", "nll", "converged", "failed_evals"], rows)
-    return 0
+    # a table with a re-fit or reference fit that did not converge fails as fit does
+    return 0 if all(row[2] for row in rows) else 4
 
 
 def cmd_simulate(args):

@@ -61,16 +61,12 @@ Simpson's rule are each read off that pair, so the point count stays odd
 for every method.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
-takes the terms and their sum from one expression (_solved_terms). The
-scalar ones solve one saddlepoint (keeping its iteration count) and take
-that row's terms, so an SPA row, and an SPI row where the core takes each
-row by itself, equals its batch row bit for bit: every row is summed
-over its own points, whatever rows share its block (_row_sums).
-direct_ift_log_density is one row of direct_ift_log_density_batch.
+takes the terms and their sum from one expression (_solved_terms):
+spi_log_density and spa_log_density take its row at the one-row solve of
+solve_saddlepoint, and equal their row of log_density_terms bit for bit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +75,7 @@ from .cgf import (
     CgfModel, DomainInterval, Line, QuadratureSpec, line_integrand, log_char_fn, standardized_tilted_cf,
 )
 from .errors import InversionError, ValidationError
-from .saddlepoint import SaddlepointSolution, solve_saddlepoint, solve_saddlepoint_batch
+from .saddlepoint import solve_saddlepoint, solve_saddlepoint_batch
 
 _DENSITY_FLOOR = 1e-14
 _SPA_P_BAR = (2.0 * math.pi) ** -0.5
@@ -117,15 +113,6 @@ _PROBES = 2.0 ** np.arange(17.0)
 
 DEFAULT_SPI_QUAD = QuadratureSpec(100.0, 513)
 DEFAULT_DIRECT_QUAD = QuadratureSpec(150.0, 513)
-
-
-@dataclass(frozen=True)
-class LogDensityResult:
-    log_density: float
-    tilt_term: float
-    jacobian_term: float
-    log_p_bar: float
-    saddlepoint: SaddlepointSolution
 
 
 def _blocks(lengths: list):
@@ -499,15 +486,11 @@ def p_bar_zero_batch(model: CgfModel, x, tau, k2, residual, quad: QuadratureSpec
     samples one smooth function of the tilt. The core interpolates log
     p_bar in the mapped tilt v (see _tilt_map) at Chebyshev points of the
     second kind on [min v, max v] of the batch: 17, then 33, 65, 129 and
-    257, each level reusing the values of the last, all read from one
-    table of the 257 nodes (_NODE_J). Each node is taken by the rule at
-    x = K'(tau_node), with K'' from the same k1_k2 call. The nodes' lines
-    are placed once for the levels up to _FIRST_PLACEMENT nodes that the
-    rows allow, and then once for each deeper level reached (see
-    _interpolated); each level sums only its own nodes. Once
-    the last quarter of a level's Chebyshev coefficients is at most
-    _FIT_TOL, every row is read off the fit, with the solver's residual
-    taken into account (see _read_fit).
+    257, each level reusing the values of the last, placed and summed as
+    _interpolated says. Each node is taken by the rule at x = K'(tau_node),
+    with K'' from the same k1_k2 call. Once the last quarter of a level's
+    Chebyshev coefficients is at most _FIT_TOL, every row is read off the
+    fit, with the solver's residual taken into account (see _read_fit).
 
     Each row runs the rule by itself instead when a node is unusable,
     257 nodes do not converge, the next level would need more nodes than
@@ -639,29 +622,24 @@ def spa_log_density_batch(model: CgfModel, x: np.ndarray) -> np.ndarray:
     return _log_densities(model, x, "spa", None)
 
 
-def _log_density_row(model: CgfModel, x0: float, method: str, quad: QuadratureSpec):
-    """One row of _solved_terms, at the saddlepoint solve_saddlepoint finds."""
+def _log_density_row(model: CgfModel, x0: float, method: str, quad: QuadratureSpec) -> float:
+    """The log-density at x0: one row of _solved_terms, at the saddlepoint solve_saddlepoint finds."""
     x0 = float(x0)
     sp = solve_saddlepoint(model, x0)
-    rows = (np.array([v]) for v in (x0, sp.tau_hat, sp.k2_at, sp.residual))
-    log_density, tilt_term, jacobian_term, log_p_bar, p_bar = (
-        float(np.ravel(v)[0]) for v in _solved_terms(model, *rows, method, quad)
-    )
-    error = p_bar_error(p_bar, f"at x0 = {x0}", quad)
+    log_density, *_, p_bar = _solved_terms(model, sp.x, sp.tau, sp.k2, sp.residual, method, quad)
+    error = p_bar_error(float(np.ravel(p_bar)[0]), f"at x0 = {x0}", quad)
     if error:
         raise InversionError(error)
-    return LogDensityResult(log_density, tilt_term, jacobian_term, log_p_bar, sp)
+    return float(log_density[0])
 
 
-def spi_log_density(
-    model: CgfModel, x0: float, quad: QuadratureSpec = None
-) -> LogDensityResult:
-    """Saddlepoint-adjusted inversion: exact up to quadrature error."""
+def spi_log_density(model: CgfModel, x0: float, quad: QuadratureSpec = None) -> float:
+    """Saddlepoint-adjusted inversion at one point: exact up to quadrature error."""
     return _log_density_row(model, x0, "spi", quad)
 
 
-def spa_log_density(model: CgfModel, x0: float) -> LogDensityResult:
-    """Classical saddlepoint approximation; no quadrature involved."""
+def spa_log_density(model: CgfModel, x0: float) -> float:
+    """Classical saddlepoint approximation at one point; no quadrature involved."""
     return _log_density_row(model, x0, "spa", None)
 
 
@@ -685,10 +663,3 @@ def direct_ift_log_density_batch(
 
     even, odd, _, _ = _row_sums(np.full(x.size, s.size), integrand)
     return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
-
-
-def direct_ift_log_density(
-    model: CgfModel, x0: float, quad: QuadratureSpec = None
-) -> float:
-    """Direct IFT at one point: one row of direct_ift_log_density_batch."""
-    return float(direct_ift_log_density_batch(model, np.array([x0], dtype=float), quad)[0])

@@ -356,8 +356,7 @@ def mjd_truncated_log_density(m: MjdTransition, x, max_jumps: int = 20):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     p = m.params
-    base = m.x0 + p.drift(m.dt)
-    lam_dt = p.lam * m.dt
+    base, lam_dt = m._base, m._lam_dt
     if lam_dt == 0.0:
         out = gaussian_log_density(
             GaussianParams(mu=base, sigma=p.sigma * math.sqrt(m.dt)), x
@@ -367,7 +366,7 @@ def mjd_truncated_log_density(m: MjdTransition, x, max_jumps: int = 20):
     log_w = -lam_dt
     i = 0
     while True:
-        v = p.sigma**2 * m.dt + i * p.nu**2
+        v = m._var_diff + i * p.nu**2
         consts.append(log_w - 0.5 * np.log(2.0 * np.pi * v))
         shifts.append(i * p.mu_j)
         two_v.append(2.0 * v)

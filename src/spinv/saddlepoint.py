@@ -42,14 +42,6 @@ _MAX_ITER = 100
 
 
 @dataclass(frozen=True)
-class SaddlepointSolution:
-    tau_hat: float
-    k2_at: float
-    residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class SaddlepointBatch:
     """What solve_saddlepoint_batch found, row by row, and how.
 
@@ -95,18 +87,16 @@ class SaddlepointBatch:
             raise type(self.error(i))(f"observation {i}: {self.error(i)}")
 
 
-def solve_saddlepoint(model: CgfModel, x0: float) -> SaddlepointSolution:
-    """Solve K'(tau_hat) = x0 to |residual| <= _TOL * max(1, |x0|).
+def solve_saddlepoint(model: CgfModel, x0: float) -> SaddlepointBatch:
+    """Solve K'(tau) = x0 to |residual| <= _TOL * max(1, |x0|).
 
-    One row of solve_saddlepoint_batch; raises the row's exception where
-    it failed.
+    The one-row SaddlepointBatch of solve_saddlepoint_batch at x0; raises
+    the row's exception where it failed.
     """
     sp = solve_saddlepoint_batch(model, np.array([float(x0)]))
-    exc = sp.error(0)
-    if exc is not None:
-        raise exc
-    tau, k2, residual = float(sp.tau[0]), float(sp.k2[0]), float(sp.residual[0])
-    return SaddlepointSolution(tau, k2, residual, sp.iterations)
+    if sp.reason[0]:
+        raise sp.error(0)
+    return sp
 
 
 class _Guard:

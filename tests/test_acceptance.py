@@ -29,7 +29,8 @@ from spinv.estimation import (
 from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
     QuadratureSpec,
-    direct_ift_log_density,
+    direct_ift_log_density_batch,
+    log_density_terms,
     spa_log_density_batch,
     spi_log_density,
     spi_log_density_batch,
@@ -85,7 +86,7 @@ def test_criterion_1_gaussian_exactness(report):
     m = Gaussian(p)
     xs = np.arange(-10.0, 10.5, 2.0)
     errs = np.array(
-        [abs(spi_log_density(m, float(x)).log_density - gaussian_log_density(p, float(x))) for x in xs]
+        [abs(spi_log_density(m, float(x)) - gaussian_log_density(p, float(x))) for x in xs]
     )
     elapsed = time.time() - t0
     ok = errs.max() < 1e-5 and elapsed < 1.0
@@ -101,8 +102,8 @@ def test_criterion_2_direct_tail_failure(report):
     """Direct inversion collapses to the 1e-14 floor at N(0,1) x=8; SPI holds."""
     m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
     truth = gaussian_log_density(GaussianParams(mu=0.0, sigma=1.0), 8.0)
-    direct = direct_ift_log_density(m, 8.0, quad=DEFAULT_DIRECT_QUAD)
-    spi = spi_log_density(m, 8.0).log_density
+    direct = direct_ift_log_density_batch(m, [8.0], quad=DEFAULT_DIRECT_QUAD)[0]
+    spi = spi_log_density(m, 8.0)
     dev_direct = abs(direct - truth)
     dev_spi = abs(spi - truth)
     floor_gap = abs(direct - np.log(1e-14))
@@ -170,7 +171,7 @@ def test_criterion_4_p_bar_tail_asymptote(report):
     target = 1.0 / np.sqrt(2.0 * np.pi)
     vals = {}
     for label, x0 in (("-8sd", mean - 8 * sd), ("mean", mean), ("+8sd", mean + 8 * sd)):
-        vals[label] = math.exp(spi_log_density(m, x0, quad=_FINE).log_p_bar)
+        vals[label] = math.exp(log_density_terms(m, [x0], quad=_FINE)[3][0])
     dev_lo = abs(vals["-8sd"] - target)
     dev_hi = abs(vals["+8sd"] - target)
     ok = dev_lo < 1e-3 and dev_hi < 1e-3 and vals["mean"] > target
@@ -332,7 +333,7 @@ def test_criterion_8_solver_property_suite(report):
             )
         x0 = m.mean() + rng.uniform(-6, 6) * np.sqrt(m.variance())
         sp = solve_saddlepoint(m, x0)
-        worst = max(worst, abs(sp.residual) / max(1.0, abs(x0)))
+        worst = max(worst, abs(sp.residual[0]) / max(1.0, abs(x0)))
 
     models = [
         Gaussian(GaussianParams(mu=0.1, sigma=1.2)),
@@ -348,9 +349,9 @@ def test_criterion_8_solver_property_suite(report):
     for m in models:
         sd = np.sqrt(m.variance())
         xs = m.mean() + sd * np.linspace(-6.0, 6.0, 61)
-        taus = np.array([solve_saddlepoint(m, float(x)).tau_hat for x in xs])
+        taus = np.array([solve_saddlepoint(m, float(x)).tau[0] for x in xs])
         monotone = monotone and bool(np.all(np.diff(taus) > 0))
-        at_mean = max(at_mean, abs(solve_saddlepoint(m, m.mean()).tau_hat))
+        at_mean = max(at_mean, abs(solve_saddlepoint(m, m.mean()).tau[0]))
     ok = worst <= 1e-10 and monotone and at_mean <= 1e-12
     report(
         f"criterion 8: {_verdict(ok)} solver properties: worst residual/max(1,|x0|) = "

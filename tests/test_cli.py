@@ -30,6 +30,7 @@ from spinv.estimation import (
 from spinv.inversion import (
     QuadratureSpec,
     direct_ift_log_density_batch,
+    log_density_terms,
     spa_log_density,
     spa_log_density_batch,
     spi_log_density,
@@ -292,7 +293,7 @@ class TestDensity:
         expected = {}
         for x in xs.tolist():
             try:
-                expected[x] = spi_log_density(Nig(p), x, _FIXED_RULE).log_density
+                expected[x] = spi_log_density(Nig(p), x, _FIXED_RULE)
             except InversionError:
                 expected[x] = None
         assert [r[5] != "" for r in rows] == [v is None for v in expected.values()]
@@ -333,12 +334,12 @@ class TestDensity:
 
     @pytest.mark.parametrize("method", ["spa", "spi"])
     def test_scalar_rows_equal_the_density_rows(self, capsys, method):
-        # the scalar evaluators take a row's terms from the batch code, so
-        # each equals its CLI row to the bit: on this grid, taking the
-        # Jacobian term by math.log rather than np.log moves it by one ulp
-        # at x = -0.225 and 0.341. The SPI rows take the fixed rule
-        # (100, 513) and so the per-row path here (the fit meets an
-        # unusable node), as a scalar row does
+        # the one-point evaluators and log_density_terms on one point take
+        # a row's terms from the batch code, so each equals its CLI row to
+        # the bit: on this grid, taking the Jacobian term by math.log
+        # rather than np.log moves it by one ulp at x = -0.225 and 0.341.
+        # The SPI rows take the fixed rule (100, 513) and so the per-row
+        # path here (the fit meets an unusable node), as a one-point row does
         p = NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0)
         rule = _FIXED_RULE_FLAGS if method == "spi" else []
         code, out, _ = _run(
@@ -352,14 +353,17 @@ class TestDensity:
         assert code == (5 if method == "spi" else 0)
         _, rows = _parse_csv(out)
         assert len(rows) == 2001
-        evaluate = (lambda m, x: spi_log_density(m, x, _FIXED_RULE)) if method == "spi" else spa_log_density
+        quad = _FIXED_RULE if method == "spi" else None
+        evaluate = (lambda m, x: spi_log_density(m, x, quad)) if method == "spi" else spa_log_density
         for row in rows:
+            x = float(row[0])
             try:
-                r = evaluate(Nig(p), float(row[0]))
+                value = evaluate(Nig(p), x)
             except InversionError as exc:
                 assert row[1:] == ["", "", "", "", str(exc)]
             else:
-                want = [r.log_density, r.tilt_term, r.jacobian_term, r.log_p_bar]
+                _, tilt_term, jacobian_term, log_p_bar, _, _ = log_density_terms(Nig(p), [x], method, quad)
+                want = [value, tilt_term[0], jacobian_term[0], log_p_bar[0]]
                 assert [float(v) for v in row[1:5]] == want and row[5] == ""
 
     @pytest.mark.parametrize(
@@ -868,7 +872,8 @@ class TestProfile:
                 "--grid", "-8:800:808", "--input", str(prices), "--format", fmt,
             ],
         )
-        assert code == 0
+        # the table is written, and the point whose re-fit failed exits 4, as fit does
+        assert code == 4
         if fmt == "csv":
             _, rows = _parse_csv(out)
             counts = [json.loads(r[3]) for r in rows]
@@ -912,7 +917,8 @@ class TestStrictJson:
         # exp(710) overflows, so the refit at log_chi = 710 ends on +inf
         code, out, _ = _run(capsys, ["profile", "--family", "nig", "--input", prices, "--param", "log_chi",
                                      "--grid", "710:710:1", "--format", fmt])
-        assert code == 0
+        # the table is written, and the re-fit that did not converge exits 4, as fit does
+        assert code == 4
         if fmt == "csv":
             assert _parse_csv(out)[1][0][1] == "inf"
         else:
@@ -1002,6 +1008,27 @@ class TestPriceCsv:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read") and str(missing) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["density", "--family", "gaussian", "--grid", "0:1:1"], id="density"),
+            pytest.param(["simulate", "--family", "gbm", "--params", "r=0.05", "sigma=0.2", "--n", "5"], id="simulate"),
+            pytest.param(["fit", "--family", "gbm"], id="fit"),
+            pytest.param(["profile", "--family", "gbm", "--param", "r", "--grid", "0:0:1"], id="profile"),
+            pytest.param(["loglik", "--family", "gbm", "--params", "r=0.05", "sigma=0.2"], id="loglik"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["no-such-dir/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_output_that_cannot_be_written_exits_2(self, capsys, tmp_path, argv, target):
+        prices = tmp_path / "p.csv"
+        _write_prices(prices, [1.0, 1.01, 0.99, 1.02, 1.0])
+        output = tmp_path / target
+        source = [] if argv[0] in ("density", "simulate") else ["--input", str(prices)]
+        code, out, err = _run(capsys, [*argv, *source, "--output", str(output)])
+        reason = "No such file or directory" if target != "." else "Is a directory"
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {output}: {reason}\n"
 
     def test_cli_maps_parse_error_to_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.csv"

@@ -21,7 +21,6 @@ from spinv.inversion import (
     DEFAULT_DIRECT_QUAD,
     _FIT_DEGREES,
     _NODE_J,
-    LogDensityResult,
     QuadratureSpec,
     _cheb_coeffs,
     _clenshaw,
@@ -29,7 +28,6 @@ from spinv.inversion import (
     _lines,
     _p_bar_zero_rows,
     _tilt_map,
-    direct_ift_log_density,
     direct_ift_log_density_batch,
     log_density_terms,
     p_bar_zero_batch,
@@ -132,8 +130,8 @@ class TestGaussianCollapse:
         m = Gaussian(p)
         xs = 0.3 + 2.0 * np.linspace(-10.0, 10.0, 21)
         for x in xs:
-            spi = spi_log_density(m, float(x)).log_density
-            spa = spa_log_density(m, float(x)).log_density
+            spi = spi_log_density(m, float(x))
+            spa = spa_log_density(m, float(x))
             exact = gaussian_log_density(p, float(x))
             np.testing.assert_allclose(spi, exact, atol=1e-10)
             np.testing.assert_allclose(spa, exact, atol=1e-12)
@@ -141,7 +139,7 @@ class TestGaussianCollapse:
     def test_p_bar_is_standard_normal_density(self):
         m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
         np.testing.assert_allclose(
-            math.exp(spi_log_density(m, 1.5).log_p_bar), 1.0 / np.sqrt(2 * np.pi), rtol=1e-12
+            math.exp(log_density_terms(m, [1.5])[3][0]), 1.0 / np.sqrt(2 * np.pi), rtol=1e-12
         )
 
 
@@ -151,30 +149,21 @@ class TestDecomposition:
         mean, var = nig_moments(_NIG_P)
         for z in (-3.0, 0.5, 4.0):
             x = mean + z * np.sqrt(var)
-            res = spi_log_density(m, x)
-            assert isinstance(res, LogDensityResult)
-            np.testing.assert_allclose(
-                res.log_density,
-                res.tilt_term + res.jacobian_term + res.log_p_bar,
-                rtol=1e-13,
-            )
-            sp = res.saddlepoint
-            np.testing.assert_allclose(
-                res.tilt_term, float(m.k(sp.tau_hat)) - sp.tau_hat * x, rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                res.jacobian_term, -0.5 * np.log(sp.k2_at), rtol=1e-12
-            )
+            log_density, tilt_term, jacobian_term, log_p_bar, _, sp = log_density_terms(m, [x])
+            np.testing.assert_allclose(log_density, tilt_term + jacobian_term + log_p_bar, rtol=1e-13)
+            tau = float(sp.tau[0])
+            np.testing.assert_allclose(tilt_term, float(m.k(tau)) - tau * x, rtol=1e-12)
+            np.testing.assert_allclose(jacobian_term, -0.5 * np.log(sp.k2[0]), rtol=1e-12)
 
     def test_spa_differs_only_in_correction(self):
         m = Nig(_NIG_P)
         mean, var = nig_moments(_NIG_P)
         x = mean + 2.5 * np.sqrt(var)
-        spi = spi_log_density(m, x)
-        spa = spa_log_density(m, x)
-        np.testing.assert_allclose(spi.tilt_term, spa.tilt_term, rtol=1e-14)
-        np.testing.assert_allclose(spi.jacobian_term, spa.jacobian_term, rtol=1e-14)
-        np.testing.assert_allclose(spa.log_p_bar, -0.5 * np.log(2 * np.pi), rtol=1e-14)
+        _, spi_tilt, spi_jacobian, _, _, _ = log_density_terms(m, [x], "spi")
+        _, spa_tilt, spa_jacobian, spa_log_p_bar, _, _ = log_density_terms(m, [x], "spa")
+        np.testing.assert_allclose(spi_tilt, spa_tilt, rtol=1e-14)
+        np.testing.assert_allclose(spi_jacobian, spa_jacobian, rtol=1e-14)
+        np.testing.assert_allclose(spa_log_p_bar, -0.5 * np.log(2 * np.pi), rtol=1e-14)
 
 
 class TestNigAgainstBesselForm:
@@ -186,7 +175,7 @@ class TestNigAgainstBesselForm:
         sd = np.sqrt(var)
         for z in (-8.0, -3.0, 0.0, 3.0, 8.0):
             x = mean + z * sd
-            spi = spi_log_density(m, x, quad=_FINE_QUAD).log_density
+            spi = spi_log_density(m, x, quad=_FINE_QUAD)
             exact = nig_exact_log_density(_NIG_P, x)
             np.testing.assert_allclose(spi, exact, atol=1e-6)
 
@@ -196,7 +185,7 @@ class TestNigAgainstBesselForm:
         sd = np.sqrt(var)
         for z in (-2.0, 0.0, 2.0):
             x = mean + z * sd
-            spi = spi_log_density(m, x).log_density
+            spi = spi_log_density(m, x)
             np.testing.assert_allclose(spi, nig_exact_log_density(_NIG_P, x), atol=1e-5)
 
 
@@ -205,7 +194,7 @@ class TestDirectIft:
         # N(0,1) at x = 8: the oscillatory integral collapses to noise
         # around 1e-14 and the clamp takes over
         m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
-        val = direct_ift_log_density(m, 8.0)
+        val = direct_ift_log_density_batch(m, [8.0])[0]
         np.testing.assert_allclose(val, -32.23619130191664, rtol=1e-10)
         assert abs(val - np.log(1e-14)) < 0.1
 
@@ -213,7 +202,7 @@ class TestDirectIft:
         m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
         for x in (-1.0, 0.0, 2.0):
             np.testing.assert_allclose(
-                direct_ift_log_density(m, x),
+                direct_ift_log_density_batch(m, [x])[0],
                 gaussian_log_density(GaussianParams(mu=0.0, sigma=1.0), x),
                 atol=1e-10,
             )
@@ -223,7 +212,7 @@ class TestDirectIft:
         # value is frozen to catch accidental changes in the quadrature
         m = Nig(_NIG_P)
         mean, _ = nig_moments(_NIG_P)
-        val = direct_ift_log_density(m, mean, quad=DEFAULT_DIRECT_QUAD)
+        val = direct_ift_log_density_batch(m, [mean], quad=DEFAULT_DIRECT_QUAD)[0]
         np.testing.assert_allclose(val, 3.14942447, atol=1e-6)
         exact = nig_exact_log_density(_NIG_P, mean)
         np.testing.assert_allclose(exact, 3.24020957, atol=1e-6)
@@ -238,7 +227,7 @@ class TestMjdRoutes:
         xs = mean + sd * np.linspace(-5.0, 5.0, 11)
         quad = QuadratureSpec(64.0, 513)
         for x in xs:
-            spi = spi_log_density(m, float(x), quad=quad).log_density
+            spi = spi_log_density(m, float(x), quad=quad)
             mix = float(mjd_truncated_log_density(m, float(x)))
             np.testing.assert_allclose(spi, mix, atol=1e-8)
 
@@ -264,7 +253,7 @@ class TestBatchRoutes:
         m = Nig(_NIG_P)
         xs = _sd_grid(m, 6.0, 25)
         batch = spi_log_density_batch(m, xs)
-        scalar = np.array([spi_log_density(m, float(x)).log_density for x in xs])
+        scalar = np.array([spi_log_density(m, float(x)) for x in xs])
         assert batch.tolist() == scalar.tolist()
 
     def test_spi_batch_matches_scalar_to_the_bit_on_a_fixed_rule(self):
@@ -273,7 +262,7 @@ class TestBatchRoutes:
         m = Nig(_NIG_P)
         xs = _sd_grid(m, 6.0, 25)
         batch = spi_log_density_batch(m, xs, _FIXED_RULE)
-        scalar = np.array([spi_log_density(m, float(x), _FIXED_RULE).log_density for x in xs])
+        scalar = np.array([spi_log_density(m, float(x), _FIXED_RULE) for x in xs])
         assert batch.tolist() == scalar.tolist()
 
     def test_spa_batch_matches_scalar(self):
@@ -281,14 +270,14 @@ class TestBatchRoutes:
         mean, var = nig_moments(_NIG_P)
         xs = mean + np.sqrt(var) * np.linspace(-6.0, 6.0, 25)
         batch = spa_log_density_batch(m, xs)
-        scalar = np.array([spa_log_density(m, float(x)).log_density for x in xs])
+        scalar = np.array([spa_log_density(m, float(x)) for x in xs])
         # the scalar solve is one row of the batch solve, and both take the
         # terms and their sum from one expression
         assert batch.tolist() == scalar.tolist()
 
     def test_direct_batch_matches_scalar(self):
         # 41 rows take three blocks of the rule; a row's sums do not depend
-        # on the block it falls in
+        # on the block it falls in, so each equals the row by itself
         for m in (
             Gaussian(GaussianParams(mu=0.0, sigma=1.0)),
             Nig(_NIG_P),
@@ -296,7 +285,17 @@ class TestBatchRoutes:
         ):
             xs = _sd_grid(m, 6.0, 41)
             batch = direct_ift_log_density_batch(m, xs)
-            assert batch.tolist() == [direct_ift_log_density(m, float(x)) for x in xs]
+            assert batch.tolist() == [direct_ift_log_density_batch(m, [x])[0] for x in xs]
+
+    @pytest.mark.parametrize("rule", [None, _FIXED_RULE], ids=["contour", "fixed-rule"])
+    def test_one_point_is_the_first_row_of_log_density_terms(self, rule):
+        # spi_log_density and spa_log_density are one-row reads of the
+        # batch code: each equals the log-density log_density_terms gives
+        # for the one-element array, to the bit
+        m = Nig(_NIG_P)
+        for x in _sd_grid(m, 8.0, 17).tolist():
+            assert spi_log_density(m, x, rule) == log_density_terms(m, [x], "spi", rule)[0][0]
+            assert spa_log_density(m, x) == log_density_terms(m, [x], "spa")[0][0]
 
     def test_log_density_terms_rejects_unknown_method(self):
         with pytest.raises(ValidationError, match="unknown method 'bogus'"):
@@ -323,7 +322,7 @@ class TestInversionErrors:
         # the tilted CF decays like exp(-sqrt(chi) s / sqrt(K'')), so an
         # extreme tilt needs a long contour, not just more points
         p = NigParams(chi=0.125, psi=0.125, mu=0.0, gamma=0.0)
-        val = spi_log_density(Nig(p), -6.0, quad=QuadratureSpec(4000.0, 32768)).log_density
+        val = spi_log_density(Nig(p), -6.0, quad=QuadratureSpec(4000.0, 32768))
         np.testing.assert_allclose(val, nig_exact_log_density(p, -6.0), atol=1e-3)
 
 
