@@ -274,31 +274,26 @@ def moment_init(family: str, data: ReturnSeries):
     return init(data)
 
 
-def _objective(family: str, data: ReturnSeries, method: str, quad):
-    """The NLL in unconstrained coordinates, +inf wherever it raises a
-    SpinvError or an OverflowError, and a dict that counts those failures
-    by exception type name over every call of the objective."""
+def _fit_setup(family: str, data: ReturnSeries, method: str, quad, init):
+    """(transform, start vector, objective, failures) of a fit from init,
+    read as fit_mle states. The objective is the NLL in unconstrained
+    coordinates, +inf wherever it raises a SpinvError or an OverflowError;
+    failures counts those by exception type name over every call of it."""
     tr = transform_for(family)
+    if init is None:
+        init = moment_init(family, data)
+    vec = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
     failed = {}
 
-    def f(vec):
+    def f(v):
         try:
-            params = tr.from_vector(vec)
-            return negative_log_likelihood(family, params, data, method, quad)
+            return negative_log_likelihood(family, tr.from_vector(v), data, method, quad)
         except (SpinvError, OverflowError) as exc:
             kind = type(exc).__name__
             failed[kind] = failed.get(kind, 0) + 1
             return np.inf
 
-    return f, failed
-
-
-@dataclass(frozen=True)
-class _Minimum:
-    x: np.ndarray
-    fun: float
-    nfev: int
-    success: bool
+    return tr, vec, f, failed
 
 
 class _MaxFevReached(Exception):
@@ -312,7 +307,7 @@ def _by_value(sim, fsim):
 
 def _nelder_mead(f, x0):
     """Minimize f from x0 by the simplex method of Nelder & Mead (1965,
-    Comput. J. 7:308), with _NM_OPTIONS.
+    Comput. J. 7:308), with _NM_OPTIONS; returns (x, fun, nfev, success).
 
     This follows scipy's algorithm (scipy.optimize.minimize with
     method="Nelder-Mead", not adaptive, no bounds) step for step, so x,
@@ -398,7 +393,7 @@ def _nelder_mead(f, x0):
         if fsim[0] == np.inf:
             break
     success = nfev < maxfev and iterations < maxiter and fsim[0] != np.inf
-    return _Minimum(sim[0], np.min(fsim), nfev, success)
+    return sim[0], np.min(fsim), nfev, success
 
 
 def fit_mle(
@@ -421,27 +416,23 @@ def fit_mle(
     nonzero when the search itself met no failure. A search that ended
     on +inf runs no Hessian, and its standard errors are NaN.
     """
-    tr = transform_for(family)
-    if init is None:
-        init = moment_init(family, data)
-    vec0 = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
-    f, failed = _objective(family, data, method, quad)
-    res = _nelder_mead(f, vec0)
-    se = np.full(res.x.size, np.nan)
-    if np.isfinite(res.fun):
+    tr, vec0, f, failed = _fit_setup(family, data, method, quad, init)
+    x, fun, nfev, success = _nelder_mead(f, vec0)
+    se = np.full(x.size, np.nan)
+    if np.isfinite(fun):
         try:
-            se = hessian_std_errors(f, res.x)
+            se = hessian_std_errors(f, x)
         except (SpinvError, np.linalg.LinAlgError):
             pass
     return FitResult(
         family=family,
         method=method,
         param_names=tr.names,
-        params=res.x.copy(),
-        nll=float(res.fun),
+        params=x.copy(),
+        nll=float(fun),
         std_errors=se,
-        n_evals=int(res.nfev),
-        converged=bool(res.success),
+        n_evals=int(nfev),
+        converged=bool(success),
         failed_evals=failed,
     )
 
@@ -465,17 +456,13 @@ def profile_nll(
     evaluations of that grid entry's re-fit, by exception type name, as
     in FitResult.
     """
-    tr = transform_for(family)
+    tr, vec, f, failed = _fit_setup(family, data, method, quad, init)
     if fixed_param not in tr.names:
         raise ValidationError(
             f"unknown parameter {fixed_param!r}; expected one of {tr.names}"
         )
     idx = tr.names.index(fixed_param)
     free = [i for i in range(len(tr.names)) if i != idx]
-    if init is None:
-        init = moment_init(family, data)
-    vec = np.asarray(init, dtype=float) if isinstance(init, np.ndarray) else tr.to_vector(init)
-    f, failed = _objective(family, data, method, quad)
     out = []
     warm = vec[free]
     for g in grid:
@@ -487,10 +474,10 @@ def profile_nll(
             return f(full)
 
         failed.clear()
-        res = _nelder_mead(reduced, warm)
-        out.append(ProfilePoint(float(g), float(res.fun), bool(res.success), dict(failed)))
-        if np.isfinite(res.fun):
-            warm = res.x
+        x, fun, _, success = _nelder_mead(reduced, warm)
+        out.append(ProfilePoint(float(g), float(fun), bool(success), dict(failed)))
+        if np.isfinite(fun):
+            warm = x
     return out
 
 

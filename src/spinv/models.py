@@ -38,6 +38,11 @@ of Gaussian jumps; its CGF is entire. It is the one built-in model to
 state its own SPI rule (spi_quad): an entire CGF leaves no finite end
 for the contour's strip, which sets the step of NIG's rule. The Gaussian
 takes the core's fixed default rule.
+
+Its oracle, mjd_truncated_log_density, has one stop: past the mode of
+the jump count, the first Poisson weight below 1e-14. That floor is per
+weight, not per row, so rows beyond about 15 sd come out short. A step
+that needs more than _MAX_JUMPS = 2000 jumps raises ValidationError.
 """
 
 import math
@@ -49,6 +54,8 @@ from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
+# the most jumps the MJD oracle sums: enough for lam dt up to about 1600
+_MAX_JUMPS = 2000
 
 
 def bessel_k1_scaled(z):
@@ -344,45 +351,46 @@ def nig_exact_log_density(p: NigParams, x):
     )
 
 
-def mjd_truncated_log_density(m: MjdTransition, x, max_jumps: int = 20):
+def mjd_truncated_log_density(m: MjdTransition, x):
     """Poisson-Gaussian mixture density of the MJD transition, truncated.
 
-    Components are accumulated from zero jumps upward; the sum stops at
-    max_jumps, or earlier once the Poisson weight has fallen below 1e-14
-    past the mode of the jump-count distribution. Accumulation is in log
-    space so deep-tail evaluations stay finite.
+    Components are summed in log space from zero jumps upward, up to the
+    first Poisson weight below 1e-14 past the mode of the jump count; with
+    lam dt = 0 that is the zero-jump Gaussian alone. The floor is per
+    weight, not per row, so rows beyond about 15 sd are short (9.2e-6 nats
+    at 20 sd and 4.6 at 50 sd on the criterion-6 parameters). A step that
+    needs more than _MAX_JUMPS jumps (lam dt above about 1600) raises
+    ValidationError.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     p = m.params
     base, lam_dt = m._base, m._lam_dt
-    if lam_dt == 0.0:
-        out = gaussian_log_density(
-            GaussianParams(mu=base, sigma=p.sigma * math.sqrt(m.dt)), x
-        )
-        return float(out[0]) if scalar else out
+    log_lam_dt = math.log(lam_dt) if lam_dt > 0.0 else -math.inf
     consts, shifts, two_v = [], [], []
     log_w = -lam_dt
-    i = 0
-    while True:
+    for i in range(_MAX_JUMPS + 1):
         v = m._var_diff + i * p.nu**2
         consts.append(log_w - 0.5 * np.log(2.0 * np.pi * v))
         shifts.append(i * p.mu_j)
         two_v.append(2.0 * v)
-        if i >= max_jumps:
-            break
-        log_w = log_w + math.log(lam_dt) - math.log(i + 1.0)
+        log_w = log_w + log_lam_dt - math.log(i + 1.0)
         if log_w < _LOG_WEIGHT_FLOOR and i + 1 > lam_dt:
             break
-        i += 1
+    else:
+        raise ValidationError(
+            f"MJD oracle: lambda*dt = {lam_dt:g} needs more than {_MAX_JUMPS} jumps"
+        )
     # component i's log term is consts[i] - (x - base - shifts[i])^2 / two_v[i];
     # one (jumps, x) array holds them and then each step of the log-sum-exp
     terms = np.subtract(x - base, np.array(shifts)[:, None])
     np.square(terms, out=terms)
     terms /= np.array(two_v)[:, None]
     np.subtract(np.array(consts)[:, None], terms, out=terms)
-    top = terms.max(axis=0)
+    # a row so far out that every term is -inf (its square overflows) comes
+    # out as -inf, where -inf - -inf would make it nan
+    top = np.maximum(terms.max(axis=0), -np.finfo(float).max)
     terms -= top
     np.exp(terms, out=terms)
     out = top + np.log(terms.sum(axis=0))

@@ -174,6 +174,22 @@ class TestDensity:
              "--params value for 'psi' must be finite"),
             (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "mu_j=0",
               "nu=0.1", "--x0", "nan", "--grid", "0:0:1"], "--x0 must be finite, got nan"),
+            (["density", "--family", "gaussian", "--params", "sigma", "--grid", "0:1:1"],
+             "--params expects key=value, got 'sigma'"),
+            (["density", "--family", "gaussian", "--params", "sigma=abc", "--grid", "0:1:1"],
+             "--params value for 'sigma' is not a number: 'abc'"),
+            (["density", "--family", "gaussian", "--params", "bogus=1", "--grid", "0:1:1"],
+             "unknown parameters for family 'gaussian': bogus"),
+            (["density", "--family", "gaussian", "--grid", "0:1"], "--grid expects lo:hi:step"),
+            (["density", "--family", "gaussian", "--grid", "a:b:c"], "--grid values must be numeric"),
+            (["density", "--family", "gaussian", "--grid", "1:0:1"], "--grid needs lo <= hi and step > 0"),
+            (["density", "--family", "gaussian", "--grid", "0:1:0"], "--grid needs lo <= hi and step > 0"),
+            (["fit", "--family", "gaussian", "--input", "prices.csv"], "fit supports families gbm, nig, mjd"),
+            (["fit", "--family", "gbm", "--input", ""], "--input is required for this command"),
+            # the MJD oracle refuses a jump rate past its limit on jump counts
+            (["density", "--family", "mjd", "--method", "oracle", "--params", "r=0", "sigma=0.2",
+              "lambda=1e9", "mu_j=0", "nu=0.1", "--grid", "0:0:1"],
+             "lambda*dt = 3.96825e+06 needs more than 2000 jumps"),
         ],
     )
     def test_rejected_input_exits_3(self, capsys, argv, message):

@@ -8,14 +8,14 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from spinv import estimation
-from spinv.errors import ConvergenceError, ValidationError
+from spinv.errors import ConvergenceError, DomainError, ValidationError
 from spinv.estimation import (
     GbmParams,
     ProfilePoint,
     ReturnSeries,
+    _fit_setup,
     _golden_min,
     _nelder_mead,
-    _objective,
     _symmetric_tail_half_width,
     fit_mle,
     hessian_std_errors,
@@ -30,6 +30,7 @@ from spinv.models import (
     MjdParams,
     MjdTransition,
     NigParams,
+    nig_exact_log_density,
     simulate_mjd_path,
     simulate_nig,
 )
@@ -41,6 +42,41 @@ def _gbm_series(n=400, r=0.08, sigma=0.3, seed=21):
     rng = np.random.default_rng(seed)
     incr = (r - 0.5 * sigma**2) * _DT + sigma * np.sqrt(_DT) * rng.standard_normal(n)
     return ReturnSeries(dt=_DT, returns=incr)
+
+
+_MJD = MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1)
+_NIG = NigParams(chi=1.0, psi=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        # not gbm, whose exact likelihood takes no method
+        (lambda: negative_log_likelihood("nig", _NIG, _gbm_series(), "bogus"),
+         ValidationError, "unknown method 'bogus'"),
+        (lambda: transform_for("bogus"), ValidationError, "unknown family 'bogus'"),
+        (lambda: moment_init("gaussian", _gbm_series()), ValidationError, "cannot be fitted"),
+        (lambda: profile_nll("gbm", _gbm_series(), "oracle", None, "log_lambda", [0.0]),
+         ValidationError, "unknown parameter 'log_lambda'"),
+        (lambda: moment_init("gbm", ReturnSeries(dt=_DT, returns=np.full(5, 0.01))),
+         ValidationError, "zero variance"),
+        (lambda: kl_asymptotic_estimator(0.0), ValidationError, "theta0 must be positive"),
+        (lambda: kl_asymptotic_estimator(1.0, "direct"), ValidationError, "spi or spa"),
+        (lambda: GbmParams(0.0, 0.2).increment(0.0), ValidationError, "dt must be positive"),
+        (lambda: simulate_nig(_NIG, 0, 1), ValidationError, "n must be at least 1"),
+        (lambda: simulate_mjd_path(_MJD, 0.0, _DT, 0, 1), ValidationError, "n_steps must be at least 1"),
+        (lambda: simulate_mjd_path(_MJD, 0.0, 0.0, 5, 1), ValidationError, "dt must be positive"),
+        (lambda: nig_exact_log_density(_NIG, np.array([0.0, np.inf])), DomainError, "positive and finite"),
+    ],
+    ids=[
+        "nll-method", "transform-family", "moment-init-family", "profile-param",
+        "moment-init-zero-variance", "kl-theta0", "kl-method", "gbm-increment-dt",
+        "simulate-nig-n", "simulate-mjd-steps", "simulate-mjd-dt", "nig-oracle-x",
+    ],
+)
+def test_invalid_call_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestReturnSeries:
@@ -188,7 +224,7 @@ class TestFitMle:
         # the fixed rule (100, 513) (tests/test_inversion.py,
         # TestInversionErrors)
         data = ReturnSeries(dt=_DT, returns=np.array([0.0, -20.0]))
-        f, failed = _objective("nig", data, "spi", QuadratureSpec(100.0, 513))
+        _, _, f, failed = _fit_setup("nig", data, "spi", QuadratureSpec(100.0, 513), None)
         assert f(transform_for("nig").to_vector(NigParams(chi=0.125, psi=0.125))) == math.inf
         assert failed == {"InversionError": 1}
 
@@ -224,12 +260,14 @@ def _scipy_nelder_mead(f, x0):
 
 
 def _assert_same_as_scipy(f, x0):
-    ours, ref = _nelder_mead(f, x0), _scipy_nelder_mead(f, x0)
-    assert np.array_equal(ours.x, ref.x)
-    assert ours.fun == ref.fun
-    assert ours.nfev == ref.nfev
-    assert ours.success == ref.success
-    return ours
+    # returns scipy's result, which the port's (x, fun, nfev, success) equals
+    x, fun, nfev, success = _nelder_mead(f, x0)
+    ref = _scipy_nelder_mead(f, x0)
+    assert np.array_equal(x, ref.x)
+    assert fun == ref.fun
+    assert nfev == ref.nfev
+    assert success == ref.success
+    return ref
 
 
 _ROSENBROCK_START = np.array([-1.2, 1.0, 0.0, 0.5, 2.0])
@@ -255,8 +293,8 @@ class TestNelderMead:
             r=0.0445, sigma=np.exp(-2.41), lam=np.exp(4.96), mu_j=-0.00114, nu=np.exp(-4.32)
         )
         data = ReturnSeries(dt=_DT, returns=np.diff(simulate_mjd_path(p, 0.0, _DT, 4500, seed=7)))
-        f, _ = _objective("mjd", data, "oracle", None)
-        res = _assert_same_as_scipy(f, transform_for("mjd").to_vector(moment_init("mjd", data)))
+        _, x0, f, _ = _fit_setup("mjd", data, "oracle", None, None)
+        res = _assert_same_as_scipy(f, x0)
         assert res.success
 
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Tests for the built-in model families and their closed-form densities."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,42 +198,45 @@ class TestMjdTransition:
         d = m.domain()
         assert d.lo == -np.inf and d.hi == np.inf
 
+    _SDS = np.linspace(-5.0, 5.0, 21)
+    # where the sum runs past 20 jumps the floor leaves up to about 1e-11 nats
+    _TAIL = {"rtol": 0.0, "atol": 1e-10}
+
     @pytest.mark.parametrize(
-        "p, x0, sds, max_jumps, terms",
+        "p, dt, x0, sds, tol",
         [
-            (_P, 0.02, np.linspace(-5.0, 5.0, 21), 20, 200),
+            (_P, 1.0 / 252.0, 0.02, _SDS, {"rtol": 1e-12}),
             # criterion 6: lam*dt = 0.566, where the 1e-14 weight floor
             # stops the sum near 13 jumps
-            (_C6, 0.0, np.linspace(-5.0, 5.0, 21), 20, 200),
-            (_P, 0.02, 1.5, 20, 200),
-            # max_jumps stops the sum before the floor does, so the brute
-            # force is cut at the same count
-            (_C6, 0.0, np.linspace(-5.0, 5.0, 21), 3, 4),
+            (_C6, 1.0 / 252.0, 0.0, _SDS, {"rtol": 1e-12}),
+            (_P, 1.0 / 252.0, 0.02, 1.5, {"rtol": 1e-12}),
+            # lam*dt = 4, 9.6 and 19.8: the floor stops the sum past 20 jumps
+            (replace(_C6, lam=1008.0), 1.0 / 252.0, 0.0, _SDS, _TAIL),
+            (replace(_C6, lam=500.0), 1.0 / 52.0, 0.0, _SDS, _TAIL),
+            (replace(_C6, lam=5000.0), 1.0 / 252.0, 0.0, _SDS, _TAIL),
         ],
-        ids=["bulk", "criterion-6", "scalar", "max-jumps-binds"],
+        ids=["bulk", "criterion-6", "scalar", "lam-dt-4", "lam-dt-9.6", "lam-dt-19.8"],
     )
-    def test_mixture_matches_untruncated_sum(self, p, x0, sds, max_jumps, terms):
-        dt = 1.0 / 252.0
+    def test_mixture_matches_untruncated_sum(self, p, dt, x0, sds, tol):
         m = MjdTransition(p, x0=x0, dt=dt)
         mean, sd = m.mean(), np.sqrt(m.variance())
         x = mean + sd * sds
-        ours = mjd_truncated_log_density(m, x, max_jumps)
+        ours = mjd_truncated_log_density(m, x)
         if np.ndim(sds) == 0:
             assert type(ours) is float
-        # brute force: the first `terms` Poisson terms, no truncation heuristics
+        # brute force: the first 200 Poisson terms, no truncation heuristics
         lam_dt = p.lam * dt
         base = x0 + (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2) * dt
         rows = []
-        for i in range(terms):
+        for i in range(200):
             log_w = stats.poisson.logpmf(i, lam_dt)
             mu_i = base + i * p.mu_j
             var_i = p.sigma**2 * dt + i * p.nu**2
             rows.append(log_w + stats.norm.logpdf(x, mu_i, np.sqrt(var_i)))
         expected = np.logaddexp.reduce(np.vstack(rows), axis=0)
-        np.testing.assert_allclose(ours, expected, rtol=1e-12)
+        np.testing.assert_allclose(ours, expected, **tol)
 
-    @pytest.mark.parametrize("max_jumps", [0, 3, 20])
-    def test_one_pass_equals_row_loop(self, max_jumps):
+    def test_one_pass_equals_row_loop(self):
         # the oracle takes each element through the operations of this
         # row-by-row loop in the same order, so the values are equal
         dt = 1.0 / 252.0
@@ -242,7 +247,7 @@ class TestMjdTransition:
         lam_dt = p.lam * dt
         rows = []
         log_w = -lam_dt
-        for i in range(max_jumps + 1):
+        for i in itertools.count():
             v = p.sigma**2 * dt + i * p.nu**2
             rows.append(log_w - 0.5 * np.log(2.0 * np.pi * v) - (x - base - i * p.mu_j) ** 2 / (2.0 * v))
             log_w = log_w + math.log(lam_dt) - math.log(i + 1.0)
@@ -251,7 +256,21 @@ class TestMjdTransition:
         stacked = np.vstack(rows)
         top = stacked.max(axis=0)
         expected = top + np.log(np.exp(stacked - top).sum(axis=0))
-        np.testing.assert_array_equal(mjd_truncated_log_density(m, x, max_jumps), expected)
+        np.testing.assert_array_equal(mjd_truncated_log_density(m, x), expected)
+
+    def test_jump_rate_past_the_limit_raises(self):
+        # lam*dt = 1700 needs more jump counts than the oracle sums over
+        m = MjdTransition(replace(self._C6, lam=1700.0 * 252.0), dt=1.0 / 252.0)
+        with pytest.raises(ValidationError, match="lambda\\*dt = 1700 needs more than 2000 jumps"):
+            mjd_truncated_log_density(m, 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 100.0])
+    def test_rows_too_far_out_to_square_are_minus_inf(self, lam):
+        # (x - base)^2 overflows, so every component of the row is -inf
+        m = MjdTransition(replace(self._P, lam=lam), dt=1.0 / 252.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            out = mjd_truncated_log_density(m, np.array([1e200, -np.inf, 0.0]))
+        assert out[0] == out[1] == -np.inf and np.isfinite(out[2])
 
     def test_zero_jump_rate_is_gaussian(self):
         p = MjdParams(r=0.05, sigma=0.2, lam=0.0, mu_j=0.0, nu=0.1)
