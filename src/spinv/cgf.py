@@ -25,15 +25,45 @@ the error of the rule that inverts it. A model may state a fixed SPI rule
 (spi_quad = None), and SPI takes its contour rule, which sets each line,
 step and length from K itself, where the domain has a finite end, and
 a fixed default rule where it has none (inversion._spi_rule).
+
+Each kind of input has one check, made where it enters: a parameter is a
+finite number, positive or non-negative where its record says so
+(check_value, check_fields), and the points of a batch are a 1-d array
+of finite numbers (finite_points). Else ValidationError names the input.
 """
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, InversionError, ValidationError
+
+
+def check_value(name: str, value, sign: str = None):
+    """Raise ValidationError "name must be [sign and ]finite, got value" unless value
+    is finite and, for sign "positive" or "non-negative", of that sign."""
+    if not (math.isfinite(value) and (sign is None or value > 0.0 or (sign == "non-negative" and value == 0.0))):
+        raise ValidationError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value}")
+
+
+def check_fields(record, positive=(), non_negative=()):
+    """check_value on every field of the dataclass record, with the sign its name is listed under."""
+    for f in fields(record):
+        sign = "positive" if f.name in positive else "non-negative" if f.name in non_negative else None
+        check_value(f.name, getattr(record, f.name), sign)
+
+
+def finite_points(x, name: str = "x") -> np.ndarray:
+    """x as a 1-d float array of finite points, the one form a batch takes; else ValidationError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"{name} must be a 1-d array of points, got {x.ndim} dimensions")
+    if not np.isfinite(x).all():
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValidationError(f"{name} must be finite, got {name}[{i}] = {x[i]}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -53,10 +83,9 @@ class QuadratureSpec:
     n_points: int
 
     def __post_init__(self):
-        if not (self.upper_limit > 0.0 and math.isfinite(self.upper_limit)):
-            raise ValidationError(f"upper_limit must be positive and finite, got {self.upper_limit}")
-        if self.n_points < 3:
-            raise ValidationError(f"n_points must be at least 3, got {self.n_points}")
+        check_value("upper_limit", self.upper_limit, "positive")
+        if not (isinstance(self.n_points, (int, np.integer)) and self.n_points >= 3):
+            raise ValidationError(f"n_points must be an integer of at least 3, got {self.n_points}")
         if self.n_points % 2 == 0:
             object.__setattr__(self, "n_points", self.n_points + 1)
 

@@ -30,6 +30,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
+from .cgf import check_value
 from .errors import (
     ConvergenceError,
     InversionError,
@@ -41,6 +42,7 @@ from .estimation import (
     FAMILIES,
     ReturnSeries,
     fit_mle,
+    moment_init,
     negative_log_likelihood,
     profile_nll,
     transform_for,
@@ -79,8 +81,6 @@ def _parse_params(pairs, aliases):
             out[key] = float(value)
         except ValueError:
             raise ValidationError(f"--params value for {key!r} is not a number: {value!r}")
-        if not math.isfinite(out[key]):
-            raise ValidationError(f"--params value for {key!r} must be finite, got {value!r}")
     return out
 
 
@@ -101,15 +101,6 @@ def _family_params(family, pairs):
     if unknown:
         raise ValidationError(f"unknown parameters for family {family!r}: {' '.join(unknown)}")
     return cls(**params)
-
-
-def _fitted_family(args):
-    """The family record for fit, profile and loglik, which need a moment start."""
-    fam = FAMILIES[args.family]
-    if fam.moment_init is None:
-        names = ", ".join(name for name, f in FAMILIES.items() if f.moment_init is not None)
-        raise ValidationError(f"{args.command} supports families {names}")
-    return fam
 
 
 def _parse_grid(spec):
@@ -175,7 +166,7 @@ def _is_number(text):
 
 
 def read_price_csv(path):
-    """Prices from a one- or two-column UTF-8 CSV; returns a float array."""
+    """Prices, each positive and finite, from a one- or two-column UTF-8 CSV, as a float array."""
     try:
         # utf-8-sig drops a byte-order mark, which would make the first price read as a header
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -194,8 +185,7 @@ def read_price_csv(path):
                 continue  # header
             raise ParseError(f"price field is not numeric: {cell!r}", line=lineno)
         value = float(cell)
-        if not value > 0.0:
-            raise ValidationError(f"line {lineno}: prices must be positive, got {value}")
+        check_value(f"line {lineno}: price", value, "positive")
         prices.append(value)
     if len(prices) < 2:
         raise ParseError(f"need at least 2 price rows, found {len(prices)} in {path}")
@@ -295,10 +285,9 @@ def _fit_payload(result, data):
 
 
 def cmd_fit(args):
-    fam = _fitted_family(args)
     data = _load_returns(args)
-    init = fam.moment_init(data)
-    quad = _quad_from_args(args, fam.model(init, data.dt, 0.0))
+    init = moment_init(args.family, data)
+    quad = _quad_from_args(args, FAMILIES[args.family].model(init, data.dt, 0.0))
     result = fit_mle(args.family, data, method=args.method, quad=quad, init=init)
     _emit(_json_text(_fit_payload(result, data)), args.output)
     # a fit without a finite standard error on every parameter fails as one that did not converge
@@ -306,9 +295,9 @@ def cmd_fit(args):
 
 
 def cmd_profile(args):
-    fam = _fitted_family(args)
+    fam = FAMILIES[args.family]
     data = _load_returns(args)
-    init = _family_params(args.family, args.params) if args.params else fam.moment_init(data)
+    init = _family_params(args.family, args.params) if args.params else moment_init(args.family, data)
     quad = _quad_from_args(args, fam.model(init, data.dt, 0.0))
     grid = _parse_grid(args.grid)
     points = profile_nll(args.family, data, args.method, quad, args.param, grid, init=init)
@@ -344,10 +333,9 @@ def cmd_simulate(args):
 
 
 def cmd_loglik(args):
-    fam = _fitted_family(args)
     data = _load_returns(args)
     params = _family_params(args.family, args.params)
-    quad = _quad_from_args(args, fam.model(params, data.dt, 0.0))
+    quad = _quad_from_args(args, FAMILIES[args.family].model(params, data.dt, 0.0))
     nll = negative_log_likelihood(args.family, params, data, args.method, quad)
     payload = {
         "family": args.family,
@@ -429,12 +417,8 @@ def main(argv=None):
             break
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("dt", "x0"):
-            value = getattr(args, flag, 0.0)
-            if not math.isfinite(value):
-                raise ValidationError(f"--{flag} must be finite, got {value}")
-        if not args.dt > 0.0:
-            raise ValidationError(f"--dt must be positive, got {args.dt}")
+        check_value("--dt", args.dt, "positive")
+        check_value("--x0", getattr(args, "x0", 0.0))
         return args.func(args)
     except SpinvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,7 +72,7 @@ import numpy as np
 
 from ._log import debug
 from .cgf import (
-    CgfModel, DomainInterval, Line, QuadratureSpec, line_integrand, log_char_fn, standardized_tilted_cf,
+    CgfModel, DomainInterval, Line, QuadratureSpec, finite_points, line_integrand, log_char_fn, standardized_tilted_cf,
 )
 from .errors import InversionError, ValidationError
 from .saddlepoint import solve_saddlepoint, solve_saddlepoint_batch
@@ -576,12 +576,12 @@ def log_density_terms(
     method "spa" takes p_bar(0) = (2 pi)^{-1/2}; "spi" takes it from the
     core, bad rows included. sp is the SaddlepointBatch: where a row's
     solve failed, its five values are NaN and sp.error(i) says why.
-    Nothing is raised for a bad row; any other method raises
-    ValidationError.
+    Nothing is raised for a bad row; other x (see cgf.finite_points) and
+    any other method raise ValidationError.
     """
     if method not in ("spi", "spa"):
         raise ValidationError(f"unknown method {method!r}")
-    x = np.asarray(x, dtype=float)
+    x = finite_points(x)
     sp = solve_saddlepoint_batch(model, x)
     solved = sp.reason == 0
     terms = np.full((5, x.size), np.nan)
@@ -595,11 +595,12 @@ def log_density_terms(
 def _log_densities(model: CgfModel, x: np.ndarray, method: str, quad: QuadratureSpec):
     """The log-density at every point of x, from one batch pass, or the first row's error.
 
-    Raises the error of the first point whose saddlepoint solve failed,
-    before any quadrature, else InversionError for the first point whose
-    p_bar(0) is unusable.
+    Raises ValidationError for other x (see cgf.finite_points), the error
+    of the first point whose saddlepoint solve failed, before any
+    quadrature, else InversionError for the first point whose p_bar(0) is
+    unusable.
     """
-    x = np.asarray(x, dtype=float)
+    x = finite_points(x)
     sp = solve_saddlepoint_batch(model, x)
     sp.raise_first_failure()
     log_density, *_, p_bar = _solved_terms(model, x, sp.tau, sp.k2, sp.residual, method, quad)
@@ -646,10 +647,10 @@ def spa_log_density(model: CgfModel, x0: float) -> float:
 def direct_ift_log_density_batch(
     model: CgfModel, x: np.ndarray, quad: QuadratureSpec = None
 ) -> np.ndarray:
-    """Plain Fourier inversion, no tilting, over many points; floored at 1e-14."""
+    """Plain Fourier inversion, no tilting, over a 1-d array of finite points; floored at 1e-14."""
     if quad is None:
         quad = DEFAULT_DIRECT_QUAD
-    x = np.asarray(x, dtype=float).ravel()
+    x = finite_points(x)
     s, h = quad.grid()
     # Re(phi(s) exp(-i s x)) = |phi(s)| cos(Im log phi(s) - s x)
     log_mod, phase = log_char_fn(model, s)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec
+from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec, check_fields, check_value
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
@@ -75,8 +75,7 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        check_fields(self, positive=("sigma",))
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,7 @@ class NigParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (self.chi > 0.0 and self.psi > 0.0):
-            raise ValidationError(
-                f"chi and psi must be positive, got chi={self.chi}, psi={self.psi}"
-            )
+        check_fields(self, positive=("chi", "psi"))
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,7 @@ class MjdParams:
     nu: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.lam < 0.0:
-            raise ValidationError(f"lambda must be nonnegative, got {self.lam}")
-        if not self.nu > 0.0:
-            raise ValidationError(f"nu must be positive, got {self.nu}")
+        check_fields(self, positive=("sigma", "nu"), non_negative=("lam",))
 
     @property
     def jump_compensator(self) -> float:
@@ -244,8 +235,8 @@ class MjdTransition(CgfModel):
     spi_quad = QuadratureSpec(32.0, 65)
 
     def __init__(self, params: MjdParams, x0: float = 0.0, dt: float = 1.0 / 252.0):
-        if not dt > 0.0:
-            raise ValidationError(f"dt must be positive, got {dt}")
+        check_value("x0", x0)
+        check_value("dt", dt, "positive")
         self.params = params
         self.x0 = float(x0)
         self.dt = float(dt)
@@ -430,8 +421,7 @@ def simulate_mjd_path(p: MjdParams, x0: float, dt: float, n_steps: int, seed: in
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    check_value("dt", dt, "positive")
     rng = np.random.default_rng(seed)
     z_diff = rng.standard_normal(n_steps)
     counts = rng.poisson(p.lam * dt, size=n_steps)

@@ -146,11 +146,11 @@ class TestDensity:
              "dt must be positive"),
             # every subcommand rejects a step that is not positive, also for a family that ignores it
             (["density", "--family", "nig", "--params", "chi=1", "psi=1", "--grid", "0:1:1", "--dt", "-3"],
-             "--dt must be positive, got -3.0"),
+             "--dt must be positive and finite, got -3.0"),
             (["simulate", "--family", "nig", "--params", "chi=1", "psi=1", "--n", "3", "--dt", "0"],
-             "--dt must be positive, got 0.0"),
+             "--dt must be positive and finite, got 0.0"),
             (["simulate", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "mu_j=0",
-              "nu=0.1", "--n", "3", "--dt", "0"], "--dt must be positive, got 0.0"),
+              "nu=0.1", "--n", "3", "--dt", "0"], "--dt must be positive and finite, got 0.0"),
             (["density", "--family", "gaussian", "--grid", "0:1:1", "--dt", "-0.0"], "--dt must be positive"),
             (["fit", "--family", "gbm", "--input", "prices.csv", "--dt", "-1"], "--dt must be positive"),
             (["density", "--family", "gaussian", "--grid", "0:inf:1"], "finite"),
@@ -162,16 +162,19 @@ class TestDensity:
              "'sigma' more than once"),
             (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "lam=2",
               "mu_j=0", "nu=0.1", "--grid", "0:0:1"], "'lam' more than once"),
-            # a value that is not finite is rejected by its flag or key, not
-            # met later as nan prices, -inf rows or a solver failure
+            # a value that is not finite is rejected by its flag, or by the
+            # params record for a --params key, not met later as nan prices,
+            # -inf rows or a solver failure
             (["simulate", "--family", "gbm", "--params", "r=0", "sigma=0.2", "--n", "3", "--dt", "inf"],
-             "--dt must be finite, got inf"),
+             "--dt must be positive and finite, got inf"),
             (["simulate", "--family", "nig", "--params", "chi=1", "psi=1", "mu=inf", "--n", "2"],
-             "--params value for 'mu' must be finite"),
+             "mu must be finite, got inf"),
             (["density", "--family", "gaussian", "--params", "sigma=inf", "--method", "oracle",
-              "--grid", "0:1:1"], "--params value for 'sigma' must be finite"),
+              "--grid", "0:1:1"], "sigma must be positive and finite, got inf"),
             (["density", "--family", "nig", "--params", "chi=1", "psi=inf", "--grid", "0:0:1"],
-             "--params value for 'psi' must be finite"),
+             "psi must be positive and finite, got inf"),
+            (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=nan", "mu_j=0",
+              "nu=0.1", "--grid", "0:0:1"], "lam must be non-negative and finite, got nan"),
             (["density", "--family", "mjd", "--params", "r=0.05", "sigma=0.2", "lambda=1", "mu_j=0",
               "nu=0.1", "--x0", "nan", "--grid", "0:0:1"], "--x0 must be finite, got nan"),
             (["density", "--family", "gaussian", "--params", "sigma", "--grid", "0:1:1"],
@@ -184,7 +187,6 @@ class TestDensity:
             (["density", "--family", "gaussian", "--grid", "a:b:c"], "--grid values must be numeric"),
             (["density", "--family", "gaussian", "--grid", "1:0:1"], "--grid needs lo <= hi and step > 0"),
             (["density", "--family", "gaussian", "--grid", "0:1:0"], "--grid needs lo <= hi and step > 0"),
-            (["fit", "--family", "gaussian", "--input", "prices.csv"], "fit supports families gbm, nig, mjd"),
             (["fit", "--family", "gbm", "--input", ""], "--input is required for this command"),
             # the MJD oracle refuses a jump rate past its limit on jump counts
             (["density", "--family", "mjd", "--method", "oracle", "--params", "r=0", "sigma=0.2",
@@ -728,11 +730,44 @@ class TestFitRoundTrip:
             rel=1e-9,
         )
 
-    def test_fit_rejects_gaussian_family(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--family", "gaussian"],
+            ["profile", "--family", "gaussian", "--param", "mu", "--grid", "0:0:1"],
+        ],
+        ids=["fit", "profile"],
+    )
+    def test_fit_rejects_gaussian_family(self, capsys, tmp_path, argv):
+        # gaussian has no moment start, so the commands that need one refuse it
         prices = tmp_path / "p.csv"
         _write_prices(prices, [1.0, 1.01, 0.99, 1.02])
-        code, _, err = _run(capsys, ["fit", "--family", "gaussian", "--input", str(prices)])
-        assert code == 3 and "error:" in err
+        code, out, err = _run(capsys, [*argv, "--input", str(prices)])
+        assert code == 3 and out == "" and "error: family 'gaussian' cannot be fitted" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loglik", "--family", "gaussian", "--params", "mu=0", "sigma=0.01"],
+            ["profile", "--family", "gaussian", "--params", "mu=0", "sigma=0.01", "--param", "mu",
+             "--grid", "0:0:1"],
+        ],
+        ids=["loglik", "profile"],
+    )
+    def test_a_command_given_params_serves_gaussian(self, capsys, tmp_path, argv):
+        prices = tmp_path / "p.csv"
+        _write_prices(prices, [1.0, 1.01, 0.99, 1.02])
+        code, out, err = _run(capsys, [*argv, "--input", str(prices)])
+        assert code == 0 and err == ""
+        returns = np.diff(np.log(read_price_csv(str(prices))))
+        if argv[0] == "loglik":
+            # gaussian has no closed-form likelihood path: the default method is spi
+            nll = json.loads(out)["nll"]
+            exact = -float(np.sum(gaussian_log_density(GaussianParams(0.0, 0.01), returns)))
+            assert nll == pytest.approx(exact, rel=1e-9)
+        else:
+            _, rows = _parse_csv(out)
+            assert len(rows) == 1 and rows[0][2] == "True"
 
 
 class TestLoglik:
@@ -998,6 +1033,13 @@ class TestPriceCsv:
         f = tmp_path / "neg.csv"
         f.write_text("100\n-5\n101\n")
         with pytest.raises(ValidationError, match="positive"):
+            read_price_csv(str(f))
+
+    @pytest.mark.parametrize("price", ["inf", "-inf", "nan"])
+    def test_price_that_is_not_finite_names_its_line(self, tmp_path, price):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"100\n{price}\n101\n")
+        with pytest.raises(ValidationError, match=f"line 2: price must be positive and finite, got {price}"):
             read_price_csv(str(f))
 
     def test_too_few_rows(self, tmp_path):

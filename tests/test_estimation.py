@@ -63,6 +63,12 @@ _NIG = NigParams(chi=1.0, psi=1.0)
         (lambda: kl_asymptotic_estimator(0.0), ValidationError, "theta0 must be positive"),
         (lambda: kl_asymptotic_estimator(1.0, "direct"), ValidationError, "spi or spa"),
         (lambda: GbmParams(0.0, 0.2).increment(0.0), ValidationError, "dt must be positive"),
+        (lambda: GbmParams(0.0, 0.2).increment(math.inf), ValidationError,
+         "dt must be positive and finite, got inf"),
+        (lambda: ReturnSeries(dt=math.inf, returns=np.zeros(3)), ValidationError,
+         "dt must be positive and finite, got inf"),
+        (lambda: ReturnSeries(dt=_DT, returns=[0.0, math.nan]), ValidationError,
+         r"returns must be finite, got returns\[1\] = nan"),
         (lambda: simulate_nig(_NIG, 0, 1), ValidationError, "n must be at least 1"),
         (lambda: simulate_mjd_path(_MJD, 0.0, _DT, 0, 1), ValidationError, "n_steps must be at least 1"),
         (lambda: simulate_mjd_path(_MJD, 0.0, 0.0, 5, 1), ValidationError, "dt must be positive"),
@@ -71,6 +77,7 @@ _NIG = NigParams(chi=1.0, psi=1.0)
     ids=[
         "nll-method", "transform-family", "moment-init-family", "profile-param",
         "moment-init-zero-variance", "kl-theta0", "kl-method", "gbm-increment-dt",
+        "gbm-increment-dt-inf", "return-series-dt-inf", "return-series-nan",
         "simulate-nig-n", "simulate-mjd-steps", "simulate-mjd-dt", "nig-oracle-x",
     ],
 )

@@ -77,6 +77,10 @@ class TestQuadratureSpec:
             QuadratureSpec(-1.0, 512)
         with pytest.raises(ValidationError):
             QuadratureSpec(100.0, 2)
+        # a count that is not an integer is refused, not met later by grid
+        for n in (2.5, 3.5, 4.0):
+            with pytest.raises(ValidationError, match=f"n_points must be an integer of at least 3, got {n}"):
+                QuadratureSpec(10.0, n)
 
     @pytest.mark.parametrize("upper", [math.inf, math.nan])
     def test_non_finite_upper_limit_rejected(self, upper):
@@ -86,6 +90,39 @@ class TestQuadratureSpec:
     def test_grid_is_the_rules_points_and_step(self):
         s, h = QuadratureSpec(3.0, 7).grid()
         assert s.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0] and h == 0.5
+
+
+_BATCH_EVALUATORS = {
+    "spi": spi_log_density_batch,
+    "spa": spa_log_density_batch,
+    "terms": log_density_terms,
+    "direct": direct_ift_log_density_batch,
+}
+
+
+class TestPoints:
+    """Every batch evaluator takes x as a 1-d array of finite points, and nothing else."""
+
+    @pytest.mark.parametrize("name", list(_BATCH_EVALUATORS))
+    @pytest.mark.parametrize(
+        "x, match",
+        [
+            (0.1, "x must be a 1-d array of points, got 0 dimensions"),
+            ([[0.1, 0.2]], "x must be a 1-d array of points, got 2 dimensions"),
+            ([0.1, math.nan], r"x must be finite, got x\[1\] = nan"),
+            ([0.1, 0.2, -math.inf], r"x must be finite, got x\[2\] = -inf"),
+        ],
+        ids=["0-d", "2-d", "nan", "inf"],
+    )
+    def test_other_x_is_refused(self, name, x, match):
+        with pytest.raises(ValidationError, match=match):
+            _BATCH_EVALUATORS[name](Nig(_NIG_P), x)
+
+    @pytest.mark.parametrize("name", list(_BATCH_EVALUATORS))
+    def test_empty_x_gives_empty_rows(self, name):
+        out = _BATCH_EVALUATORS[name](Nig(_NIG_P), [])
+        for v in out[:5] if name == "terms" else [out]:
+            assert isinstance(v, np.ndarray) and v.shape == (0,)
 
 
 class TestEvenOdd:

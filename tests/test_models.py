@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from scipy import stats
 
 from spinv.cgf import Line
 from spinv.errors import DomainError, ValidationError
+from spinv.estimation import GbmParams
 from spinv.models import (
     Gaussian,
     GaussianParams,
@@ -30,6 +31,15 @@ _NIG_CASES = [
     NigParams(chi=3e-4, psi=1000.0, mu=-3e-4, gamma=2.0),
     NigParams(chi=1.0, psi=1.0, mu=0.0, gamma=0.0),
     NigParams(chi=0.5, psi=8.0, mu=-0.2, gamma=-1.5),
+]
+
+
+# one record of each params type, every field away from its bound
+_RECORDS = [
+    GaussianParams(mu=0.1, sigma=1.0),
+    NigParams(chi=1.0, psi=2.0, mu=0.1, gamma=0.2),
+    MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1),
+    GbmParams(r=0.05, sigma=0.2),
 ]
 
 
@@ -58,6 +68,29 @@ class TestParamValidation:
         p = MjdParams(r=0.0, sigma=0.1, lam=1.0, mu_j=0.0, nu=0.1)
         with pytest.raises(ValidationError):
             MjdTransition(p, x0=0.0, dt=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "record, field",
+        [(r, f.name) for r in _RECORDS for f in fields(r)],
+        ids=[f"{type(r).__name__}-{f.name}" for r in _RECORDS for f in fields(r)],
+    )
+    def test_every_field_is_finite(self, record, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be .*finite, got {value}$"):
+            replace(record, **{field: value})
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda p: MjdTransition(p, x0=0.0, dt=math.inf), "dt must be positive and finite, got inf"),
+            (lambda p: MjdTransition(p, x0=math.nan), "x0 must be finite, got nan"),
+            (lambda p: simulate_mjd_path(p, 0.0, math.inf, 5, 1), "dt must be positive and finite, got inf"),
+        ],
+        ids=["transition-dt", "transition-x0", "simulate-dt"],
+    )
+    def test_mjd_step_is_finite(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call(MjdParams(r=0.0, sigma=0.1, lam=1.0, mu_j=0.0, nu=0.1))
 
 
 class TestGaussian:

@@ -19,9 +19,8 @@ import pytest
 from scipy.special import gammaln, kve
 
 import spinv.estimation as estimation
-from spinv.cgf import CgfModel, DomainInterval
+from spinv.cgf import CgfModel, DomainInterval, check_fields
 from spinv.cli import main
-from spinv.errors import ValidationError
 from spinv.estimation import FAMILIES, Family, ParamTransform, ReturnSeries
 from spinv.inversion import QuadratureSpec, spi_log_density_batch
 from spinv.models import Nig, NigParams, simulate_nig
@@ -37,8 +36,8 @@ class VgParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and self.nu > 0.0):
-            raise ValidationError(f"sigma and nu must be positive, got {self.sigma}, {self.nu}")
+        # a plug-in record states its signs through the package's one rule
+        check_fields(self, positive=("sigma", "nu"))
 
 
 class VarianceGamma(CgfModel):
