@@ -1,4 +1,4 @@
-"""Cumulant generating function interface, the SPI integrand and the standardized tilted CF.
+"""Cumulant generating function interface, the one Fourier integrand and the standardized tilted CF.
 
 Exponentially tilting X by tau in the interior of Omega gives a variable
 X(tau) with CGF K(t + tau) - K(tau). Standardizing the tilted variable so
@@ -12,12 +12,14 @@ line through the tilt (c = tau), SPI's contour moved off it to any c
 inside the domain, and the imaginary axis of the plain CF (c = 0). So a
 model states K there as the increment K(c + iy) - K(c), in real and
 imaginary parts (CgfModel.k_complex on a Line), in real arithmetic, and
-K(tau) cancels without being taken. Every SPI rule sums one integrand,
-Re exp(K(c + iy) - K(c) - iy*x0) = exp(Re)*cos(Im - y*x0), which
-line_integrand finishes in the two new arrays k_complex returns, with no
-complex array. At c = tau and y = s/sqrt(K''(tau)) it is the real part of
-cf (standardized_tilted_cf); K''(tau) comes from the caller, which took
-it with K'(tau) in one k1_k2 call or from the saddlepoint solver.
+K(tau) cancels without being taken. Every Fourier rule, SPI's and
+direct IFT's, sums one integrand, Re exp(K(c + iy) - K(c) - iy*x0) =
+exp(Re)*cos(Im - y*x0), which line_integrand alone finishes from the
+arrays k_complex returns, with no complex array. At c = tau and
+y = s/sqrt(K''(tau)) it is the real part of cf (standardized_tilted_cf);
+K''(tau) comes from the caller, which took it with K'(tau) in one k1_k2
+call or from the saddlepoint solver. At c = 0 it is Re phi(y) exp(-iyx),
+the integrand of direct IFT, on one line that every point shares.
 
 How fast the CF decays, and how far K is analytic off the real axis, set
 the error of the rule that inverts it. A model may state a fixed SPI rule
@@ -38,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, InversionError, ValidationError
+from .errors import DomainError, ValidationError
 
 
 def check_value(name: str, value, sign: str = None):
@@ -216,34 +218,24 @@ class CgfModel(ABC):
         return float(self.k2(0.0))
 
 
-def log_char_fn(model: CgfModel, s):
-    """(Re, Im) of log phi(s) = K(i s) at the points of s, a 1-D float array: the increment on Line(0, s).
-
-    Raises InversionError at the first s where either part is not finite.
-    """
-    re, im = model.k_complex(Line(0.0, s))
-    bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
-    if bad.size:
-        raise InversionError(f"characteristic function not finite at s = {s[bad[0]]}")
-    return re, im
-
-
 def line_integrand(model: CgfModel, c, x0, y):
-    """Re exp(K(c + iy) - K(c) - iy*x0) at the points c + iy: the integrand of every SPI rule.
+    """Re exp(K(c + iy) - K(c) - iy*x0) at the points c + iy: the integrand of every Fourier rule.
 
-    y is a float array of the points' shape, which this overwrites; c and
-    x0 broadcast against it. The result, exp(Re)*cos(Im - y*x0) with
-    (Re, Im) = model.k_complex(Line(c, y)), is finished in the two new
-    arrays k_complex returns, with no complex array. Entries that overflow
-    are returned as they are.
+    The points lie on one line per row, y of their shape and c and x0
+    columns that broadcast against it, or on one line that every row
+    shares, c a scalar and y a row of points narrower than x0: direct
+    IFT's s on c = 0 against a column of x. The result,
+    exp(Re)*cos(Im - y*x0) with (Re, Im) = model.k_complex(Line(c, y)),
+    is a new float array of the broadcast shape of y and x0, formed with
+    no complex array; no argument is written. Entries that overflow are
+    returned as they are.
     """
     re, im = model.k_complex(Line(c, y))
-    y *= x0
-    im -= y
-    np.cos(im, out=im)
-    np.exp(re, out=re)
-    re *= im
-    return re
+    out = np.multiply(y, x0)
+    np.subtract(im, out, out=out)
+    np.cos(out, out=out)
+    out *= np.exp(re, out=re)
+    return out
 
 
 def standardized_tilted_cf(model: CgfModel, tau_hat, k2, x0, s):
@@ -261,6 +253,7 @@ def standardized_tilted_cf(model: CgfModel, tau_hat, k2, x0, s):
         raise DomainError(f"K'' must be positive at the tilt, got {np.min(k2)}")
     y = np.asarray(s, dtype=float) * (1.0 / np.sqrt(k2))
     shape = np.broadcast_shapes(np.shape(tau_hat), np.shape(x0), y.shape)
+    # k_complex returns arrays of y's shape, of at least one dimension
     if y.shape != shape or not shape:
-        y = np.broadcast_to(y, shape or (1,)).copy()
+        y = np.broadcast_to(y, shape or (1,))
     return line_integrand(model, tau_hat, x0, y).reshape(shape)

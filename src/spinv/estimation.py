@@ -501,7 +501,7 @@ def _symmetric_tail_half_width(p: NigParams, mass: float) -> float:
 
     def excess(a):
         tail, _ = adaptive_quad(
-            lambda x: math.exp(nig_exact_log_density(p, x)), a, math.inf, epsabs=1e-3 * mass
+            lambda x: math.exp(nig_exact_log_density(p, np.array([x]))[0]), a, math.inf, epsabs=1e-3 * mass
         )
         return 2.0 * tail - mass
 

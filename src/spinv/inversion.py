@@ -49,16 +49,16 @@ nats or fails. SPI's rule is the caller's, else the model's own
 CGF domain has a finite end, and DEFAULT_SPI_QUAD where it has none
 (_spi_rule).
 
-Direct IFT sums |phi(s)|*cos(Im log phi(s) - s*x) by Simpson's rule,
-(4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. A fixed rule, SPI's or direct
-IFT's, takes its points and step from its QuadratureSpec (grid). Every
-rule's points are summed in one loop over blocks of rows (_row_sums) by
-one function (_even_odd) into one pair: the sum over the even-indexed
-points less half the two ends, which is T_2h / 2h, and the sum over the
-odd-indexed points, each over the row's own points alone. The trapezoid
-rule, the SPI step error indicator (the gap between T_h and T_2h) and
-Simpson's rule are each read off that pair, so the point count stays odd
-for every method.
+Direct IFT sums the same integrand on the one line c = 0 that every row
+shares by Simpson's rule, (4 T_h - T_2h)/3, on DEFAULT_DIRECT_QUAD. A
+fixed rule, SPI's or direct IFT's, takes its points and step from its
+QuadratureSpec (grid). Every rule's points are summed in one loop over
+blocks of rows (_row_sums) by one function (_even_odd) into one pair:
+the sum over the even-indexed points less half the two ends, which is
+T_2h / 2h, and the sum over the odd-indexed points, each over the row's
+own points alone. The trapezoid rule, the SPI step error indicator (the
+gap between T_h and T_2h) and Simpson's rule are each read off that
+pair, so the point count stays odd for every method.
 
 SPI and SPA differ in log p_bar(0) alone, and every evaluator of either
 takes the terms and their sum from one expression (_solved_terms):
@@ -72,7 +72,7 @@ import numpy as np
 
 from ._log import debug
 from .cgf import (
-    CgfModel, DomainInterval, Line, QuadratureSpec, finite_points, line_integrand, log_char_fn, standardized_tilted_cf,
+    CgfModel, DomainInterval, Line, QuadratureSpec, finite_points, line_integrand, standardized_tilted_cf,
 )
 from .errors import InversionError, ValidationError
 from .saddlepoint import solve_saddlepoint, solve_saddlepoint_batch
@@ -647,20 +647,20 @@ def spa_log_density(model: CgfModel, x0: float) -> float:
 def direct_ift_log_density_batch(
     model: CgfModel, x: np.ndarray, quad: QuadratureSpec = None
 ) -> np.ndarray:
-    """Plain Fourier inversion, no tilting, over a 1-d array of finite points; floored at 1e-14."""
+    """Plain Fourier inversion, no tilting, over a 1-d array of finite points; floored at 1e-14.
+
+    Raises InversionError for the first row whose sum is not finite.
+    """
     if quad is None:
         quad = DEFAULT_DIRECT_QUAD
     x = finite_points(x)
     s, h = quad.grid()
-    # Re(phi(s) exp(-i s x)) = |phi(s)| cos(Im log phi(s) - s x)
-    log_mod, phase = log_char_fn(model, s)
-    mod = np.exp(log_mod)
-
-    def integrand(b, m):
-        vals = np.subtract(phase, np.multiply.outer(x[b], s))
-        np.cos(vals, out=vals)
-        vals *= mod
-        return vals
-
-    even, odd, _, _ = _row_sums(np.full(x.size, s.size), integrand)
-    return np.log(np.maximum(_DENSITY_FLOOR, h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        even, odd, _, _ = _row_sums(
+            np.full(x.size, s.size), lambda b, m: line_integrand(model, 0.0, x[b, None], s)
+        )
+        p = h / 3.0 * (2.0 * even + 4.0 * odd) / math.pi
+    if not np.isfinite(p).all():
+        i = int(np.flatnonzero(~np.isfinite(p))[0])
+        raise InversionError(f"direct IFT sum is not finite for observation {i} (x = {x[i]}): the CF overflows")
+    return np.log(np.maximum(_DENSITY_FLOOR, p))

@@ -43,6 +43,7 @@ Its oracle, mjd_truncated_log_density, has one stop: past the mode of
 the jump count, the first Poisson weight below 1e-14. That floor is per
 weight, not per row, so rows beyond about 15 sd come out short. A step
 that needs more than _MAX_JUMPS = 2000 jumps raises ValidationError.
+Every oracle takes a 1-d array of finite points (cgf.finite_points).
 """
 
 import math
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec, check_fields, check_value
+from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec, check_fields, check_value, finite_points
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
@@ -306,8 +307,10 @@ class MjdTransition(CgfModel):
 
 
 def gaussian_log_density(p: GaussianParams, x):
-    x = np.asarray(x, dtype=float)
-    return -0.5 * np.log(2.0 * np.pi * p.sigma**2) - (x - p.mu) ** 2 / (2.0 * p.sigma**2)
+    """log N(x; mu, sigma^2) at each point of x; -inf, with no warning, where (x - mu)^2 overflows."""
+    x = finite_points(x)
+    with np.errstate(over="ignore"):
+        return -0.5 * np.log(2.0 * np.pi * p.sigma**2) - (x - p.mu) ** 2 / (2.0 * p.sigma**2)
 
 
 def nig_exact_log_density(p: NigParams, x):
@@ -321,14 +324,15 @@ def nig_exact_log_density(p: NigParams, x):
     factor never underflows. The exponent sqrt(chi*psi) - z that this
     leaves cancels near the Gaussian limit (chi*psi >> 1), so it is taken
     in the exact form -(chi*gamma^2 + (x-mu)^2*(psi+gamma^2)) /
-    (sqrt(chi*psi) + z). Where z is not positive and finite (x not finite,
-    or an overflow) there is no usable value, and DomainError is raised.
+    (sqrt(chi*psi) + z). Where z overflows (x = 1e200) there is no usable
+    value, and DomainError is raised.
     """
-    x = np.asarray(x, dtype=float)
+    x = finite_points(x)
     a2 = p.psi + p.gamma**2
-    d2 = (x - p.mu) ** 2
-    q = p.chi + d2
-    z = np.sqrt(q * a2)
+    with np.errstate(over="ignore"):
+        d2 = (x - p.mu) ** 2
+        q = p.chi + d2
+        z = np.sqrt(q * a2)
     if not np.all((z > 0.0) & (z < np.inf)):
         raise DomainError("NIG oracle: the Bessel argument must be positive and finite")
     sqrt_chi_psi = math.sqrt(p.chi * p.psi)
@@ -353,9 +357,7 @@ def mjd_truncated_log_density(m: MjdTransition, x):
     needs more than _MAX_JUMPS jumps (lam dt above about 1600) raises
     ValidationError.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    x = finite_points(x)
     p = m.params
     base, lam_dt = m._base, m._lam_dt
     log_lam_dt = math.log(lam_dt) if lam_dt > 0.0 else -math.inf
@@ -376,16 +378,16 @@ def mjd_truncated_log_density(m: MjdTransition, x):
     # component i's log term is consts[i] - (x - base - shifts[i])^2 / two_v[i];
     # one (jumps, x) array holds them and then each step of the log-sum-exp
     terms = np.subtract(x - base, np.array(shifts)[:, None])
-    np.square(terms, out=terms)
-    terms /= np.array(two_v)[:, None]
-    np.subtract(np.array(consts)[:, None], terms, out=terms)
     # a row so far out that every term is -inf (its square overflows) comes
-    # out as -inf, where -inf - -inf would make it nan
-    top = np.maximum(terms.max(axis=0), -np.finfo(float).max)
-    terms -= top
-    np.exp(terms, out=terms)
-    out = top + np.log(terms.sum(axis=0))
-    return float(out[0]) if scalar else out
+    # out as -inf, with no warning, where -inf - -inf would make it nan
+    with np.errstate(over="ignore", divide="ignore"):
+        np.square(terms, out=terms)
+        terms /= np.array(two_v)[:, None]
+        np.subtract(np.array(consts)[:, None], terms, out=terms)
+        top = np.maximum(terms.max(axis=0), -np.finfo(float).max)
+        terms -= top
+        np.exp(terms, out=terms)
+        return top + np.log(terms.sum(axis=0))
 
 
 def nig_moments(p: NigParams):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._log import debug
-from .cgf import CgfModel
+from .cgf import CgfModel, finite_points
 from .errors import ConvergenceError, DomainError, UnattainableMeanError
 
 # SaddlepointBatch.reason codes; 0 is a solved row
@@ -91,9 +91,10 @@ def solve_saddlepoint(model: CgfModel, x0: float) -> SaddlepointBatch:
     """Solve K'(tau) = x0 to |residual| <= _TOL * max(1, |x0|).
 
     The one-row SaddlepointBatch of solve_saddlepoint_batch at x0; raises
-    the row's exception where it failed.
+    ValidationError at once where x0 is not finite (cgf.finite_points),
+    and the row's exception where it failed.
     """
-    sp = solve_saddlepoint_batch(model, np.array([float(x0)]))
+    sp = solve_saddlepoint_batch(model, finite_points([float(x0)], "x0"))
     if sp.reason[0]:
         raise sp.error(0)
     return sp

@@ -5,16 +5,16 @@ FAIL ...", with the measured quantities, then asserts the stated
 tolerances. The lines bypass pytest's capture so a plain `pytest -v`
 run shows every verdict.
 
-One check is expected to fail and is left asserting its stated
-tolerance anyway: the correction-factor tail asymptote (criterion 4).
-Its bound of 1e-3 at 8 sd is unreachable: the closed-form Bessel density
-implies p_bar(-8 sd) = 0.42298 and p_bar(+8 sd) = 0.42272, and SPI
-matches both to 1e-7. The check is not moved further out either, since
-a distance where the approach to (2 pi)^-1/2 shows (20-50 sd) is one
-where SPI's p_bar is itself wrong today.
+The correction-factor tail asymptote (criterion 4) is checked where the
+approach to (2 pi)^-1/2 shows, out to 50 sd, and against the p_bar the
+closed-form Bessel density implies, on NIG's own rule, the contour. It
+was first stated as a bound of 1e-3 at 8 sd, which the true density does
+not meet: it implies p_bar(-8 sd) = 0.42298 and p_bar(+8 sd) = 0.42272.
+The fixed rule (800, 16384) that the first statement named is itself
+wrong at 20-50 sd (p_bar of 1.12 and 1.18 at -+50 sd); the contour is
+not.
 """
 
-import math
 import time
 
 import numpy as np
@@ -85,9 +85,7 @@ def test_criterion_1_gaussian_exactness(report):
     p = GaussianParams(mu=0.0, sigma=1.0)
     m = Gaussian(p)
     xs = np.arange(-10.0, 10.5, 2.0)
-    errs = np.array(
-        [abs(spi_log_density(m, float(x)) - gaussian_log_density(p, float(x))) for x in xs]
-    )
+    errs = np.abs(np.array([spi_log_density(m, float(x)) for x in xs]) - gaussian_log_density(p, xs))
     elapsed = time.time() - t0
     ok = errs.max() < 1e-5 and elapsed < 1.0
     report(
@@ -101,7 +99,7 @@ def test_criterion_1_gaussian_exactness(report):
 def test_criterion_2_direct_tail_failure(report):
     """Direct inversion collapses to the 1e-14 floor at N(0,1) x=8; SPI holds."""
     m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
-    truth = gaussian_log_density(GaussianParams(mu=0.0, sigma=1.0), 8.0)
+    truth = gaussian_log_density(GaussianParams(mu=0.0, sigma=1.0), [8.0])[0]
     direct = direct_ift_log_density_batch(m, [8.0], quad=DEFAULT_DIRECT_QUAD)[0]
     spi = spi_log_density(m, 8.0)
     dev_direct = abs(direct - truth)
@@ -161,28 +159,40 @@ def test_criterion_3_nig_oracle_agreement(report):
 
 
 def test_criterion_4_p_bar_tail_asymptote(report):
-    """p_bar(0) should approach (2 pi)^(-1/2) eight sd out and exceed it
-    at the mean. The tail legs measure ~0.024 rather than < 1e-3: at
-    these tilts the standardized tilted density is genuinely non-normal
-    at zero, so this check fails by a margin no quadrature can remove."""
+    """p_bar(0) approaches (2 pi)^(-1/2) in the tails and exceeds it at the mean.
+
+    On NIG's own rule (the contour), at 8, 20 and 50 sd on each side,
+    p_bar(0) is within 1e-10 relative of the p_bar the closed-form Bessel
+    density implies, p(x) exp(tau x - K(tau)) sqrt(K''(tau)). Its gap to
+    (2 pi)^(-1/2) falls strictly from 8 to 20 to 50 sd on each side, and
+    is below 5e-3 at 50 sd. The approach is slow (about 0.024, 0.0099 and
+    0.0040), so no rule meets a bound of 1e-3 at 8 sd: the true density
+    does not."""
     m = Nig(_NIG_P)
     mean, var = nig_moments(_NIG_P)
     sd = np.sqrt(var)
     target = 1.0 / np.sqrt(2.0 * np.pi)
-    vals = {}
-    for label, x0 in (("-8sd", mean - 8 * sd), ("mean", mean), ("+8sd", mean + 8 * sd)):
-        vals[label] = math.exp(log_density_terms(m, [x0], quad=_FINE)[3][0])
-    dev_lo = abs(vals["-8sd"] - target)
-    dev_hi = abs(vals["+8sd"] - target)
-    ok = dev_lo < 1e-3 and dev_hi < 1e-3 and vals["mean"] > target
+    z = np.array([-50.0, -20.0, -8.0, 0.0, 8.0, 20.0, 50.0])
+    x = mean + z * sd
+    _, tilt, jacobian, _, p_bar, _ = log_density_terms(m, x)
+    implied = np.exp(nig_exact_log_density(_NIG_P, x) - tilt - jacobian)
+    tails = z != 0.0
+    rel = float(np.max(np.abs(p_bar[tails] / implied[tails] - 1.0)))
+    dev = np.abs(p_bar - target)
+    falls = dev[0] < dev[1] < dev[2] and dev[6] < dev[5] < dev[4]
+    far = max(dev[0], dev[6])
+    at_mean = p_bar[z == 0.0][0]
+    ok = rel <= 1e-10 and falls and far < 5e-3 and at_mean > target
     report(
-        f"criterion 4: {_verdict(ok)} p_bar asymptote: p_bar(-8sd) = {vals['-8sd']:.6f}, "
-        f"p_bar(+8sd) = {vals['+8sd']:.6f} vs (2pi)^-0.5 = {target:.6f} "
-        f"(devs {dev_lo:.4f}, {dev_hi:.4f}, tol 1e-3); p_bar(mean) = {vals['mean']:.6f} (> {target:.4f})"
+        f"criterion 4: {_verdict(ok)} p_bar asymptote: max |p_bar / implied - 1| = {rel:.1e} (tol 1e-10) "
+        f"at -+8, -+20, -+50 sd; |p_bar - (2pi)^-0.5| at -50..50 sd = "
+        f"{', '.join(f'{d:.4f}' for d in dev[tails])} (falling outward, < 5e-3 at 50 sd); "
+        f"p_bar(mean) = {at_mean:.6f} (> {target:.4f})"
     )
-    assert vals["mean"] > target
-    assert dev_lo < 1e-3
-    assert dev_hi < 1e-3
+    assert rel <= 1e-10
+    assert falls
+    assert far < 5e-3
+    assert at_mean > target
 
 
 def _spa_kl_minimizer(theta0):
@@ -205,7 +215,7 @@ def _spa_kl_minimizer(theta0):
 
     def cross_entropy(theta):
         val, _ = integrate.quad(
-            lambda x: log_spa(x, theta) * np.exp(nig_exact_log_density(truth, x)),
+            lambda x: log_spa(x, theta) * np.exp(nig_exact_log_density(truth, np.array([x]))[0]),
             0.0,
             np.inf,
             epsabs=1e-12,

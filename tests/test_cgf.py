@@ -1,10 +1,11 @@
-"""Tests for the CGF interface layer: domains, derivatives, characteristic functions."""
+"""Tests for the CGF interface layer: domains, derivatives, characteristic functions, the one integrand."""
 
 import numpy as np
 import pytest
 
-from spinv.cgf import CgfModel, DomainInterval, Line, log_char_fn, standardized_tilted_cf
-from spinv.errors import DomainError
+from spinv.cgf import CgfModel, DomainInterval, Line, line_integrand, standardized_tilted_cf
+from spinv.errors import DomainError, InversionError
+from spinv.inversion import direct_ift_log_density_batch
 from spinv.saddlepoint import solve_saddlepoint
 from spinv.models import (
     Gaussian,
@@ -105,8 +106,8 @@ class TestCgfDerivatives:
 
 
 def _char_fn(model, s):
-    """phi(s) = exp(K(i s)) from log_char_fn."""
-    re, im = log_char_fn(model, s)
+    """phi(s) = exp(K(i s)), from the increment on the imaginary axis."""
+    re, im = model.k_complex(Line(0.0, s))
     return np.exp(re) * (np.cos(im) + 1j * np.sin(im))
 
 
@@ -124,6 +125,47 @@ class TestCharFn:
             mod = np.abs(_char_fn(m, s))
             assert np.all(mod <= 1.0 + 1e-12)
             np.testing.assert_allclose(np.abs(_char_fn(m, np.zeros(1))), 1.0, rtol=1e-14)
+
+
+class _OverflowingGaussian(Gaussian):
+    """N(0, 1) whose CF overflows past y = 50: a plug-in law that direct IFT cannot invert."""
+
+    def k_complex(self, line):
+        re, im = super().k_complex(line)
+        re[np.abs(line.y) > 50.0] = np.inf
+        return re, im
+
+
+class TestLineIntegrand:
+    @pytest.mark.parametrize("model", _family_models())
+    def test_reads_a_read_only_y_and_writes_no_argument(self, model):
+        # one line per row: y of the points' shape, c and x0 columns
+        c = np.array([[0.0], [0.1 / np.sqrt(model.variance())]])
+        x0 = np.array([[model.mean()], [float(model.k1(c[1, 0]))]])
+        y = np.broadcast_to(np.linspace(0.0, 20.0, 9) / np.sqrt(model.variance()), (2, 9))
+        assert not y.flags.writeable
+        before = [a.copy() for a in (c, x0, y)]
+        got = line_integrand(model, c, x0, y)
+        assert got.shape == (2, 9) and got.dtype == np.float64
+        want = np.exp(_reference_k(model, c + 1j * y) - _reference_k(model, c) - 1j * y * x0).real
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        for a, b in zip((c, x0, y), before):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("model", _family_models())
+    def test_one_line_shared_by_every_row_is_the_plain_cf(self, model):
+        # c = 0 and y narrower than x0: Re phi(y) exp(-i y x) for each x
+        s = np.linspace(0.0, 30.0, 13) / np.sqrt(model.variance())
+        s.flags.writeable = False
+        x = model.mean() + np.sqrt(model.variance()) * np.array([[-2.0], [0.0], [3.0]])
+        got = line_integrand(model, 0.0, x, s)
+        assert got.shape == (3, s.size)
+        np.testing.assert_allclose(got, (_char_fn(model, s) * np.exp(-1j * s * x)).real, rtol=0.0, atol=1e-13)
+
+    def test_direct_ift_refuses_a_cf_that_overflows(self):
+        m = _OverflowingGaussian(GaussianParams(mu=0.0, sigma=1.0))
+        with pytest.raises(InversionError, match=r"observation 0 \(x = 0\.5\)"):
+            direct_ift_log_density_batch(m, [0.5, 1.0])
 
 
 class TestStandardizedTiltedCf:

@@ -88,7 +88,7 @@ class TestDensity:
         assert len(rows) == 5
         for row in rows:
             x = float(row[0])
-            expected = gaussian_log_density(GaussianParams(mu=0.0, sigma=1.0), x)
+            expected = gaussian_log_density(GaussianParams(mu=0.0, sigma=1.0), [x])[0]
             np.testing.assert_allclose(float(row[1]), expected, atol=1e-9)
             # decomposition columns populated for spi
             assert row[2] != "" and row[3] != "" and row[4] != ""

@@ -72,13 +72,16 @@ _NIG = NigParams(chi=1.0, psi=1.0)
         (lambda: simulate_nig(_NIG, 0, 1), ValidationError, "n must be at least 1"),
         (lambda: simulate_mjd_path(_MJD, 0.0, _DT, 0, 1), ValidationError, "n_steps must be at least 1"),
         (lambda: simulate_mjd_path(_MJD, 0.0, 0.0, 5, 1), ValidationError, "dt must be positive"),
-        (lambda: nig_exact_log_density(_NIG, np.array([0.0, np.inf])), DomainError, "positive and finite"),
+        (lambda: nig_exact_log_density(_NIG, np.array([0.0, np.inf])), ValidationError,
+         r"x must be finite, got x\[1\] = inf"),
+        (lambda: nig_exact_log_density(_NIG, np.array([0.0, 1e200])), DomainError, "positive and finite"),
     ],
     ids=[
         "nll-method", "transform-family", "moment-init-family", "profile-param",
         "moment-init-zero-variance", "kl-theta0", "kl-method", "gbm-increment-dt",
         "gbm-increment-dt-inf", "return-series-dt-inf", "return-series-nan",
         "simulate-nig-n", "simulate-mjd-steps", "simulate-mjd-dt", "nig-oracle-x",
+        "nig-oracle-overflow",
     ],
 )
 def test_invalid_call_raises(call, error, match):

@@ -1,14 +1,17 @@
 """The package's layering, read from each module's package-relative imports.
 
-cgf is the bottom layer: the CGF interface, the standardized tilted CF and
-the quadrature rule a model states. The models and the saddlepoint solver
-sit on it, and the inversion layer on the solver; it takes whatever
-model it is given, so it names none of them. Only the registry (estimation) and
-the CLI name models and evaluators together. Within the layers, every
-SPI rule sums the one integrand cgf states; the inversion layer takes K off
-the real axis itself only to probe how far a contour must run, every
-rule's lines are placed from one site, and every rule's points are added
-up by one function. No module imports a name it never uses.
+cgf is the bottom layer: the CGF interface, the one Fourier integrand, the
+standardized tilted CF and the quadrature rule a model states. The models
+and the saddlepoint solver sit on it, and the inversion layer on the
+solver; it takes whatever model it is given, so it names none of them.
+Only the registry (estimation) and the CLI name models and evaluators
+together. Within the layers, every Fourier rule, SPI's and direct IFT's,
+sums the one integrand cgf states (line_integrand, the one function of
+cgf that takes K off the real axis); the inversion layer takes K off the
+real axis itself only to probe how far a contour must run, and a cosine
+only to place the Chebyshev nodes; every rule's lines are placed from one
+site, and every rule's points are added up by one function. No module
+imports a name it never uses.
 """
 
 import ast
@@ -54,9 +57,9 @@ def test_lower_layers_import_no_higher_one(module, forbidden):
     assert not _relative_imports(module) & forbidden
 
 
-def _inversion_callers(calls):
-    """The functions of inversion.py that make a call calls(func) accepts, func being an ast.Attribute."""
-    tree = ast.parse((_PACKAGE / "inversion.py").read_text())
+def _callers(calls, module="inversion"):
+    """The functions of spinv/<module>.py that make a call calls(func) accepts, func being an ast.Attribute."""
+    tree = ast.parse((_PACKAGE / f"{module}.py").read_text())
     return {
         func.name
         for func in tree.body
@@ -69,7 +72,17 @@ def _inversion_callers(calls):
 def test_inversion_takes_k_complex_only_in_the_decay_probe():
     # every summed integrand comes from cgf (line_integrand), so a rule
     # cannot grow its own copy of it
-    assert _inversion_callers(lambda f: f.attr == "k_complex") == {"_decay_cut"}
+    assert _callers(lambda f: f.attr == "k_complex") == {"_decay_cut"}
+
+
+def test_cgf_takes_k_complex_only_in_the_one_integrand():
+    assert _callers(lambda f: f.attr == "k_complex", "cgf") == {"line_integrand"}
+
+
+def test_inversion_takes_a_cosine_only_for_the_chebyshev_nodes():
+    # the CF is finished into an integrand in cgf alone, direct IFT's
+    # included; the one cosine left places the fit's nodes, cos(pi j/256)
+    assert _callers(lambda f: f.attr in ("cos", "sin")) == {"_interpolated"}
 
 
 def test_inversion_sums_only_in_the_one_sum():
@@ -79,7 +92,7 @@ def test_inversion_sums_only_in_the_one_sum():
         on_add = isinstance(f.value, ast.Attribute) and f.value.attr == "add"
         return f.attr == "sum" or (on_add and f.attr in ("reduce", "reduceat"))
 
-    assert _inversion_callers(adds) == {"_even_odd"}
+    assert _callers(adds) == {"_even_odd"}
 
 
 @pytest.mark.parametrize(

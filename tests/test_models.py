@@ -34,6 +34,33 @@ _NIG_CASES = [
 ]
 
 
+# each closed-form oracle, on a record of its family
+_ORACLES = {
+    "gaussian": lambda x: gaussian_log_density(GaussianParams(mu=0.1, sigma=1.0), x),
+    "nig": lambda x: nig_exact_log_density(_NIG_CASES[0], x),
+    "mjd": lambda x: mjd_truncated_log_density(
+        MjdTransition(MjdParams(r=0.05, sigma=0.2, lam=3.0, mu_j=-0.05, nu=0.1)), x
+    ),
+}
+
+
+@pytest.mark.parametrize("oracle", list(_ORACLES))
+@pytest.mark.parametrize(
+    "x, match",
+    [
+        (0.1, "x must be a 1-d array of points, got 0 dimensions"),
+        ([0.1, math.nan], r"x must be finite, got x\[1\] = nan"),
+        ([0.1, math.inf], r"x must be finite, got x\[1\] = inf"),
+        ([-math.inf, 0.1], r"x must be finite, got x\[0\] = -inf"),
+    ],
+    ids=["0-d", "nan", "inf", "-inf"],
+)
+def test_every_oracle_refuses_other_x_alike(oracle, x, match):
+    # the points of a batch, as every evaluator takes them (cgf.finite_points)
+    with pytest.raises(ValidationError, match=match):
+        _ORACLES[oracle](x)
+
+
 # one record of each params type, every field away from its bound
 _RECORDS = [
     GaussianParams(mu=0.1, sigma=1.0),
@@ -109,6 +136,11 @@ class TestGaussian:
             stats.norm.logpdf(x, loc=-0.5, scale=1.3),
             rtol=1e-13,
         )
+
+    def test_log_density_too_far_out_to_square_is_minus_inf(self):
+        # and no overflow warning leaks out
+        out = gaussian_log_density(GaussianParams(mu=-0.5, sigma=1.3), np.array([1e200, -1e200, 0.0]))
+        assert out[0] == out[1] == -np.inf and np.isfinite(out[2])
 
 
 class TestNig:
@@ -242,21 +274,19 @@ class TestMjdTransition:
             # criterion 6: lam*dt = 0.566, where the 1e-14 weight floor
             # stops the sum near 13 jumps
             (_C6, 1.0 / 252.0, 0.0, _SDS, {"rtol": 1e-12}),
-            (_P, 1.0 / 252.0, 0.02, 1.5, {"rtol": 1e-12}),
+            (_P, 1.0 / 252.0, 0.02, np.array([1.5]), {"rtol": 1e-12}),
             # lam*dt = 4, 9.6 and 19.8: the floor stops the sum past 20 jumps
             (replace(_C6, lam=1008.0), 1.0 / 252.0, 0.0, _SDS, _TAIL),
             (replace(_C6, lam=500.0), 1.0 / 52.0, 0.0, _SDS, _TAIL),
             (replace(_C6, lam=5000.0), 1.0 / 252.0, 0.0, _SDS, _TAIL),
         ],
-        ids=["bulk", "criterion-6", "scalar", "lam-dt-4", "lam-dt-9.6", "lam-dt-19.8"],
+        ids=["bulk", "criterion-6", "one-point", "lam-dt-4", "lam-dt-9.6", "lam-dt-19.8"],
     )
     def test_mixture_matches_untruncated_sum(self, p, dt, x0, sds, tol):
         m = MjdTransition(p, x0=x0, dt=dt)
         mean, sd = m.mean(), np.sqrt(m.variance())
         x = mean + sd * sds
         ours = mjd_truncated_log_density(m, x)
-        if np.ndim(sds) == 0:
-            assert type(ours) is float
         # brute force: the first 200 Poisson terms, no truncation heuristics
         lam_dt = p.lam * dt
         base = x0 + (p.r - p.lam * p.jump_compensator - 0.5 * p.sigma**2) * dt
@@ -295,14 +325,14 @@ class TestMjdTransition:
         # lam*dt = 1700 needs more jump counts than the oracle sums over
         m = MjdTransition(replace(self._C6, lam=1700.0 * 252.0), dt=1.0 / 252.0)
         with pytest.raises(ValidationError, match="lambda\\*dt = 1700 needs more than 2000 jumps"):
-            mjd_truncated_log_density(m, 0.0)
+            mjd_truncated_log_density(m, np.array([0.0]))
 
     @pytest.mark.parametrize("lam", [0.0, 100.0])
     def test_rows_too_far_out_to_square_are_minus_inf(self, lam):
         # (x - base)^2 overflows, so every component of the row is -inf
         m = MjdTransition(replace(self._P, lam=lam), dt=1.0 / 252.0)
-        with np.errstate(over="ignore", divide="ignore"):
-            out = mjd_truncated_log_density(m, np.array([1e200, -np.inf, 0.0]))
+        # and no overflow or divide warning leaks out
+        out = mjd_truncated_log_density(m, np.array([1e200, -1e200, 0.0]))
         assert out[0] == out[1] == -np.inf and np.isfinite(out[2])
 
     def test_zero_jump_rate_is_gaussian(self):
