@@ -50,6 +50,18 @@ def check_value(name: str, value, sign: str = None):
         raise ValidationError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value}")
 
 
+def derived_value(name: str, compute, params):
+    """compute(), the value name takes at the params record, where finite; else ValidationError
+    "name overflows at params": a power or math.exp raises OverflowError, a sum or product gives inf."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ValidationError(f"{name} overflows at {params}")
+
+
 def check_fields(record, positive=(), non_negative=()):
     """check_value on every field of the dataclass record, with the sign its name is listed under."""
     for f in fields(record):
@@ -77,8 +89,8 @@ class QuadratureSpec:
     from grid. The count is odd so that the even-indexed points form the
     trapezoid rule of twice the step: the core's step error indicator at
     no extra CF cost, and the other half of Simpson's rule, both read off
-    the one sum of every rule (inversion._even_odd). An even n_points is
-    bumped up by one; asking for 512 runs 513.
+    the one sum of every Fourier rule (inversion._even_odd); the KL window
+    takes scipy's. An even n_points is bumped up by one; 512 runs 513.
     """
 
     upper_limit: float

@@ -4,7 +4,8 @@ Every failure mode surfaced by the numerical layers maps to one of these,
 so the CLI can translate them into distinct exit codes: 2 for ParseError,
 4 for ConvergenceError (UnattainableMeanError included), 5 for
 InversionError (an unusable p_bar(0), the only error an inversion
-raises), and 3 for the rest.
+raises), and 3 for the rest. Finite parameters whose derived value
+overflows (sigma^2, exp(mu_j + nu^2/2)) are a ValidationError too.
 """
 
 

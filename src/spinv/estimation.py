@@ -9,8 +9,8 @@ Optimization runs in an unconstrained vector space: positive parameters
 roam freely and reported standard errors refer to the transformed
 coordinates (the scale used for jump parameters in the usual reporting
 convention for this model). The fits minimize by the simplex method of
-Nelder & Mead (1965, Comput. J. 7:308), in a port of scipy's algorithm
-that gives scipy's results bit for bit without importing scipy.optimize.
+Nelder & Mead (1965, Comput. J. 7:308), ported from scipy to give its
+results bit for bit; only the KL experiment imports scipy.optimize.
 
 The MJD likelihood treats log-price increments as i.i.d. given dt, which
 is the same thing as conditioning each transition on the previous level;
@@ -23,11 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cgf import check_fields, check_value, finite_points
+from .cgf import check_fields, check_value, derived_value, finite_points
 from .errors import ConvergenceError, SpinvError, ValidationError
 from .inversion import (
     QuadratureSpec,
-    _even_odd,
     direct_ift_log_density_batch,
     spa_log_density_batch,
     spi_log_density_batch,
@@ -47,7 +46,6 @@ from .models import (
 )
 
 _NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 20000, "maxfev": 20000}
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 # truth mass left outside the KL integration window, and the largest
 # Simpson step inside it
 _KL_TAIL_MASS = 1e-6
@@ -78,9 +76,8 @@ class GbmParams:
     def increment(self, dt: float) -> GaussianParams:
         """The Gaussian law of the log-price increment over dt."""
         check_value("dt", dt, "positive")
-        return GaussianParams(
-            mu=dt * (self.r - 0.5 * self.sigma**2), sigma=self.sigma * math.sqrt(dt)
-        )
+        mu = derived_value("the drift", lambda: dt * (self.r - 0.5 * self.sigma**2), self)
+        return GaussianParams(mu=mu, sigma=self.sigma * math.sqrt(dt))
 
 
 @dataclass(frozen=True)
@@ -477,22 +474,6 @@ def profile_nll(
     return out
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    c = b - _GOLDEN_RATIO * (b - a)
-    d = a + _GOLDEN_RATIO * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_RATIO * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_RATIO * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _symmetric_tail_half_width(p: NigParams, mass: float) -> float:
     """Half-width a with P(|X| > a) = mass under the exact density of a
     zero-centered symmetric NIG, by root-finding on adaptive quadrature."""
@@ -518,13 +499,13 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     zero mean; theta is the variance of the mixing variable). The estimator
     is the argmin over theta in [0, 4*theta0] of the cross-entropy
     -int log p_approx(x; theta) p(x; theta0) dx over the whole line, the
-    quantity the MLE converges to as n grows. Golden-section handles the
-    boundary minimum the SPA produces; theta is floored just above zero
-    when evaluated.
+    quantity the MLE converges to as n grows. scipy's bounded Brent search
+    evaluates only inside the bracket, so it nears the SPA's boundary
+    minimum without evaluating theta = 0.
 
     The integral is cut to [-a, a], where the exact truth leaves mass
     _KL_TAIL_MASS = 1e-6 outside (a = 8.68, 10.87, 13.94 at theta0 = 0.5,
-    1, 2), and taken by composite Simpson with step at most _KL_STEP = 0.12.
+    1, 2), and taken by scipy's Simpson with step at most _KL_STEP = 0.12.
     Every candidate is symmetric like the truth, so only x >= 0 is
     evaluated and the integral doubled. With this window SPI recovers
     theta0 to within 2e-4; SPA collapses to the boundary for theta0 <= 1
@@ -534,6 +515,8 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     check_value("theta0", theta0, "positive")
     if method not in ("spi", "spa"):
         raise ValidationError(f"method must be spi or spa, got {method!r}")
+    from scipy.integrate import simpson
+    from scipy.optimize import minimize_scalar
     truth = NigParams(chi=1.0 / theta0, psi=1.0 / theta0, mu=0.0, gamma=0.0)
     half_width = _symmetric_tail_half_width(truth, _KL_TAIL_MASS)
     n_points = 2 * math.ceil(half_width / (2.0 * _KL_STEP)) + 1
@@ -541,16 +524,15 @@ def kl_asymptotic_estimator(theta0: float, method: str = "spi") -> float:
     p_truth = np.exp(nig_exact_log_density(truth, xs))
 
     def cross_entropy(theta):
-        theta = max(theta, 1e-12)
         model = Nig(NigParams(chi=1.0 / theta, psi=1.0 / theta, mu=0.0, gamma=0.0))
         if method == "spi":
             logp = spi_log_density_batch(model, xs)
         else:
             logp = spa_log_density_batch(model, xs)
-        even, odd, _ = _even_odd((p_truth * logp)[None], np.array([xs.size]))
-        return -2.0 * h / 3.0 * float(2.0 * even[0] + 4.0 * odd[0])
+        return -2.0 * float(simpson(p_truth * logp, dx=h))
 
-    return _golden_min(cross_entropy, 0.0, 4.0 * theta0, tol=1e-8 + 1e-6 * theta0)
+    bounds, options = (0.0, 4.0 * theta0), {"xatol": 1e-8 + 1e-6 * theta0}
+    return float(minimize_scalar(cross_entropy, bounds=bounds, method="bounded", options=options).x)
 
 
 def hessian_std_errors(nll, at: np.ndarray) -> np.ndarray:

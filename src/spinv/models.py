@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CgfModel, DomainInterval, Line, QuadratureSpec, check_fields, check_value, finite_points
+from .cgf import (CgfModel, DomainInterval, Line, QuadratureSpec, check_fields, check_value, derived_value,
+                  finite_points)
 from .errors import DomainError, ValidationError
 
 _LOG_WEIGHT_FLOOR = math.log(1e-14)
@@ -104,11 +105,12 @@ class MjdParams:
     @property
     def jump_compensator(self) -> float:
         """k = E(Y) - 1 for log-normal jump sizes Y."""
-        return math.exp(self.mu_j + 0.5 * self.nu**2) - 1.0
+        return derived_value("exp(mu_j + nu^2/2)", lambda: math.exp(self.mu_j + 0.5 * self.nu**2), self) - 1.0
 
     def drift(self, dt: float) -> float:
         """Deterministic part of the log-price increment over dt."""
-        return dt * (self.r - self.lam * self.jump_compensator - 0.5 * self.sigma**2)
+        k = self.jump_compensator
+        return derived_value("the drift", lambda: dt * (self.r - self.lam * k - 0.5 * self.sigma**2), self)
 
 
 class Gaussian(CgfModel):
@@ -116,7 +118,7 @@ class Gaussian(CgfModel):
 
     def __init__(self, params: GaussianParams):
         self.params = params
-        self._var = params.sigma**2
+        self._var = derived_value("sigma^2", lambda: params.sigma**2, params)
 
     def k(self, t):
         return self.params.mu * t + 0.5 * self._var * t * t
@@ -141,7 +143,7 @@ class Nig(CgfModel):
     def __init__(self, params: NigParams):
         self.params = params
         p = params
-        self._half_width = math.sqrt(p.gamma**2 + p.psi)
+        self._half_width = derived_value("sqrt(gamma^2 + psi)", lambda: math.sqrt(p.gamma**2 + p.psi), p)
         self._sqrt_chi = math.sqrt(p.chi)
         self._sqrt_psi = math.sqrt(p.psi)
 
@@ -243,9 +245,9 @@ class MjdTransition(CgfModel):
         self.dt = float(dt)
         p = params
         # deterministic part of the increment
-        self._base = self.x0 + p.drift(self.dt)
-        self._var_diff = p.sigma**2 * self.dt
-        self._lam_dt = p.lam * self.dt
+        self._base = derived_value("x0 + drift", lambda: self.x0 + p.drift(self.dt), p)
+        self._var_diff = derived_value("sigma^2 dt", lambda: p.sigma**2 * self.dt, p)
+        self._lam_dt = derived_value("lam dt", lambda: p.lam * self.dt, p)
 
     def _jump_exponent(self, z):
         p = self.params

@@ -187,6 +187,14 @@ class TestStandardizedTiltedCf:
         assert v.dtype == np.float64
         np.testing.assert_allclose(v, np.exp(-0.5 * s**2), atol=1e-13)
 
+    @pytest.mark.parametrize("k2", [0.0, -1.0, [1.0, 0.0]], ids=["zero", "negative", "one-row-of-two"])
+    def test_k2_that_is_not_positive_raises(self, k2):
+        # the CF is standardized by sqrt(K''), which no tilt of a
+        # non-degenerate law leaves at or below zero
+        m = Gaussian(GaussianParams(mu=0.0, sigma=1.0))
+        with pytest.raises(DomainError, match="K'' must be positive at the tilt"):
+            standardized_tilted_cf(m, 0.0, k2, 0.0, np.linspace(0.0, 1.0, 5))
+
 
 def _reference_k(model, z):
     """K(z) as one complex expression, with numpy's principal square root for NIG."""

@@ -76,6 +76,27 @@ def _write_prices(path, prices, header=None, date_col=False):
                 fh.write(f"{p}\n")
 
 
+# finite parameters whose square or exponential overflows: each is
+# refused where the derived value is formed, by every command that
+# builds the model, not met as an OverflowError traceback or a NIG
+# strip of infinite half-width
+_MJD = {"r": "0", "sigma": "0.2", "lambda": "10", "mu_j": "0", "nu": "0.1"}
+_OVERFLOWS = {
+    "gaussian-sigma": ("gaussian", {"sigma": "1e300"}, "sigma^2 overflows at GaussianParams(mu=0.0, sigma=1e+300)"),
+    "gbm-sigma": ("gbm", {"r": "0", "sigma": "1e200"}, "the drift overflows at GbmParams(r=0.0, sigma=1e+200)"),
+    "nig-gamma": ("nig", {"chi": "1", "psi": "1", "gamma": "1e300"},
+                  "sqrt(gamma^2 + psi) overflows at NigParams(chi=1.0, psi=1.0, mu=0.0, gamma=1e+300)"),
+    "nig-half-width": ("nig", {"chi": "1", "psi": "1e308", "gamma": "1e154"},
+                       "sqrt(gamma^2 + psi) overflows at NigParams(chi=1.0, psi=1e+308, mu=0.0, gamma=1e+154)"),
+    "mjd-sigma": ("mjd", {**_MJD, "sigma": "1e300"},
+                  "the drift overflows at MjdParams(r=0.0, sigma=1e+300, lam=10.0, mu_j=0.0, nu=0.1)"),
+    "mjd-mu_j": ("mjd", {**_MJD, "mu_j": "1000"},
+                 "exp(mu_j + nu^2/2) overflows at MjdParams(r=0.0, sigma=0.2, lam=10.0, mu_j=1000.0, nu=0.1)"),
+    "mjd-nu": ("mjd", {**_MJD, "nu": "1e200"},
+               "exp(mu_j + nu^2/2) overflows at MjdParams(r=0.0, sigma=0.2, lam=10.0, mu_j=0.0, nu=1e+200)"),
+}
+
+
 class TestDensity:
     def test_gaussian_spi_matches_analytic(self, capsys):
         code, out, _ = _run(
@@ -195,6 +216,32 @@ class TestDensity:
         ],
     )
     def test_rejected_input_exits_3(self, capsys, argv, message):
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert out == "" and err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "command, family, params, message",
+        [
+            pytest.param(command, *row, id=f"{command}-{name}")
+            for command in ("density", "loglik", "profile", "simulate")
+            for name, row in _OVERFLOWS.items()
+            if command != "simulate" or row[0] in ("gbm", "mjd")
+        ],
+    )
+    def test_parameter_whose_square_or_exponential_overflows_exits_3(
+        self, capsys, tmp_path, command, family, params, message
+    ):
+        prices = tmp_path / "p.csv"
+        _write_prices(prices, [1.0, 1.01, 0.99, 1.02, 1.0])
+        flags = {
+            "density": ["--grid", "0:0:1"],
+            "loglik": ["--input", str(prices)],
+            "profile": ["--input", str(prices), "--param", "mu" if family in ("gaussian", "nig") else "r",
+                        "--grid", "0:0:1"],
+            "simulate": ["--n", "2"],
+        }[command]
+        argv = [command, "--family", family, "--params", *(f"{k}={v}" for k, v in params.items()), *flags]
         code, out, err = _run(capsys, argv)
         assert code == 3
         assert out == "" and err.startswith("error:") and message in err
@@ -1016,6 +1063,12 @@ class TestPriceCsv:
         f = tmp_path / "plain.csv"
         _write_prices(f, [1.0, 1.1, 0.9])
         np.testing.assert_allclose(read_price_csv(str(f)), [1.0, 1.1, 0.9])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # an empty line and one of spaces alone, inside the file and after it
+        f = tmp_path / "blank.csv"
+        f.write_text("price\n100\n\n101\n   \n102\n\n")
+        np.testing.assert_allclose(read_price_csv(str(f)), [100.0, 101.0, 102.0])
 
     def test_byte_order_mark_is_not_a_header(self, tmp_path):
         f = tmp_path / "bom.csv"

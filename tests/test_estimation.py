@@ -14,7 +14,6 @@ from spinv.estimation import (
     ProfilePoint,
     ReturnSeries,
     _fit_setup,
-    _golden_min,
     _nelder_mead,
     _symmetric_tail_half_width,
     fit_mle,
@@ -238,6 +237,30 @@ class TestFitMle:
         assert f(transform_for("nig").to_vector(NigParams(chi=0.125, psi=0.125))) == math.inf
         assert failed == {"InversionError": 1}
 
+    def test_derived_value_that_overflows_is_a_counted_refusal(self):
+        # exp(mu_j + nu^2/2) overflows at mu_j = 1000: the model refuses it
+        # as any other invalid input, not as a bare OverflowError
+        data = ReturnSeries(dt=_DT, returns=np.array([0.0, 0.01, -0.02]))
+        _, _, f, failed = _fit_setup("mjd", data, "spa", None, None)
+        p = MjdParams(r=0.0, sigma=0.2, lam=10.0, mu_j=1000.0, nu=0.1)
+        assert f(transform_for("mjd").to_vector(p)) == math.inf
+        assert failed == {"ValidationError": 1}
+
+    def test_hessian_that_is_not_positive_definite_leaves_nan_std_errors(self):
+        # SPA's NIG fit to Gaussian returns ends where the finite-difference
+        # Hessian has a negative eigenvalue: the search's result stands, and
+        # only the standard errors are lost
+        data = ReturnSeries(dt=_DT, returns=np.random.default_rng(0).normal(0.0, 0.01, 40))
+        _, vec0, f, failed = _fit_setup("nig", data, "spa", None, None)
+        x, fun, nfev, success = _nelder_mead(f, vec0)
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            hessian_std_errors(f, x)
+        fit = fit_mle("nig", data, method="spa")
+        assert np.isnan(fit.std_errors).all() and fit.std_errors.size == 4
+        assert np.array_equal(fit.params, x) and fit.nll == fun and fit.n_evals == nfev
+        assert fit.converged == success
+        assert fit.failed_evals == failed == {}
+
 
 def _rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
@@ -323,6 +346,24 @@ class TestNelderMead:
         res = _assert_same_as_scipy(f, x0)
         assert res.nfev == maxfev and not res.success
 
+    @pytest.mark.parametrize("maxiter", [3, 7, 25, 20000])
+    @pytest.mark.parametrize(
+        "f, x0",
+        [
+            pytest.param(_rosenbrock, _ROSENBROCK_START, id="rosenbrock"),
+            pytest.param(_wiggle, np.array([1.0, -2.0, 0.5]), id="wiggle"),
+            pytest.param(_inf_above_plane, np.array([0.0, -1.0, 0.5]), id="inf-above-plane"),
+        ],
+    )
+    def test_every_small_budget_stops_as_scipy_does(self, monkeypatch, f, x0, maxiter):
+        # every maxfev up to 59 cuts the search at a different evaluation:
+        # in the first simplex, a reflection, an expansion, a contraction
+        # or a shrink, each with maxiter stopping it too or not
+        for maxfev in [*range(1, 60), 100, 250, 500]:
+            options = dict(estimation._NM_OPTIONS, maxfev=maxfev, maxiter=maxiter)
+            monkeypatch.setattr(estimation, "_NM_OPTIONS", options)
+            _assert_same_as_scipy(f, x0)
+
     @pytest.mark.parametrize("maxiter", [1, 2, 30])
     def test_maxiter_stop(self, monkeypatch, maxiter):
         monkeypatch.setattr(estimation, "_NM_OPTIONS", dict(estimation._NM_OPTIONS, maxiter=maxiter))
@@ -376,16 +417,6 @@ class TestHessianStdErrors:
 
         with pytest.raises(ConvergenceError, match="positive definite"):
             hessian_std_errors(nll, np.array([0.0, 0.0]))
-
-
-class TestGoldenMin:
-    def test_parabola(self):
-        xm = _golden_min(lambda x: (x - 1.3) ** 2, 0.0, 4.0, tol=1e-10)
-        np.testing.assert_allclose(xm, 1.3, atol=1e-8)
-
-    def test_boundary_minimum(self):
-        xm = _golden_min(lambda x: x, 0.0, 4.0, tol=1e-10)
-        np.testing.assert_allclose(xm, 0.0, atol=1e-7)
 
 
 class TestKlWindow:

@@ -11,7 +11,7 @@ cgf that takes K off the real axis); the inversion layer takes K off the
 real axis itself only to probe how far a contour must run, and a cosine
 only to place the Chebyshev nodes; every rule's lines are placed from one
 site, and every rule's points are added up by one function. No module
-imports a name it never uses.
+imports a name it never uses, or a private name of another module.
 """
 
 import ast
@@ -139,3 +139,18 @@ def test_no_module_imports_a_name_it_never_uses(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used == _PATCHED_BY_TRACER.get(path.stem, set())
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a name with a leading underscore belongs to its own module; a layer
+    # that needs one asks its owner for a public name or does the work itself
+    tree = ast.parse(path.read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -119,6 +119,29 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match=match):
             call(MjdParams(r=0.0, sigma=0.1, lam=1.0, mu_j=0.0, nu=0.1))
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            # gamma^2 is finite, but its sum with psi is not
+            (lambda: Nig(NigParams(chi=1.0, psi=1e308, gamma=1e154)),
+             r"sqrt\(gamma\^2 \+ psi\) overflows at NigParams\(chi=1.0, psi=1e\+308, mu=0.0, gamma=1e\+154\)"),
+            # the drift is finite, r cancelling sigma^2/2, but sigma^2 dt is not
+            (lambda: MjdTransition(MjdParams(r=5e307, sigma=1e154, lam=0.0, mu_j=0.0, nu=0.1), dt=10.0),
+             r"sigma\^2 dt overflows at MjdParams\(r=5e\+307, sigma=1e\+154"),
+            (lambda: MjdTransition(MjdParams(r=0.0, sigma=0.2, lam=1e300, mu_j=0.0, nu=0.1), dt=1e10),
+             r"lam dt overflows at MjdParams\(.*lam=1e\+300"),
+            (lambda: MjdTransition(MjdParams(r=1e308, sigma=0.2, lam=0.0, mu_j=0.0, nu=0.1), x0=1e308, dt=1.0),
+             r"x0 \+ drift overflows at MjdParams\(r=1e\+308"),
+        ],
+        ids=["nig-half-width", "mjd-variance", "mjd-jump-rate", "mjd-start"],
+    )
+    def test_derived_value_that_overflows_is_refused(self, call, match):
+        # a finite value formed from finite fields can still overflow to inf;
+        # the model refuses it where it is formed (the CLI tests cover the
+        # squares and exponentials that raise OverflowError)
+        with pytest.raises(ValidationError, match=match):
+            call()
+
 
 class TestGaussian:
     def test_cgf_closed_form(self):
